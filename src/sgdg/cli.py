@@ -21,10 +21,10 @@ from .inference import (
     DimensionMismatch,
     IndependentProperPrior,
     NoninformativePrior,
+    NumericalFailure,
     PatternWishartPrior,
     ProprietyViolation,
     Trace,
-    check_propriety,
     run_chain,
     summarize,
 )
@@ -58,6 +58,7 @@ _DOMAIN_ERRORS = (
     NotConverged,
     NotPositiveDefinite,
     InvalidDomain,
+    NumericalFailure,
 )
 
 
@@ -303,12 +304,9 @@ def cmd_simulate(args):
 
 
 def _posterior_mean_params(trace):
-    g = trace.graph
-    L = np.eye(g.k)
-    for (a, b), val in zip(trace.meta["edge_order"], trace.L.mean(axis=0)):
-        L[a - 1, b - 1] = val
     r = ReparamParams(
-        trace.mu.mean(axis=0), trace.delta.mean(axis=0), trace.omega2.mean(axis=0), L, g
+        trace.mu.mean(axis=0), trace.delta.mean(axis=0), trace.omega2.mean(axis=0),
+        trace.l_matrix(trace.L.mean(axis=0)), trace.graph,
     )
     return reparam_inverse(r)
 
@@ -345,9 +343,6 @@ def cmd_fit(args):
     g = load_graph(args.graph)
     hyper = parse_hyper(args.hyper)
     prior = build_prior(args.prior, hyper, g)
-    report = check_propriety(prior, data.shape[0], g)
-    if not report.ok:
-        raise ProprietyViolation("; ".join(report.messages))
     burn_in = args.burnin if args.burnin is not None else args.iters // 5
     trace = run_chain(
         data,
@@ -395,9 +390,16 @@ def cmd_fit(args):
     return 0
 
 
+def _load_trace(path):
+    try:
+        return Trace.load(path)
+    except (OSError, ValueError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
 def cmd_compare(args):
-    trace_a = Trace.load(args.trace_a)
-    trace_b = Trace.load(args.trace_b)
+    trace_a = _load_trace(args.trace_a)
+    trace_b = _load_trace(args.trace_b)
     if trace_a.meta["data_digest"] != trace_b.meta["data_digest"]:
         raise DataMismatch("traces were not produced from identical data")
     est_a = estimate_log_marginal(trace_a.loglik, mix_weight=args.mix_weight)

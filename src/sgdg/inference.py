@@ -17,13 +17,14 @@ Gamma draws use the shape-rate convention throughout: G(a, b) has mean a/b.
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import model as _model
 from .csn import sample_truncated_normal
 from .graph import EliminationOrdering, Graph, NotDecomposable, verify_ordering
-from .linalg import modified_cholesky
+from .linalg import modified_cholesky, solve_unit_triangular
 
 SWEEP_ORDER = ("u", "delta", "mu", "omega2", "L")
 
@@ -234,42 +235,30 @@ class GibbsState:
     L: np.ndarray
     u: np.ndarray
 
-    def copy(self):
-        return GibbsState(
-            self.mu.copy(), self.delta.copy(), self.omega2.copy(), self.L.copy(), self.u.copy()
-        )
 
-
-def _centered_rows(state, data):
-    """Rows Y_j = L (x_j - mu), shape (n, k)."""
-    return (data - state.mu) @ state.L.T
-
-
-def u_conditional_params(state, data):
-    """Truncated-normal mean matrix (n, k) and variance vector (k,)."""
-    y = _centered_rows(state, data)
+def u_conditional_params(state, y):
+    """Truncated-normal mean (n, k) and variance (k,) from the centred rows y = (X - mu) L'."""
     w = state.omega2 * state.delta
     var = 1.0 / (1.0 + w * state.delta)
     mean = y * (w * var)
     return mean, var
 
 
-def gibbs_update_u(state, data, rng):
-    mean, var = u_conditional_params(state, data)
+def gibbs_update_u(state, y, rng):
+    mean, var = u_conditional_params(state, y)
     return sample_truncated_normal(mean, var, 0.0, rng)
 
 
-def delta_conditional_params(state, data, b1):
-    """Componentwise normal mean and variance for the skew loadings."""
-    y = _centered_rows(state, data)
+def delta_conditional_params(state, y, b1):
+    """Componentwise normal mean and variance for the skew loadings; y as for u."""
     denom = (state.u**2).sum(axis=0) + 1.0 / b1
     mean = (state.u * y).sum(axis=0) / denom
     var = 1.0 / (state.omega2 * denom)
     return mean, var
 
 
-def gibbs_update_delta(state, data, b1, rng):
-    mean, var = delta_conditional_params(state, data, b1)
+def gibbs_update_delta(state, y, b1, rng):
+    mean, var = delta_conditional_params(state, y, b1)
     return mean + np.sqrt(var) * rng.standard_normal(mean.shape)
 
 
@@ -278,17 +267,9 @@ def mu_conditional_params(state, data, resolved):
     n, k = data.shape
     q_omega = state.L.T @ (state.omega2[:, np.newaxis] * state.L)
     prec = n * q_omega + resolved.v_mu * np.eye(k)
-    shift = _solve_unit_upper(state.L, state.delta * state.u.sum(axis=0))
+    shift = solve_unit_triangular(state.L, state.delta * state.u.sum(axis=0))
     rhs = q_omega @ (data.sum(axis=0) - shift) + resolved.v_mu * resolved.mu0
     return np.linalg.solve(prec, rhs), prec
-
-
-def _solve_unit_upper(L, b):
-    k = L.shape[0]
-    x = np.asarray(b, dtype=float).copy()
-    for i in range(k - 2, -1, -1):
-        x[i] -= L[i, i + 1 :] @ x[i + 1 :]
-    return x
 
 
 def gibbs_update_mu(state, data, resolved, rng):
@@ -304,15 +285,15 @@ def _draw_from_precision(prec, rng):
     return np.linalg.solve(r.T, rng.standard_normal(prec.shape[0]))
 
 
-def omega2_conditional_params(state, data, resolved, b1, include_skew_terms=True):
+def omega2_conditional_params(state, y, resolved, b1, include_skew_terms=True):
     """Gamma shape and rate vectors for the precision-scale block.
 
-    The rate uses residuals centred at the current mean with the skew offset
-    removed; with the skew machinery switched off (Gaussian baseline) the
-    extra half unit of shape from the delta prior drops out as well.
+    The rate uses the centred rows y = (X - mu) L' at the current mean with
+    the skew offset removed; with the skew machinery switched off (Gaussian
+    baseline) the extra half unit of shape from the delta prior drops out as
+    well.
     """
-    n = data.shape[0]
-    y = _centered_rows(state, data)
+    n = y.shape[0]
     resid = y - state.u * state.delta
     rate = resolved.r_omega + 0.5 * (resid**2).sum(axis=0)
     if include_skew_terms:
@@ -323,26 +304,23 @@ def omega2_conditional_params(state, data, resolved, b1, include_skew_terms=True
     return shape, rate
 
 
-def gibbs_update_omega2(state, data, resolved, b1, rng, include_skew_terms=True):
-    shape, rate = omega2_conditional_params(state, data, resolved, b1, include_skew_terms)
+def gibbs_update_omega2(state, y, resolved, b1, rng, include_skew_terms=True):
+    shape, rate = omega2_conditional_params(state, y, resolved, b1, include_skew_terms)
     draw = rng.gamma(shape=shape, scale=1.0 / rate)
     if np.any(draw <= 0) or not np.all(np.isfinite(draw)):
         raise NumericalFailure("omega^2 draw left the positive domain")
     return draw
 
 
-def l_row_conditional_params(state, data, graph, resolved, i):
-    """Normal mean and precision of the free entries of row i of L.
+def l_row_conditional_params(state, y0, gram, resolved, i, fwd):
+    """Normal mean and precision of the free entries `fwd` of row i of L.
 
-    Cross moments enter centred at the current mean; the uncentred version
-    does not leave the joint distribution invariant.
+    y0 = X - mu and gram = y0' y0: cross moments enter centred at the current
+    mean; the uncentred version does not leave the joint distribution
+    invariant. No row's conditional reads L, so one gram serves every row.
     """
-    fwd = graph.forward_neighbors(i)
-    if not fwd:
-        return None
     idx = np.asarray(fwd)
-    y0 = data - state.mu
-    s_full = state.omega2[i] * (y0.T @ y0) + resolved.V_L[i]
+    s_full = state.omega2[i] * gram + resolved.V_L[i]
     prec = s_full[np.ix_(idx, idx)]
     zeta = s_full[idx, i]
     m_vec = state.u[:, i] @ y0[:, idx]
@@ -354,30 +332,37 @@ def l_row_conditional_params(state, data, graph, resolved, i):
     return mean, prec
 
 
-def gibbs_update_L(state, data, graph, resolved, rng):
+def gibbs_update_L(state, y0, graph, resolved, rng):
+    gram = y0.T @ y0
     new_l = state.L.copy()
     for i in range(graph.k):
-        params = l_row_conditional_params(state, data, graph, resolved, i)
-        if params is None:
-            continue
-        mean, prec = params
         fwd = graph.forward_neighbors(i)
-        new_l[i, fwd] = mean + _draw_from_precision(prec, rng)
+        if fwd:
+            mean, prec = l_row_conditional_params(state, y0, gram, resolved, i, fwd)
+            new_l[i, fwd] = mean + _draw_from_precision(prec, rng)
     return new_l
 
 
 def gibbs_sweep(state, data, graph, prior, rng, fix_delta_zero=False):
-    """One full sweep in the fixed order u, delta, mu, omega^2, L rows."""
-    state.u = gibbs_update_u(state, data, rng)
+    """One full sweep in the fixed order u, delta, mu, omega^2, L rows.
+
+    Each shared statistic is formed once: mu and L stay put through the u and
+    delta blocks, so both read one copy of the centred rows (X - mu) L'. After
+    the mu block, X - mu is formed once more; it feeds the omega^2 block (as
+    centred rows) and every row of L (through its Gram matrix).
+    """
+    y = (data - state.mu) @ state.L.T
+    state.u = gibbs_update_u(state, y, rng)
     if not fix_delta_zero:
-        state.delta = gibbs_update_delta(state, data, prior.b1, rng)
+        state.delta = gibbs_update_delta(state, y, prior.b1, rng)
     resolved = resolve_hyperparams(prior, graph, omega2=state.omega2, L=state.L)
     state.mu = gibbs_update_mu(state, data, resolved, rng)
+    y0 = data - state.mu
     state.omega2 = gibbs_update_omega2(
-        state, data, resolved, prior.b1, rng, include_skew_terms=not fix_delta_zero
+        state, y0 @ state.L.T, resolved, prior.b1, rng, include_skew_terms=not fix_delta_zero
     )
     resolved = resolve_hyperparams(prior, graph, omega2=state.omega2, L=state.L)
-    state.L = gibbs_update_L(state, data, graph, resolved, rng)
+    state.L = gibbs_update_L(state, y0, graph, resolved, rng)
     return state
 
 
@@ -387,7 +372,10 @@ def gibbs_sweep(state, data, graph, prior, rng, fix_delta_zero=False):
 
 @dataclass
 class Trace:
-    """Retained draws (stacked per parameter block) plus per-draw log likelihood."""
+    """Retained draws (stacked per parameter block) plus per-draw log likelihood.
+
+    `l_matrix` and `edge_values` convert between rows of `L` and a dense L.
+    """
 
     mu: np.ndarray
     delta: np.ndarray
@@ -396,6 +384,8 @@ class Trace:
     loglik: np.ndarray
     meta: dict = field(default_factory=dict)
 
+    DRAW_FIELDS = ("mu", "delta", "omega2", "L", "loglik")  # the arrays a draw record holds
+
     def __len__(self):
         return self.loglik.shape[0]
 
@@ -403,51 +393,50 @@ class Trace:
     def graph(self):
         return Graph.from_json_dict(self.meta["graph"])
 
-    def l_matrix(self, s):
-        """Dense L for retained draw s."""
-        k = self.meta["graph"]["k"]
-        L = np.eye(k)
-        for (a, b), val in zip(self.meta["edge_order"], self.L[s]):
-            L[a - 1, b - 1] = val
+    @cached_property
+    def _edge_index(self):
+        edges = np.asarray(self.meta["edge_order"], dtype=int).reshape(-1, 2) - 1
+        return edges[:, 0], edges[:, 1]
+
+    def l_matrix(self, values):
+        """Dense unit upper-triangular L whose free entries are `values`."""
+        L = np.eye(self.meta["k"])
+        L[self._edge_index] = values
         return L
+
+    def edge_values(self, L):
+        """The free entries of a dense L, in edge order."""
+        return L[self._edge_index]
 
     def save(self, path):
         with open(path, "w") as fh:
             header = {"type": "meta", **self.meta}
             fh.write(json.dumps(header, sort_keys=True) + "\n")
             for s in range(len(self)):
-                rec = {
-                    "type": "draw",
-                    "mu": self.mu[s].tolist(),
-                    "delta": self.delta[s].tolist(),
-                    "omega2": self.omega2[s].tolist(),
-                    "L": self.L[s].tolist(),
-                    "loglik": float(self.loglik[s]),
-                }
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+                rec = {name: getattr(self, name)[s].tolist() for name in self.DRAW_FIELDS}
+                fh.write(json.dumps({"type": "draw", **rec}, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path):
-        mu, delta, omega2, lrows, loglik = [], [], [], [], []
+        """Read a trace file; a record that does not parse raises ValueError naming its line."""
+        draws = {name: [] for name in cls.DRAW_FIELDS}
         meta = None
         with open(path) as fh:
-            for line in fh:
-                rec = json.loads(line)
-                kind = rec.pop("type")
-                if kind == "meta":
-                    meta = rec
-                else:
-                    mu.append(rec["mu"])
-                    delta.append(rec["delta"])
-                    omega2.append(rec["omega2"])
-                    lrows.append(rec["L"])
-                    loglik.append(rec["loglik"])
+            for lineno, line in enumerate(fh, start=1):
+                try:
+                    rec = json.loads(line)
+                    if rec.pop("type") == "meta":
+                        meta = rec
+                    else:
+                        for name, values in draws.items():
+                            values.append(rec[name])
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"line {lineno}, column {exc.colno}: {exc.msg}") from exc
+                except (KeyError, TypeError, AttributeError) as exc:
+                    raise ValueError(f"line {lineno}: not a trace record ({exc!r})") from exc
         if meta is None:
             raise ValueError("trace file has no meta record")
-        return cls(
-            np.asarray(mu), np.asarray(delta), np.asarray(omega2),
-            np.asarray(lrows), np.asarray(loglik), meta,
-        )
+        return cls(**{name: np.asarray(values) for name, values in draws.items()}, meta=meta)
 
 
 def data_digest(data):
@@ -476,9 +465,9 @@ def _initial_state(data, graph, rng):
     return GibbsState(mu=mu, delta=np.zeros(k), omega2=omega2, L=L, u=u)
 
 
-def _observed_loglik(state, data, graph):
-    r = _model.ReparamParams(state.mu, state.delta, state.omega2, state.L, graph)
-    return float(_model.sgdg_log_density(_model.reparam_inverse(r), data).sum())
+def _observed_loglik(state, data):
+    alpha, kappa2 = _model.alpha_kappa2(state.delta, state.omega2)
+    return float(_model.log_density(state.mu, alpha, state.L, kappa2, data).sum())
 
 
 def run_chain(data, graph, prior, iters, burn_in=None, thin=10, seed=None,
@@ -513,27 +502,6 @@ def run_chain(data, graph, prior, iters, burn_in=None, thin=10, seed=None,
     if thin < 1:
         raise ValueError("thin must be >= 1")
 
-    rng = np.random.default_rng(seed)
-    state = _initial_state(data, graph, rng)
-    edge_order = graph.sorted_edges()
-    keep = (iters - burn_in) // thin
-    mu_d = np.empty((keep, k))
-    delta_d = np.empty((keep, k))
-    omega2_d = np.empty((keep, k))
-    l_d = np.empty((keep, len(edge_order)))
-    loglik = np.empty(keep)
-
-    s = 0
-    for it in range(1, iters + 1):
-        gibbs_sweep(state, data, graph, prior, rng, fix_delta_zero=fix_delta_zero)
-        if it > burn_in and (it - burn_in) % thin == 0 and s < keep:
-            mu_d[s] = state.mu
-            delta_d[s] = state.delta
-            omega2_d[s] = state.omega2
-            l_d[s] = [state.L[a, b] for a, b in edge_order]
-            loglik[s] = _observed_loglik(state, data, graph)
-            s += 1
-
     meta = {
         "seed": int(seed),
         "iters": int(iters),
@@ -543,13 +511,28 @@ def run_chain(data, graph, prior, iters, burn_in=None, thin=10, seed=None,
         "fix_delta_zero": bool(fix_delta_zero),
         "prior": prior_to_dict(prior),
         "graph": graph.to_json_dict(),
-        "edge_order": [[a + 1, b + 1] for a, b in edge_order],
+        "edge_order": [[a + 1, b + 1] for a, b in graph.sorted_edges()],
         "n": int(n),
         "k": int(k),
         "colnames": list(colnames) if colnames is not None else [f"x{i + 1}" for i in range(k)],
         "data_digest": data_digest(data),
     }
-    return Trace(mu_d, delta_d, omega2_d, l_d, loglik, meta)
+    keep = (iters - burn_in) // thin
+    trace = Trace(np.empty((keep, k)), np.empty((keep, k)), np.empty((keep, k)),
+                  np.empty((keep, len(graph.edges))), np.empty(keep), meta)
+
+    rng = np.random.default_rng(seed)
+    state = _initial_state(data, graph, rng)
+    for it in range(1, iters + 1):
+        gibbs_sweep(state, data, graph, prior, rng, fix_delta_zero=fix_delta_zero)
+        if it > burn_in and (it - burn_in) % thin == 0:
+            s = (it - burn_in) // thin - 1
+            trace.mu[s] = state.mu
+            trace.delta[s] = state.delta
+            trace.omega2[s] = state.omega2
+            trace.L[s] = trace.edge_values(state.L)
+            trace.loglik[s] = _observed_loglik(state, data)
+    return trace
 
 
 # ---------------------------------------------------------------------------

@@ -108,17 +108,15 @@ def pattern_within(f, g, tol=ZERO_TOL):
     return f.support(tol) <= set(g.edges)
 
 
-def solve_unit_triangular(f, b):
+def solve_unit_triangular(L, b):
     """Solve L x = b by back substitution over the sparse rows of L.
 
-    b may be a vector of length k or a (k, m) matrix of stacked right-hand
-    sides; the result has the same shape.
+    L is a (k, k) unit upper-triangular array, such as `CholFactor.L`. b may
+    be a vector of length k or a (k, m) matrix of stacked right-hand sides;
+    the result has the same shape.
     """
-    L = f.L
-    k = f.k
-    b = np.asarray(b, dtype=float)
-    x = b.copy()
-    for i in range(k - 2, -1, -1):
+    x = np.asarray(b, dtype=float).copy()  # C order, so each row of x is contiguous
+    for i in range(L.shape[0] - 2, -1, -1):
         row = L[i, i + 1 :]
         nz = np.nonzero(row)[0]
         if nz.size:

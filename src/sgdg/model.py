@@ -17,7 +17,6 @@ import numpy as np
 from scipy.special import log_ndtr
 
 from .csn import CsnParams
-from .graph import EliminationOrdering, verify_ordering
 from .linalg import CholFactor, pattern_within, solve_unit_triangular
 
 LOG_2_OVER_PI = np.log(2.0 / np.pi)
@@ -109,27 +108,33 @@ def reparam_forward(p):
     return ReparamParams(p.mu, delta, omega2, p.factor.L, p.graph)
 
 
+def alpha_kappa2(delta, omega2):
+    """The (delta, omega^2) -> (alpha, kappa^2) map on plain arrays."""
+    alpha = delta * np.sqrt(omega2)
+    return alpha, omega2 / (1.0 + alpha**2)
+
+
 def reparam_inverse(r):
     """Map (mu, delta, omega^2, L) back to (mu, alpha, L, D_kappa)."""
     if np.any(np.asarray(r.omega2) <= 0):
         raise InvalidDomain("omega^2 entries must be positive")
-    alpha = r.delta * np.sqrt(r.omega2)
-    kappa2 = r.omega2 / (1.0 + alpha**2)
+    alpha, kappa2 = alpha_kappa2(r.delta, r.omega2)
     return SgdgParams(r.mu, alpha, CholFactor(r.L, kappa2), r.graph)
+
+
+def log_density(mu, alpha, L, kappa2, x):
+    """`sgdg_log_density` on plain, unvalidated arrays: the log density at each row of x."""
+    z = (np.atleast_2d(x) - mu) @ L.T  # rows L (x - mu)
+    quad = z**2 @ kappa2
+    base = 0.5 * kappa2.shape[0] * LOG_2_OVER_PI + 0.5 * np.log(kappa2).sum() - 0.5 * quad
+    return base + log_ndtr(z * (alpha * np.sqrt(kappa2))).sum(axis=1)
 
 
 def sgdg_log_density(p, x):
     """Log density at x (length-k vector) or at each row of a (m, k) array."""
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    y = np.atleast_2d(x) - p.mu
-    z = y @ p.factor.L.T  # rows L (x - mu)
-    d = p.factor.D
-    quad = z**2 @ d
-    base = 0.5 * p.k * LOG_2_OVER_PI + 0.5 * np.log(d).sum() - 0.5 * quad
-    skew = log_ndtr(z * (p.alpha * np.sqrt(d))).sum(axis=1)
-    out = base + skew
-    return float(out[0]) if single else out
+    out = log_density(p.mu, p.alpha, p.factor.L, p.factor.D, x)
+    return float(out[0]) if x.ndim == 1 else out
 
 
 def sample_sgdg(p, rng, n_draws):
@@ -144,7 +149,7 @@ def sample_sgdg(p, rng, n_draws):
     z1 = np.abs(rng.standard_normal((n_draws, p.k)))
     z2 = rng.standard_normal((n_draws, p.k))
     w = z1 * c_skew + z2 * c_gauss
-    return p.mu + solve_unit_triangular(p.factor, w.T).T
+    return p.mu + solve_unit_triangular(p.factor.L, w.T).T
 
 
 def _half_normal_loading(alpha):
@@ -155,7 +160,7 @@ def _half_normal_loading(alpha):
 def mean_vector(p):
     """E(X) = mu + L^-1 D_kappa^(-1/2) d with d the half-normal loadings."""
     d = _half_normal_loading(p.alpha)
-    return p.mu + solve_unit_triangular(p.factor, d / np.sqrt(p.kappa2))
+    return p.mu + solve_unit_triangular(p.factor.L, d / np.sqrt(p.kappa2))
 
 
 def covariance_matrix(p):
@@ -166,14 +171,14 @@ def covariance_matrix(p):
     """
     d = _half_normal_loading(p.alpha)
     scale = np.sqrt((1.0 - d**2) / p.kappa2)
-    b = solve_unit_triangular(p.factor, np.diag(scale))
+    b = solve_unit_triangular(p.factor.L, np.diag(scale))
     return b @ b.T
 
 
 def to_csn(p):
     """The equivalent CSN parameterization (mu, Q^-1, D_alpha L, 0, D_kappa^-1)."""
     k = p.k
-    l_inv = solve_unit_triangular(p.factor, np.eye(k))
+    l_inv = solve_unit_triangular(p.factor.L, np.eye(k))
     sigma = l_inv @ np.diag(1.0 / p.kappa2) @ l_inv.T
     gamma = p.alpha[:, np.newaxis] * p.factor.L
     return CsnParams(p.mu, sigma, gamma, np.zeros(k), np.diag(1.0 / p.kappa2))
@@ -216,8 +221,3 @@ def ci_factorization_check(p, i, j, rng=None, n_rest=3, nodes=200, tol=1e-6):
         if s[1] > tol * s[0]:
             return False
     return True
-
-
-def identity_is_elimination_ordering(graph):
-    """Whether the graph's labels already form a perfect elimination scheme."""
-    return verify_ordering(graph, EliminationOrdering.identity(graph.k))

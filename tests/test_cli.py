@@ -136,6 +136,17 @@ class TestFit:
                        "--iters", 100, "--seed", 1, "--out", tmp_path / "o") == 3
         assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
 
+    def test_degenerate_chain_reported(self, tmp_path, capsys):
+        # two constant columns leave a conditional precision singular
+        data = tmp_path / "flat.csv"
+        data.write_text("a,b,c\n" + "".join(f"{float(i)},3.0,3.0\n" for i in range(40)))
+        graph = write_graph(tmp_path / "g.json", Graph(3, [(0, 1), (1, 2)]))
+        assert run_cli("fit", "--data", data, "--graph", graph, "--prior", "noninfo",
+                       "--iters", 200, "--seed", 1, "--out", tmp_path / "o") == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert json.loads(err)["error"] == "NumericalFailure"
+
     def test_wishart_gate_refusal(self, sim_dir, tmp_path, capsys):
         assert run_cli("fit", "--data", sim_dir / "data.csv", "--graph", sim_dir / "graph.json",
                        "--prior", "wishart", "--hyper", "psi=1,1,1",
@@ -203,6 +214,25 @@ class TestCompare:
                        "--prior", "noninfo", "--iters", 400, "--seed", 42, "--out", out_b) == 0
         assert run_cli("compare", "--trace-a", ta, "--trace-b", out_b / "trace.ndjson") == 3
         assert json.loads(capsys.readouterr().err)["error"] == "DataMismatch"
+
+    @pytest.mark.parametrize("defect", ["truncated", "empty", "missing"])
+    def test_unreadable_trace_reported(self, sim_dir, tmp_path, capsys, defect):
+        good = self._fit(sim_dir, tmp_path, "good", 45)
+        bad = tmp_path / "bad.ndjson"
+        text = good.read_text()
+        if defect == "truncated":
+            bad.write_text(text[: len(text) - 40])
+        elif defect == "empty":
+            bad.write_text("")
+        capsys.readouterr()
+        assert run_cli("compare", "--trace-a", good, "--trace-b", bad) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        record = json.loads(err)
+        assert record["error"] == "ParseError"
+        assert record["message"].startswith(str(bad))
+        if defect == "truncated":
+            assert f"line {text.count(chr(10))}," in record["message"]
 
     def test_rerun_is_byte_identical(self, sim_dir, tmp_path):
         t = self._fit(sim_dir, tmp_path, "det", 43)

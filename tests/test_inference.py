@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from sgdg.inference import (
     PatternWishartPrior,
     ProprietyViolation,
     Trace,
+    _observed_loglik,
     check_propriety,
     delta_conditional_params,
     l_row_conditional_params,
@@ -23,7 +26,7 @@ from sgdg.inference import (
     summarize,
     u_conditional_params,
 )
-from sgdg.model import ReparamParams, reparam_inverse, sample_sgdg
+from sgdg.model import ReparamParams, reparam_inverse, sample_sgdg, sgdg_log_density
 
 from conftest import chain_graph
 
@@ -156,7 +159,7 @@ class TestConditionalCollapse:
         g = chain_graph(3)
         state = random_state(rng, g, 20, zero_delta=True)
         data = rng.standard_normal((20, 3))
-        mean, var = u_conditional_params(state, data)
+        mean, var = u_conditional_params(state, (data - state.mu) @ state.L.T)
         assert np.all(mean == 0.0)
         assert np.all(var == 1.0)
 
@@ -166,17 +169,16 @@ def slice_ratio_worst(rng, graph, prior, n, include_delta=True):
     data = rng.standard_normal((n, graph.k)) * 1.3 + 0.4
     state = random_state(rng, graph, n, zero_delta=not include_delta)
     resolved = resolve_hyperparams(prior, graph, omega2=state.omega2, L=state.L)
+    y0 = data - state.mu
+    y = y0 @ state.L.T
 
     def joint_with(**kw):
-        alt = state.copy()
-        for name, val in kw.items():
-            setattr(alt, name, val)
-        return log_joint(alt, data, graph, prior, include_delta=include_delta)
+        return log_joint(replace(state, **kw), data, graph, prior, include_delta=include_delta)
 
     worst = 0.0
 
     # u entry
-    mean_u, var_u = u_conditional_params(state, data)
+    mean_u, var_u = u_conditional_params(state, y)
     j, i = int(rng.integers(n)), int(rng.integers(graph.k))
     a, b = rng.uniform(0.05, 2.0, size=2)
     lhs = -0.5 * ((a - mean_u[j, i]) ** 2 - (b - mean_u[j, i]) ** 2) / var_u[i]
@@ -187,7 +189,7 @@ def slice_ratio_worst(rng, graph, prior, n, include_delta=True):
 
     # delta coordinate
     if include_delta:
-        mean_d, var_d = delta_conditional_params(state, data, prior.b1)
+        mean_d, var_d = delta_conditional_params(state, y, prior.b1)
         i = int(rng.integers(graph.k))
         a, b = rng.standard_normal(2)
         lhs = -0.5 * ((a - mean_d[i]) ** 2 - (b - mean_d[i]) ** 2) / var_d[i]
@@ -205,7 +207,7 @@ def slice_ratio_worst(rng, graph, prior, n, include_delta=True):
     worst = max(worst, abs(lhs - rhs))
 
     # omega2 coordinate
-    shape, rate = omega2_conditional_params(state, data, resolved, prior.b1, include_skew_terms=include_delta)
+    shape, rate = omega2_conditional_params(state, y, resolved, prior.b1, include_skew_terms=include_delta)
     i = int(rng.integers(graph.k))
     a, b = rng.uniform(0.2, 3.0, size=2)
     lhs = (shape[i] - 1.0) * (np.log(a) - np.log(b)) - rate[i] * (a - b)
@@ -218,8 +220,8 @@ def slice_ratio_worst(rng, graph, prior, n, include_delta=True):
     rows = [i for i in range(graph.k) if graph.forward_neighbors(i)]
     if rows:
         i = rows[int(rng.integers(len(rows)))]
-        mean_l, prec_l = l_row_conditional_params(state, data, graph, resolved, i)
         fwd = graph.forward_neighbors(i)
+        mean_l, prec_l = l_row_conditional_params(state, y0, y0.T @ y0, resolved, i, fwd)
         a = mean_l + rng.standard_normal(len(fwd))
         b = mean_l + rng.standard_normal(len(fwd))
         lhs = -0.5 * ((a - mean_l) @ prec_l @ (a - mean_l) - (b - mean_l) @ prec_l @ (b - mean_l))
@@ -260,6 +262,19 @@ class TestSliceRatios:
         prior = IndependentProperPrior(b1=1.0, mu0=np.zeros(1), b2=1.0, b3=2.0, b4=2.0, b5=1.0)
         worst = max(slice_ratio_worst(rng, g, prior, 12) for _ in range(20))
         assert worst < self.TOL
+
+
+class TestObservedLoglik:
+    def test_array_loglik_matches_validated_density(self, rng):
+        for k in range(1, 6):
+            complete = Graph(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
+            for g in (chain_graph(k), complete):
+                n = int(rng.integers(3, 9))
+                state = random_state(rng, g, n)
+                data = rng.standard_normal((n, k)) * 1.3 + 0.4
+                r = ReparamParams(state.mu, state.delta, state.omega2, state.L, g)
+                ref = sgdg_log_density(reparam_inverse(r), data).sum()
+                assert _observed_loglik(state, data) == pytest.approx(ref, rel=1e-12)
 
 
 class TestRunChain:
@@ -329,7 +344,8 @@ class TestRunChain:
         assert back.meta == t.meta
         expected_l = np.eye(3)
         expected_l[0, 1], expected_l[1, 2] = t.L[0]
-        assert np.array_equal(back.l_matrix(0), expected_l)
+        assert np.array_equal(back.l_matrix(back.L[0]), expected_l)
+        assert np.array_equal(back.edge_values(expected_l), t.L[0])
 
     def test_quick_posterior_recovery(self, rng):
         # coarse sanity run; the acceptance suite runs the real recovery study

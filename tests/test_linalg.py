@@ -156,23 +156,23 @@ class TestSolveUnitTriangular:
     def test_identity(self):
         f = CholFactor(np.eye(3), np.ones(3))
         b = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(solve_unit_triangular(f, b), b)
+        assert np.array_equal(solve_unit_triangular(f.L, b), b)
 
     def test_two_by_two_residual(self):
         L = np.eye(2)
         L[0, 1] = -0.5
         f = CholFactor(L, np.ones(2))
-        x = solve_unit_triangular(f, np.array([1.0, 1.0]))
+        x = solve_unit_triangular(f.L, np.array([1.0, 1.0]))
         assert np.linalg.norm(L @ x - [1.0, 1.0]) < 1e-14
 
     def test_random_sparse_matches_dense_solve(self, rng):
         g = random_decomposable_graph(rng, 8)
         f = random_pattern_factor(rng, g)
         b = rng.standard_normal(8)
-        assert np.allclose(solve_unit_triangular(f, b), np.linalg.solve(f.L, b), atol=1e-12)
+        assert np.allclose(solve_unit_triangular(f.L, b), np.linalg.solve(f.L, b), atol=1e-12)
 
     def test_matrix_right_hand_side(self, rng):
         g = random_decomposable_graph(rng, 5)
         f = random_pattern_factor(rng, g)
         B = rng.standard_normal((5, 7))
-        assert np.allclose(solve_unit_triangular(f, B), np.linalg.solve(f.L, B), atol=1e-12)
+        assert np.allclose(solve_unit_triangular(f.L, B), np.linalg.solve(f.L, B), atol=1e-12)

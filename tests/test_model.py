@@ -3,7 +3,7 @@ import pytest
 from scipy.stats import multivariate_normal
 
 from sgdg.csn import csn_log_density, sample_csn
-from sgdg.graph import Graph, separates
+from sgdg.graph import EliminationOrdering, Graph, separates, verify_ordering
 from sgdg.linalg import CholFactor, assemble_precision, modified_cholesky
 from sgdg.model import (
     DimensionTooLarge,
@@ -12,7 +12,6 @@ from sgdg.model import (
     SgdgParams,
     ci_factorization_check,
     covariance_matrix,
-    identity_is_elimination_ordering,
     mean_vector,
     reparam_forward,
     reparam_inverse,
@@ -62,8 +61,8 @@ class TestParamsValidation:
             SgdgParams(np.zeros(2), np.zeros(3), CholFactor(np.eye(3), np.ones(3)), chain_graph(3))
 
     def test_identity_ordering_helper(self):
-        assert identity_is_elimination_ordering(chain_graph(4))
-        assert not identity_is_elimination_ordering(Graph(3, [(0, 1), (0, 2)]))
+        assert verify_ordering(chain_graph(4), EliminationOrdering.identity(4))
+        assert not verify_ordering(Graph(3, [(0, 1), (0, 2)]), EliminationOrdering.identity(3))
 
 
 class TestLogDensity:
