@@ -20,6 +20,7 @@ from .graph import EliminationOrdering, Graph, NotDecomposable, is_decomposable,
 from .inference import (
     DimensionMismatch,
     IndependentProperPrior,
+    InvalidChainSettings,
     NoninformativePrior,
     NumericalFailure,
     PatternWishartPrior,
@@ -34,6 +35,9 @@ from .model import InvalidDomain, ReparamParams, reparam_inverse, sample_sgdg
 ERROR_EXIT = 3
 
 HYPER_DEFAULTS = {"b1": 100.0, "b2": 1e4, "b3": 1e-6, "b4": 1e-6, "b5": 100.0}
+
+PLOT_DRAWS = 50_000  # draws from the posterior-mean model behind each fitted density
+PLOT_GRID_POINTS = 200  # points of each fitted density grid
 
 
 class ParseError(ValueError):
@@ -59,6 +63,7 @@ _DOMAIN_ERRORS = (
     NotPositiveDefinite,
     InvalidDomain,
     NumericalFailure,
+    InvalidChainSettings,
 )
 
 
@@ -311,10 +316,10 @@ def _posterior_mean_params(trace):
     return reparam_inverse(r)
 
 
-def write_plot_data(out, trace, data, colnames, seed, n_draws=50_000, grid_points=200):
+def write_plot_data(out, trace, data, colnames, seed):
     """Per-variable histogram bins plus a fitted marginal density grid."""
     rng = np.random.default_rng([int(seed), 982451653])
-    fitted = sample_sgdg(_posterior_mean_params(trace), rng, n_draws)
+    fitted = sample_sgdg(_posterior_mean_params(trace), rng, PLOT_DRAWS)
     for j, name in enumerate(colnames):
         col = data[:, j]
         lo, hi = col.min(), col.max()
@@ -329,7 +334,7 @@ def write_plot_data(out, trace, data, colnames, seed, n_draws=50_000, grid_point
                 for b in range(len(counts))
             ],
         )
-        grid = np.linspace(lo - pad, hi + pad, grid_points)
+        grid = np.linspace(lo - pad, hi + pad, PLOT_GRID_POINTS)
         kde = gaussian_kde(fitted[:, j])
         write_csv_rows(
             out / f"fitted_{name}.csv",
@@ -343,13 +348,12 @@ def cmd_fit(args):
     g = load_graph(args.graph)
     hyper = parse_hyper(args.hyper)
     prior = build_prior(args.prior, hyper, g)
-    burn_in = args.burnin if args.burnin is not None else args.iters // 5
     trace = run_chain(
         data,
         g,
         prior,
         iters=args.iters,
-        burn_in=burn_in,
+        burn_in=args.burnin,
         thin=args.thin,
         seed=args.seed,
         fix_delta_zero=args.fix_delta_zero,
@@ -375,7 +379,7 @@ def cmd_fit(args):
             "graph": str(args.graph),
             "prior": trace.meta["prior"],
             "iters": int(args.iters),
-            "burn_in": int(burn_in),
+            "burn_in": trace.meta["burn_in"],
             "thin": int(args.thin),
             "seed": int(args.seed),
             "fix_delta_zero": bool(args.fix_delta_zero),
@@ -391,13 +395,23 @@ def cmd_fit(args):
 
 
 def _load_trace(path):
+    """A trace that `compare` can use: a data digest, draws, finite log likelihoods."""
     try:
-        return Trace.load(path)
+        trace = Trace.load(path)
     except (OSError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    if "data_digest" not in trace.meta:
+        raise ParseError(f"{path}: the meta record has no data_digest")
+    if len(trace) == 0:
+        raise ParseError(f"{path}: the trace has no draws")
+    if not np.all(np.isfinite(trace.loglik)):
+        raise ParseError(f"{path}: non-finite log likelihood")
+    return trace
 
 
 def cmd_compare(args):
+    if not 0.0 < args.mix_weight < 1.0:
+        raise InvalidParams(f"--mix-weight must lie strictly between 0 and 1, got {args.mix_weight}")
     trace_a = _load_trace(args.trace_a)
     trace_b = _load_trace(args.trace_b)
     if trace_a.meta["data_digest"] != trace_b.meta["data_digest"]:

@@ -26,22 +26,6 @@ class SingularBlock(ValueError):
     """Raised when a conditioning block of Sigma is numerically singular."""
 
 
-def norm_pdf(x):
-    return np.exp(-0.5 * np.square(x) - LOG_SQRT_2PI)
-
-
-def norm_logpdf(x):
-    return -0.5 * np.square(x) - LOG_SQRT_2PI
-
-
-def norm_cdf(x):
-    return ndtr(x)
-
-
-def norm_logcdf(x):
-    return log_ndtr(x)
-
-
 @dataclass(frozen=True)
 class CsnParams:
     """Parameters (mu, sigma, gamma, nu, delta) of an n-dim CSN with m latents."""

@@ -45,6 +45,10 @@ class EmptyTrace(ValueError):
     """Raised when a summary is requested from a trace with no draws."""
 
 
+class InvalidChainSettings(ValueError):
+    """Raised when iters, burn_in and thin do not leave a chain with retained draws."""
+
+
 # ---------------------------------------------------------------------------
 # prior regimes
 
@@ -120,17 +124,6 @@ def prior_to_dict(prior):
     return d
 
 
-def prior_from_dict(d):
-    regime = d["regime"]
-    if regime == "proper":
-        return IndependentProperPrior(d["b1"], np.asarray(d["mu0"]), d["b2"], d["b3"], d["b4"], d["b5"])
-    if regime == "wishart":
-        return PatternWishartPrior(d["b1"], np.asarray(d["Psi"]), np.asarray(d["psi"]))
-    if regime == "noninfo":
-        return NoninformativePrior(d["b1"])
-    raise ValueError(f"unknown prior regime {regime!r}")
-
-
 # ---------------------------------------------------------------------------
 # propriety gates
 
@@ -139,9 +132,6 @@ def prior_from_dict(d):
 class ProprietyReport:
     ok: bool
     messages: tuple
-
-    def __bool__(self):
-        return self.ok
 
 
 def check_propriety(prior, n, g):
@@ -177,23 +167,24 @@ def check_propriety(prior, n, g):
 
 @dataclass(frozen=True)
 class ResolvedHyperparams:
-    """Per-sweep values (v_mu, mu0, s_omega, r_omega, V_L) for the active regime.
+    """Values (v_mu, mu0, s_omega, r_omega, V_L, Psi) of the active regime, fixed for a chain.
 
-    V_L holds one k x k prior precision per row of L; the slice on the
-    forward-neighbor support of row i is what the row conditional uses. For
-    the pattern-Wishart regime r_omega and V_L depend on the current state
-    and must be re-resolved every sweep.
+    V_L is the k x k prior precision shared by every row of L; the row
+    conditional uses its slice on the row's forward-neighbor support. Psi is
+    the pattern-Wishart matrix, zero in the other regimes: the conditionals
+    form its state terms themselves, L_i Psi L_i' / 2 in the omega_i^2 rate
+    and omega_i^2 Psi in the prior precision of row i of L.
     """
 
     v_mu: float
     mu0: np.ndarray
     s_omega: np.ndarray
     r_omega: np.ndarray
-    V_L: tuple
+    V_L: np.ndarray
+    Psi: np.ndarray
 
 
-def resolve_hyperparams(prior, g, omega2=None, L=None):
-    k = g.k
+def resolve_hyperparams(prior, k):
     zero = np.zeros((k, k))
     if prior.regime == "proper":
         return ResolvedHyperparams(
@@ -201,25 +192,25 @@ def resolve_hyperparams(prior, g, omega2=None, L=None):
             mu0=prior.mu0,
             s_omega=np.full(k, prior.b3),
             r_omega=np.full(k, prior.b4),
-            V_L=tuple((1.0 / prior.b5) * np.eye(k) for _ in range(k)),
+            V_L=(1.0 / prior.b5) * np.eye(k),
+            Psi=zero,
         )
     if prior.regime == "wishart":
-        if omega2 is None or L is None:
-            raise ValueError("pattern-Wishart resolution needs the current omega2 and L")
-        lpsil = np.einsum("ij,jk,ik->i", L, prior.Psi, L)
         return ResolvedHyperparams(
             v_mu=0.0,
             mu0=np.zeros(k),
             s_omega=prior.psi / 2.0,
-            r_omega=0.5 * lpsil,
-            V_L=tuple(omega2[i] * prior.Psi for i in range(k)),
+            r_omega=np.zeros(k),
+            V_L=zero,
+            Psi=prior.Psi,
         )
     return ResolvedHyperparams(
         v_mu=0.0,
         mu0=np.zeros(k),
         s_omega=np.zeros(k),
         r_omega=np.zeros(k),
-        V_L=tuple(zero for _ in range(k)),
+        V_L=zero,
+        Psi=zero,
     )
 
 
@@ -289,13 +280,14 @@ def omega2_conditional_params(state, y, resolved, b1, include_skew_terms=True):
     """Gamma shape and rate vectors for the precision-scale block.
 
     The rate uses the centred rows y = (X - mu) L' at the current mean with
-    the skew offset removed; with the skew machinery switched off (Gaussian
-    baseline) the extra half unit of shape from the delta prior drops out as
-    well.
+    the skew offset removed, plus the pattern-Wishart term L_i Psi L_i' / 2;
+    with the skew machinery switched off (Gaussian baseline) the extra half
+    unit of shape from the delta prior drops out as well.
     """
     n = y.shape[0]
     resid = y - state.u * state.delta
-    rate = resolved.r_omega + 0.5 * (resid**2).sum(axis=0)
+    lpsil = np.einsum("ij,jk,ik->i", state.L, resolved.Psi, state.L)
+    rate = resolved.r_omega + 0.5 * lpsil + 0.5 * (resid**2).sum(axis=0)
     if include_skew_terms:
         shape = resolved.s_omega + 0.5 * (n + 1)
         rate = rate + state.delta**2 / (2.0 * b1)
@@ -318,13 +310,15 @@ def l_row_conditional_params(state, y0, gram, resolved, i, fwd):
     y0 = X - mu and gram = y0' y0: cross moments enter centred at the current
     mean; the uncentred version does not leave the joint distribution
     invariant. No row's conditional reads L, so one gram serves every row.
+    Of the matrix omega_i^2 gram + V_L + omega_i^2 Psi only the rows `fwd`
+    and the columns `fwd` and i are formed: the precision and zeta.
     """
-    idx = np.asarray(fwd)
-    s_full = state.omega2[i] * gram + resolved.V_L[i]
-    prec = s_full[np.ix_(idx, idx)]
-    zeta = s_full[idx, i]
-    m_vec = state.u[:, i] @ y0[:, idx]
-    h = state.omega2[i] * state.delta[i] * m_vec - zeta
+    w = state.omega2[i]
+    block = np.ix_(fwd, fwd + [i])
+    s = w * gram[block] + resolved.V_L[block] + w * resolved.Psi[block]
+    prec, zeta = s[:, :-1], s[:, -1]
+    m_vec = state.u[:, i] @ y0[:, fwd]
+    h = w * state.delta[i] * m_vec - zeta
     try:
         mean = np.linalg.solve(prec, h)
     except np.linalg.LinAlgError as exc:
@@ -343,8 +337,11 @@ def gibbs_update_L(state, y0, graph, resolved, rng):
     return new_l
 
 
-def gibbs_sweep(state, data, graph, prior, rng, fix_delta_zero=False):
+def gibbs_sweep(state, data, graph, resolved, b1, rng, fix_delta_zero=False):
     """One full sweep in the fixed order u, delta, mu, omega^2, L rows.
+
+    `resolved` is the prior's table from `resolve_hyperparams`, which holds
+    for the whole chain.
 
     Each shared statistic is formed once: mu and L stay put through the u and
     delta blocks, so both read one copy of the centred rows (X - mu) L'. After
@@ -354,14 +351,12 @@ def gibbs_sweep(state, data, graph, prior, rng, fix_delta_zero=False):
     y = (data - state.mu) @ state.L.T
     state.u = gibbs_update_u(state, y, rng)
     if not fix_delta_zero:
-        state.delta = gibbs_update_delta(state, y, prior.b1, rng)
-    resolved = resolve_hyperparams(prior, graph, omega2=state.omega2, L=state.L)
+        state.delta = gibbs_update_delta(state, y, b1, rng)
     state.mu = gibbs_update_mu(state, data, resolved, rng)
     y0 = data - state.mu
     state.omega2 = gibbs_update_omega2(
-        state, y0 @ state.L.T, resolved, prior.b1, rng, include_skew_terms=not fix_delta_zero
+        state, y0 @ state.L.T, resolved, b1, rng, include_skew_terms=not fix_delta_zero
     )
-    resolved = resolve_hyperparams(prior, graph, omega2=state.omega2, L=state.L)
     state.L = gibbs_update_L(state, y0, graph, resolved, rng)
     return state
 
@@ -418,7 +413,7 @@ class Trace:
 
     @classmethod
     def load(cls, path):
-        """Read a trace file; a record that does not parse raises ValueError naming its line."""
+        """Read a trace file; a bad record (named by its line) or a non-number raises ValueError."""
         draws = {name: [] for name in cls.DRAW_FIELDS}
         meta = None
         with open(path) as fh:
@@ -436,7 +431,8 @@ class Trace:
                     raise ValueError(f"line {lineno}: not a trace record ({exc!r})") from exc
         if meta is None:
             raise ValueError("trace file has no meta record")
-        return cls(**{name: np.asarray(values) for name, values in draws.items()}, meta=meta)
+        arrays = {name: np.asarray(values, dtype=float) for name, values in draws.items()}
+        return cls(**arrays, meta=meta)
 
 
 def data_digest(data):
@@ -497,10 +493,11 @@ def run_chain(data, graph, prior, iters, burn_in=None, thin=10, seed=None,
         raise ValueError("a seed is required; wall-clock seeding is not supported")
     if burn_in is None:
         burn_in = iters // 5
-    if not 0 <= burn_in < iters:
-        raise ValueError("burn_in must satisfy 0 <= burn_in < iters")
-    if thin < 1:
-        raise ValueError("thin must be >= 1")
+    if thin < 1 or burn_in < 0 or iters - burn_in < thin:
+        raise InvalidChainSettings(
+            f"iters {iters}, burn_in {burn_in} and thin {thin} retain no draws; "
+            "they need thin >= 1 and 0 <= burn_in <= iters - thin"
+        )
 
     meta = {
         "seed": int(seed),
@@ -523,8 +520,9 @@ def run_chain(data, graph, prior, iters, burn_in=None, thin=10, seed=None,
 
     rng = np.random.default_rng(seed)
     state = _initial_state(data, graph, rng)
+    resolved = resolve_hyperparams(prior, k)
     for it in range(1, iters + 1):
-        gibbs_sweep(state, data, graph, prior, rng, fix_delta_zero=fix_delta_zero)
+        gibbs_sweep(state, data, graph, resolved, prior.b1, rng, fix_delta_zero=fix_delta_zero)
         if it > burn_in and (it - burn_in) % thin == 0:
             s = (it - burn_in) // thin - 1
             trace.mu[s] = state.mu

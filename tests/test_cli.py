@@ -147,6 +147,21 @@ class TestFit:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert json.loads(err)["error"] == "NumericalFailure"
 
+    @pytest.mark.parametrize(
+        "iters,burnin,thin",
+        [(10, 20, 10), (100, 20, 0), (5, 0, 10)],
+        ids=["burnin-past-iters", "thin-zero", "no-retained-draws"],
+    )
+    def test_bad_chain_settings_reported(self, sim_dir, tmp_path, capsys, iters, burnin, thin):
+        out = tmp_path / "o"
+        assert run_cli("fit", "--data", sim_dir / "data.csv", "--graph", sim_dir / "graph.json",
+                       "--prior", "noninfo", "--iters", iters, "--burnin", burnin, "--thin", thin,
+                       "--seed", 1, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert json.loads(err)["error"] == "InvalidChainSettings"
+        assert not out.exists()
+
     def test_wishart_gate_refusal(self, sim_dir, tmp_path, capsys):
         assert run_cli("fit", "--data", sim_dir / "data.csv", "--graph", sim_dir / "graph.json",
                        "--prior", "wishart", "--hyper", "psi=1,1,1",
@@ -215,15 +230,26 @@ class TestCompare:
         assert run_cli("compare", "--trace-a", ta, "--trace-b", out_b / "trace.ndjson") == 3
         assert json.loads(capsys.readouterr().err)["error"] == "DataMismatch"
 
-    @pytest.mark.parametrize("defect", ["truncated", "empty", "missing"])
+    @pytest.mark.parametrize("defect", ["truncated", "empty", "missing", "no-digest", "no-draws", "nan-loglik", "text-loglik"])
     def test_unreadable_trace_reported(self, sim_dir, tmp_path, capsys, defect):
         good = self._fit(sim_dir, tmp_path, "good", 45)
         bad = tmp_path / "bad.ndjson"
         text = good.read_text()
+        meta, first, *rest = text.splitlines(keepends=True)
         if defect == "truncated":
             bad.write_text(text[: len(text) - 40])
         elif defect == "empty":
             bad.write_text("")
+        elif defect == "no-digest":
+            record = json.loads(meta)
+            del record["data_digest"]
+            bad.write_text(json.dumps(record) + "\n" + first + "".join(rest))
+        elif defect == "no-draws":
+            bad.write_text(meta)
+        elif defect in ("nan-loglik", "text-loglik"):
+            record = json.loads(first)
+            record["loglik"] = float("nan") if defect == "nan-loglik" else "x"
+            bad.write_text(meta + json.dumps(record) + "\n" + "".join(rest))
         capsys.readouterr()
         assert run_cli("compare", "--trace-a", good, "--trace-b", bad) == 3
         err = capsys.readouterr().err
@@ -233,6 +259,14 @@ class TestCompare:
         assert record["message"].startswith(str(bad))
         if defect == "truncated":
             assert f"line {text.count(chr(10))}," in record["message"]
+
+    def test_mix_weight_out_of_range_reported(self, sim_dir, tmp_path, capsys):
+        t = self._fit(sim_dir, tmp_path, "mw", 47)
+        capsys.readouterr()
+        assert run_cli("compare", "--trace-a", t, "--trace-b", t, "--mix-weight", 1.5) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert json.loads(err)["error"] == "InvalidParams"
 
     def test_rerun_is_byte_identical(self, sim_dir, tmp_path):
         t = self._fit(sim_dir, tmp_path, "det", 43)

@@ -9,9 +9,6 @@ from sgdg.csn import (
     UnsupportedCovarianceStructure,
     csn_conditional,
     csn_log_density,
-    norm_cdf,
-    norm_logcdf,
-    norm_pdf,
     sample_csn,
     sample_truncated_normal,
 )
@@ -40,17 +37,6 @@ def quadrature_marginal_grid(p, axis_keep, grid_keep, grid_other, w_other):
         pts[:, 1 - axis_keep] = grid_other
         vals[a] = np.exp(csn_log_kernel(p, pts)) @ w_other
     return vals
-
-
-class TestScalarBuildingBlocks:
-    def test_norm_helpers_match_reference(self):
-        x = np.linspace(-6, 6, 25)
-        assert np.allclose(norm_pdf(x), norm.pdf(x), atol=1e-15)
-        assert np.allclose(norm_cdf(x), norm.cdf(x), atol=1e-15)
-        assert np.allclose(norm_logcdf(-np.array([5.0, 20.0, 40.0])), norm.logcdf(-np.array([5.0, 20.0, 40.0])))
-
-    def test_logcdf_finite_deep_in_tail(self):
-        assert np.isfinite(norm_logcdf(-60.0))
 
 
 class TestTruncatedNormal:

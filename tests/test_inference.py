@@ -19,8 +19,6 @@ from sgdg.inference import (
     l_row_conditional_params,
     mu_conditional_params,
     omega2_conditional_params,
-    prior_from_dict,
-    prior_to_dict,
     resolve_hyperparams,
     run_chain,
     summarize,
@@ -98,12 +96,6 @@ class TestPriors:
         with pytest.raises(ValueError):
             PatternWishartPrior(b1=1.0, Psi=np.array([[1.0, 2.0], [2.0, 1.0]]), psi=np.ones(2))
 
-    def test_dict_round_trip(self, rng):
-        for prior in priors_for(3, rng):
-            back = prior_from_dict(prior_to_dict(prior))
-            assert back.regime == prior.regime
-            assert back.b1 == prior.b1
-
 
 class TestProprietyGates:
     def test_chain_minimum_sample_size(self):
@@ -127,31 +119,51 @@ class TestProprietyGates:
 
 class TestResolveHyperparams:
     def test_noninformative_is_all_zero(self):
-        r = resolve_hyperparams(NoninformativePrior(b1=1.0), chain_graph(3))
+        r = resolve_hyperparams(NoninformativePrior(b1=1.0), 3)
         assert r.v_mu == 0.0
         assert np.all(r.s_omega == 0) and np.all(r.r_omega == 0)
-        assert all(np.all(v == 0) for v in r.V_L)
+        assert np.all(r.V_L == 0) and np.all(r.Psi == 0)
 
     def test_proper_values(self):
         prior = IndependentProperPrior(b1=1.0, mu0=np.zeros(3), b2=1e4, b3=2.0, b4=3.0, b5=100.0)
-        r = resolve_hyperparams(prior, chain_graph(3))
+        r = resolve_hyperparams(prior, 3)
         assert r.v_mu == pytest.approx(1e-4)
         assert np.all(r.s_omega == 2.0) and np.all(r.r_omega == 3.0)
-        assert np.allclose(r.V_L[0], np.eye(3) / 100.0)
+        assert np.allclose(r.V_L, np.eye(3) / 100.0)
+        assert np.all(r.Psi == 0)
 
-    def test_wishart_identity_case(self):
+    def test_wishart_identity_case(self, rng):
         g = chain_graph(3)
         prior = PatternWishartPrior(b1=1.0, Psi=np.eye(3), psi=np.array([2.0, 2.0, 1.0]))
-        r = resolve_hyperparams(prior, g, omega2=np.array([2.0, 3.0, 4.0]), L=np.eye(3))
-        assert np.allclose(r.r_omega, 0.5)  # L_i Psi L_i' = 1 for L = I
+        r = resolve_hyperparams(prior, 3)
         assert np.allclose(r.s_omega, prior.psi / 2)
-        assert np.allclose(r.V_L[1], 3.0 * np.eye(3))
+        assert np.all(r.r_omega == 0) and np.all(r.V_L == 0)
+        assert np.array_equal(r.Psi, prior.Psi)
+        # the state terms enter through the conditionals
+        state = replace(random_state(rng, g, 6), omega2=np.array([2.0, 3.0, 4.0]), L=np.eye(3))
+        y0 = rng.standard_normal((6, 3))
+        flat = replace(r, Psi=np.zeros((3, 3)))
+        rate = omega2_conditional_params(state, y0, r, prior.b1)[1]
+        rate_flat = omega2_conditional_params(state, y0, flat, prior.b1)[1]
+        assert np.allclose(rate - rate_flat, 0.5)  # L_i Psi L_i' = 1 for L = I
+        prec = l_row_conditional_params(state, y0, y0.T @ y0, r, 1, [2])[1]
+        prec_flat = l_row_conditional_params(state, y0, y0.T @ y0, flat, 1, [2])[1]
+        assert np.allclose(prec - prec_flat, 3.0)  # omega_2^2 Psi on the row's support
 
-    def test_wishart_requires_state(self):
-        with pytest.raises(ValueError):
-            resolve_hyperparams(
-                PatternWishartPrior(b1=1.0, Psi=np.eye(3), psi=np.full(3, 3.0)), chain_graph(3)
-            )
+    def test_resolved_once_per_chain(self, rng, monkeypatch):
+        import sgdg.inference
+
+        regimes = []
+
+        def counting(prior, *args, **kwargs):
+            regimes.append(prior.regime)
+            return resolve_hyperparams(prior, *args, **kwargs)
+
+        monkeypatch.setattr(sgdg.inference, "resolve_hyperparams", counting)
+        data = rng.standard_normal((20, 3))
+        for prior in priors_for(3, rng):
+            run_chain(data, chain_graph(3), prior, iters=30, thin=1, seed=5)
+        assert regimes == ["proper", "wishart", "noninfo"]
 
 
 class TestConditionalCollapse:
@@ -168,7 +180,7 @@ def slice_ratio_worst(rng, graph, prior, n, include_delta=True):
     """Largest mismatch between conditional log ratios and joint log ratios."""
     data = rng.standard_normal((n, graph.k)) * 1.3 + 0.4
     state = random_state(rng, graph, n, zero_delta=not include_delta)
-    resolved = resolve_hyperparams(prior, graph, omega2=state.omega2, L=state.L)
+    resolved = resolve_hyperparams(prior, graph.k)
     y0 = data - state.mu
     y = y0 @ state.L.T
 

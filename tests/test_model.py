@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.stats import multivariate_normal
+from scipy.stats import multivariate_normal, norm
 
 from sgdg.csn import csn_log_density, sample_csn
 from sgdg.graph import EliminationOrdering, Graph, separates, verify_ordering
@@ -12,6 +12,7 @@ from sgdg.model import (
     SgdgParams,
     ci_factorization_check,
     covariance_matrix,
+    log_density,
     mean_vector,
     reparam_forward,
     reparam_inverse,
@@ -116,6 +117,12 @@ class TestLogDensity:
         p = chain_params(alpha=(1.5, -1.0, 2.0), kappa2=(0.7, 1.3, 1.1), mu=(0.5, -1.0, 2.0))
         x = rng.standard_normal((30, 3)) * 2
         assert np.allclose(csn_log_density(to_csn(p), x), sgdg_log_density(p, x), atol=1e-10)
+
+    def test_finite_deep_in_skew_tail(self):
+        # k = 1 at x = -60: 2 phi(x) Phi(x), with Phi(-60) far below the smallest double
+        out = log_density(np.zeros(1), np.ones(1), np.eye(1), np.ones(1), np.array([[-60.0]]))
+        assert np.all(np.isfinite(out))
+        assert out[0] == pytest.approx(np.log(2.0) + norm.logpdf(-60.0) + norm.logcdf(-60.0), rel=1e-12)
 
 
 class TestReparam:
