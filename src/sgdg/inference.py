@@ -16,8 +16,10 @@ Gamma draws use the shape-rate convention throughout: G(a, b) has mean a/b.
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -404,12 +406,27 @@ class Trace:
         return L[self._edge_index]
 
     def save(self, path):
-        with open(path, "w") as fh:
-            header = {"type": "meta", **self.meta}
-            fh.write(json.dumps(header, sort_keys=True) + "\n")
-            for s in range(len(self)):
-                rec = {name: getattr(self, name)[s].tolist() for name in self.DRAW_FIELDS}
-                fh.write(json.dumps({"type": "draw", **rec}, sort_keys=True) + "\n")
+        """Write the trace atomically: a save that fails leaves any file at `path` as it was.
+
+        The records go to a new file in `path`'s directory, which then replaces
+        `path`. Mode "x" creates it with the usual permissions (tempfile's are 0600).
+        """
+        path = Path(path)
+        tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+        fh = open(tmp, "x")
+        try:
+            with fh:
+                header = {"type": "meta", **self.meta}
+                fh.write(json.dumps(header, sort_keys=True) + "\n")
+                for s in range(len(self)):
+                    rec = {name: getattr(self, name)[s].tolist() for name in self.DRAW_FIELDS}
+                    fh.write(json.dumps({"type": "draw", **rec}, sort_keys=True) + "\n")
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     @classmethod
     def load(cls, path):

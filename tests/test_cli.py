@@ -1,10 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy.stats import gaussian_kde
 
-from sgdg.cli import main, read_dataset
+import sgdg
+from sgdg.cli import PLOT_DRAWS, _gaussian_kde, _posterior_mean_params, main, read_dataset
 from sgdg.graph import Graph
 from sgdg.inference import Trace
+from sgdg.model import sample_sgdg
 
 
 def run_cli(*argv):
@@ -162,6 +170,45 @@ class TestFit:
         assert json.loads(err)["error"] == "InvalidChainSettings"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "prior,hyper",
+        [("noninfo", "b1=0"), ("proper", "b2=abc"), ("proper", "b5=-1"), ("wishart", "Psi={tmp}/psi.json")],
+        ids=["noninfo-b1-zero", "proper-b2-text", "proper-b5-negative", "wishart-psi-not-a-matrix"],
+    )
+    def test_bad_hyper_reported(self, sim_dir, tmp_path, capsys, prior, hyper):
+        (tmp_path / "psi.json").write_text("{}")
+        out = tmp_path / "o"
+        assert run_cli("fit", "--data", sim_dir / "data.csv", "--graph", sim_dir / "graph.json",
+                       "--prior", prior, "--hyper", hyper.format(tmp=tmp_path),
+                       "--iters", 100, "--seed", 1, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert json.loads(err)["error"] == "InvalidParams"
+        assert not out.exists()
+
+    def test_fitted_density_matches_scipy_kde(self, sim_dir, tmp_path):
+        out = tmp_path / "fit"
+        assert run_cli("fit", "--data", sim_dir / "data.csv", "--graph", sim_dir / "graph.json",
+                       "--prior", "noninfo", "--iters", 400, "--burnin", 100,
+                       "--seed", 5, "--out", out) == 0
+        trace = Trace.load(out / "trace.ndjson")
+        draws = sample_sgdg(_posterior_mean_params(trace), np.random.default_rng([5, 982451653]), PLOT_DRAWS)
+        for j, col in enumerate(("x1", "x2", "x3")):
+            oracle = gaussian_kde(draws[:, j])
+            grid, dens = np.loadtxt(out / f"fitted_{col}.csv", delimiter=",", skiprows=1, unpack=True)
+            expected = oracle(grid)
+            np.testing.assert_allclose(dens, expected, rtol=0, atol=1e-12 * expected.max())
+            # far into both tails, where the kernel window holds part of the draws or none;
+            # pointwise there (above the subnormals), so that a window dropping a nonzero term fails
+            sd = draws[:, j].std()
+            tails = np.linspace(draws[:, j].min() - 40 * sd, draws[:, j].max() + 40 * sd, 401)
+            expected = oracle(tails)
+            dens = _gaussian_kde(draws[:, j], tails)
+            assert (expected == 0).any()
+            np.testing.assert_allclose(dens, expected, rtol=0, atol=1e-12 * expected.max())
+            normal = expected > 1e-300
+            np.testing.assert_allclose(dens[normal], expected[normal], rtol=1e-10)
+
     def test_wishart_gate_refusal(self, sim_dir, tmp_path, capsys):
         assert run_cli("fit", "--data", sim_dir / "data.csv", "--graph", sim_dir / "graph.json",
                        "--prior", "wishart", "--hyper", "psi=1,1,1",
@@ -197,6 +244,16 @@ class TestFit:
         ]
         for name in names:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about a second to import, paid by every command
+    src = Path(sgdg.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", "import sgdg.cli, sys; assert 'scipy.stats' not in sys.modules"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 class TestCompare:

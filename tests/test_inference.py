@@ -1,8 +1,11 @@
+import json
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from sgdg import inference
 from sgdg.graph import Graph, NotDecomposable
 from sgdg.inference import (
     DimensionMismatch,
@@ -358,6 +361,28 @@ class TestRunChain:
         expected_l[0, 1], expected_l[1, 2] = t.L[0]
         assert np.array_equal(back.l_matrix(back.L[0]), expected_l)
         assert np.array_equal(back.edge_values(expected_l), t.L[0])
+
+    def test_failed_save_leaves_existing_trace(self, rng, tmp_path, monkeypatch):
+        data, g = self._simulated(rng)
+        earlier = run_chain(data, g, self._prior(), iters=200, burn_in=100, thin=5, seed=1)
+        path = tmp_path / "trace.ndjson"
+        earlier.save(path)
+        before = path.read_bytes()
+        t = run_chain(data, g, self._prior(), iters=200, burn_in=100, thin=5, seed=2)
+        records = []
+
+        def dumps_failing_halfway(obj, **kwargs):
+            if len(records) == len(t) // 2:
+                raise RuntimeError("serialisation failed")
+            records.append(obj)
+            return json.dumps(obj, **kwargs)
+
+        monkeypatch.setattr(inference, "json", SimpleNamespace(dumps=dumps_failing_halfway))
+        with pytest.raises(RuntimeError, match="serialisation failed"):
+            t.save(path)
+        assert len(records) == len(t) // 2
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["trace.ndjson"]
 
     def test_quick_posterior_recovery(self, rng):
         # coarse sanity run; the acceptance suite runs the real recovery study
