@@ -77,6 +77,15 @@ def _fmt(x):
     return repr(float(x))
 
 
+def _check_colnames(path, header):
+    """Column names name output files (hist_<name>.csv): each must be a distinct file name part."""
+    for j, name in enumerate(header, start=1):
+        if name.strip() == "" or name in (".", "..") or any(c in name for c in "/\\\0"):
+            raise ParseError(f"{path}: column {j} name {name!r} cannot be part of a file name")
+        if name in header[: j - 1]:
+            raise ParseError(f"{path}: column name {name!r} appears twice")
+
+
 def read_dataset(path):
     """CSV with a header row; rejects missing values rather than imputing."""
     try:
@@ -85,6 +94,7 @@ def read_dataset(path):
             header = next(reader, None)
             if not header:
                 raise ParseError(f"{path}: empty dataset file")
+            _check_colnames(path, header)
             rows = []
             for lineno, row in enumerate(reader, start=2):
                 if not row:

@@ -153,7 +153,8 @@ def sample_truncated_normal(mu, var, lower, rng, size=None):
     Broadcasts over array arguments. Central truncations use the
     complementary inverse CDF; standardized bounds above TAIL_SWITCH use an
     exponential-proposal rejection sampler that stays accurate arbitrarily
-    far into the tail.
+    far into the tail. When no bound is past the switch, the inverse CDF runs
+    on the whole array, with the same draws as the split by bound.
     """
     mu = np.asarray(mu, dtype=float)
     var = np.asarray(var, dtype=float)
@@ -162,21 +163,21 @@ def sample_truncated_normal(mu, var, lower, rng, size=None):
         raise ValueError("var must be positive")
     size_shape = () if size is None else tuple(np.atleast_1d(size))
     shape = np.broadcast_shapes(mu.shape, var.shape, lower.shape, size_shape)
-    mu_b = np.broadcast_to(mu, shape)
-    sd_b = np.sqrt(np.broadcast_to(var, shape))
-    a = (np.broadcast_to(lower, shape) - mu_b) / sd_b
-
-    flat_a = a.reshape(-1)
-    out = np.empty(flat_a.shape)
-    central = flat_a <= TAIL_SWITCH
-    if np.any(central):
+    sd = np.sqrt(var)
+    a = (lower - mu) / sd
+    if np.all(a <= TAIL_SWITCH):
+        u = 1.0 - rng.uniform(size=shape)  # in (0, 1], avoids P=0
+        x = -ndtri(u * ndtr(-a))
+    else:
+        flat_a = np.broadcast_to(a, shape).reshape(-1)
+        x = np.empty(flat_a.shape)
+        central = flat_a <= TAIL_SWITCH
         tail_prob = ndtr(-flat_a[central])
-        u = 1.0 - rng.uniform(size=tail_prob.shape)  # in (0, 1], avoids P=0
-        out[central] = -ndtri(u * tail_prob)
-    if np.any(~central):
-        out[~central] = _tail_rejection(flat_a[~central], rng)
-    x = out.reshape(shape)
-    result = mu_b + sd_b * x
+        u = 1.0 - rng.uniform(size=tail_prob.shape)
+        x[central] = -ndtri(u * tail_prob)
+        x[~central] = _tail_rejection(flat_a[~central], rng)
+        x = x.reshape(shape)
+    result = mu + sd * x
     if size is None and result.shape == ():
         return float(result)
     return result

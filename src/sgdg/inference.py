@@ -36,7 +36,10 @@ class ProprietyViolation(ValueError):
 
 
 class NumericalFailure(RuntimeError):
-    """Raised when a conditional precision stops being positive definite."""
+    """Raised when a Gibbs block's conditional leaves its domain.
+
+    The message names the sweep, the block and, in the L block, the row.
+    """
 
 
 class DimensionMismatch(ValueError):
@@ -256,26 +259,36 @@ def gibbs_update_delta(state, y, b1, rng):
 
 
 def mu_conditional_params(state, data, resolved):
-    """Normal mean vector and precision matrix for the location block."""
+    """Precision-weighted mean h and precision matrix of the location block.
+
+    The conditional is N(prec^-1 h, prec^-1); the draw solves for the mean.
+    """
     n, k = data.shape
     q_omega = state.L.T @ (state.omega2[:, np.newaxis] * state.L)
     prec = n * q_omega + resolved.v_mu * np.eye(k)
     shift = solve_unit_triangular(state.L, state.delta * state.u.sum(axis=0))
-    rhs = q_omega @ (data.sum(axis=0) - shift) + resolved.v_mu * resolved.mu0
-    return np.linalg.solve(prec, rhs), prec
+    h = q_omega @ (data.sum(axis=0) - shift) + resolved.v_mu * resolved.mu0
+    return h, prec
 
 
 def gibbs_update_mu(state, data, resolved, rng):
-    mean, prec = mu_conditional_params(state, data, resolved)
-    return mean + _draw_from_precision(prec, rng)
-
-
-def _draw_from_precision(prec, rng):
+    h, prec = mu_conditional_params(state, data, resolved)
     try:
-        r = np.linalg.cholesky(prec)
+        return _gaussian_draw(prec, h, rng.standard_normal(h.shape[0]))
     except np.linalg.LinAlgError as exc:
-        raise NumericalFailure("conditional precision is not positive definite") from exc
-    return np.linalg.solve(r.T, rng.standard_normal(prec.shape[0]))
+        raise NumericalFailure("mu block: conditional precision is not positive definite") from exc
+
+
+def _gaussian_draw(prec, h, z):
+    """One draw from N(prec^-1 h, prec^-1) for each matrix of a stack, from standard normals z.
+
+    The mean solves prec m = h; with r r' = prec, m + r'^-1 z has covariance
+    prec^-1. Stacked LAPACK calls give each matrix the result of a single call.
+    A singular or indefinite precision raises np.linalg.LinAlgError.
+    """
+    mean = np.linalg.solve(prec, h[..., np.newaxis])[..., 0]
+    r = np.linalg.cholesky(prec)
+    return mean + np.linalg.solve(np.swapaxes(r, -1, -2), z[..., np.newaxis])[..., 0]
 
 
 def omega2_conditional_params(state, y, resolved, b1, include_skew_terms=True):
@@ -302,48 +315,95 @@ def gibbs_update_omega2(state, y, resolved, b1, rng, include_skew_terms=True):
     shape, rate = omega2_conditional_params(state, y, resolved, b1, include_skew_terms)
     draw = rng.gamma(shape=shape, scale=1.0 / rate)
     if np.any(draw <= 0) or not np.all(np.isfinite(draw)):
-        raise NumericalFailure("omega^2 draw left the positive domain")
+        raise NumericalFailure("omega2 block: draw left the positive domain")
     return draw
 
 
-def l_row_conditional_params(state, y0, gram, resolved, i, fwd):
-    """Normal mean and precision of the free entries `fwd` of row i of L.
+@dataclass(frozen=True)
+class LRowGroup:
+    """The rows of L with the same number m of free entries, fixed for a chain.
 
-    y0 = X - mu and gram = y0' y0: cross moments enter centred at the current
-    mean; the uncentred version does not leave the joint distribution
-    invariant. No row's conditional reads L, so one gram serves every row.
-    Of the matrix omega_i^2 gram + V_L + omega_i^2 Psi only the rows `fwd`
-    and the columns `fwd` and i are formed: the precision and zeta.
+    Row rows[g] has its free entries at the columns fwd[g], its forward
+    neighbours. `block` indexes, for every row at once, the (m, m + 1) slice
+    of a k x k matrix on the rows fwd[g] and the columns fwd[g] + [rows[g]]:
+    the row's precision and zeta. `slots` places each free entry's standard
+    normal in the one draw per sweep, which is taken in row order.
     """
-    w = state.omega2[i]
-    block = np.ix_(fwd, fwd + [i])
-    s = w * gram[block] + resolved.V_L[block] + w * resolved.Psi[block]
-    prec, zeta = s[:, :-1], s[:, -1]
-    m_vec = state.u[:, i] @ y0[:, fwd]
-    h = w * state.delta[i] * m_vec - zeta
-    try:
-        mean = np.linalg.solve(prec, h)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure("row conditional precision is singular") from exc
-    return mean, prec
+
+    rows: np.ndarray  # (G,)
+    fwd: np.ndarray  # (G, m)
+    block: tuple  # two index arrays broadcasting to (G, m, m + 1)
+    slots: np.ndarray  # (G, m)
 
 
-def gibbs_update_L(state, y0, graph, resolved, rng):
+def l_row_groups(graph):
+    """The rows of L with free entries, grouped by forward degree (ascending)."""
+    fwd = [graph.forward_neighbors(i) for i in range(graph.k)]
+    starts = np.cumsum([0] + [len(f) for f in fwd])
+    groups = []
+    for m in sorted({len(f) for f in fwd} - {0}):
+        rows = np.array([i for i in range(graph.k) if len(fwd[i]) == m])
+        cols = np.array([fwd[i] + [i] for i in rows])  # (G, m + 1): fwd, then the row
+        block = (cols[:, :-1, np.newaxis], cols[:, np.newaxis, :])
+        slots = starts[rows][:, np.newaxis] + np.arange(m)
+        groups.append(LRowGroup(rows, cols[:, :-1], block, slots))
+    return tuple(groups)
+
+
+def l_row_conditional_params(state, y0, gram, resolved, group):
+    """Precision-weighted means h (G, m) and precisions (G, m, m) of a row group's free entries.
+
+    Row i's free entries L[i, fwd] are N(prec^-1 h, prec^-1). y0 = X - mu and
+    gram = y0' y0: cross moments enter centred at the current mean; the
+    uncentred version does not leave the joint distribution invariant. No
+    row's conditional reads L, so one gram serves every row. Of the matrix
+    omega_i^2 gram + V_L + omega_i^2 Psi only the rows `fwd` and the columns
+    `fwd` and i are formed: the precision and zeta. Each row's cross moment
+    u_i' y0[:, fwd] is its own product, as in a row-by-row update; one
+    product u' y0 for all rows would round differently.
+    """
+    w = state.omega2[group.rows]
+    wb = w[:, np.newaxis, np.newaxis]
+    block = group.block
+    s = wb * gram[block] + resolved.V_L[block] + wb * resolved.Psi[block]
+    prec, zeta = s[..., :-1], s[..., -1]
+    m_vec = np.array([state.u[:, i] @ y0[:, fwd] for i, fwd in zip(group.rows, group.fwd)])
+    h = (w * state.delta[group.rows])[:, np.newaxis] * m_vec - zeta
+    return h, prec
+
+
+def gibbs_update_L(state, y0, groups, resolved, rng):
+    """Draw every free entry of L from its row conditional, one group of rows at a time.
+
+    The draws equal those of a row-by-row update in row order with the same
+    generator: one standard-normal call yields the numbers of the per-row calls.
+    """
     gram = y0.T @ y0
     new_l = state.L.copy()
-    for i in range(graph.k):
-        fwd = graph.forward_neighbors(i)
-        if fwd:
-            mean, prec = l_row_conditional_params(state, y0, gram, resolved, i, fwd)
-            new_l[i, fwd] = mean + _draw_from_precision(prec, rng)
+    z = rng.standard_normal(sum(g.slots.size for g in groups))
+    for group in groups:
+        h, prec = l_row_conditional_params(state, y0, gram, resolved, group)
+        zg = z[group.slots]
+        try:
+            new_l[group.rows[:, np.newaxis], group.fwd] = _gaussian_draw(prec, h, zg)
+        except np.linalg.LinAlgError as exc:
+            # error path only: name the first row whose own draw fails
+            for g, row in enumerate(group.rows):
+                try:
+                    _gaussian_draw(prec[g], h[g], zg[g])
+                except np.linalg.LinAlgError:
+                    raise NumericalFailure(
+                        f"L block, row {row + 1}: conditional precision is not positive definite"
+                    ) from exc
+            raise
     return new_l
 
 
-def gibbs_sweep(state, data, graph, resolved, b1, rng, fix_delta_zero=False):
+def gibbs_sweep(state, data, groups, resolved, b1, rng, fix_delta_zero=False):
     """One full sweep in the fixed order u, delta, mu, omega^2, L rows.
 
-    `resolved` is the prior's table from `resolve_hyperparams`, which holds
-    for the whole chain.
+    `groups` are the row groups of L from `l_row_groups` and `resolved` is the
+    prior's table from `resolve_hyperparams`; both hold for the whole chain.
 
     Each shared statistic is formed once: mu and L stay put through the u and
     delta blocks, so both read one copy of the centred rows (X - mu) L'. After
@@ -359,7 +419,7 @@ def gibbs_sweep(state, data, graph, resolved, b1, rng, fix_delta_zero=False):
     state.omega2 = gibbs_update_omega2(
         state, y0 @ state.L.T, resolved, b1, rng, include_skew_terms=not fix_delta_zero
     )
-    state.L = gibbs_update_L(state, y0, graph, resolved, rng)
+    state.L = gibbs_update_L(state, y0, groups, resolved, rng)
     return state
 
 
@@ -538,15 +598,19 @@ def run_chain(data, graph, prior, iters, burn_in=None, thin=10, seed=None,
     rng = np.random.default_rng(seed)
     state = _initial_state(data, graph, rng)
     resolved = resolve_hyperparams(prior, k)
-    for it in range(1, iters + 1):
-        gibbs_sweep(state, data, graph, resolved, prior.b1, rng, fix_delta_zero=fix_delta_zero)
-        if it > burn_in and (it - burn_in) % thin == 0:
-            s = (it - burn_in) // thin - 1
-            trace.mu[s] = state.mu
-            trace.delta[s] = state.delta
-            trace.omega2[s] = state.omega2
-            trace.L[s] = trace.edge_values(state.L)
-            trace.loglik[s] = _observed_loglik(state, data)
+    groups = l_row_groups(graph)
+    try:
+        for it in range(1, iters + 1):
+            gibbs_sweep(state, data, groups, resolved, prior.b1, rng, fix_delta_zero=fix_delta_zero)
+            if it > burn_in and (it - burn_in) % thin == 0:
+                s = (it - burn_in) // thin - 1
+                trace.mu[s] = state.mu
+                trace.delta[s] = state.delta
+                trace.omega2[s] = state.omega2
+                trace.L[s] = trace.edge_values(state.L)
+                trace.loglik[s] = _observed_loglik(state, data)
+    except NumericalFailure as exc:
+        raise NumericalFailure(f"sweep {it}, {exc}") from exc
     return trace
 
 

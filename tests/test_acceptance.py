@@ -23,6 +23,7 @@ from sgdg.inference import (
     ProprietyViolation,
     check_propriety,
     gibbs_sweep,
+    l_row_groups,
     resolve_hyperparams,
     run_chain,
     summarize,
@@ -287,8 +288,9 @@ class TestCriterion07bGeweke:
         x = self._draw_data_given_u(rng, mu, delta, omega2, L, u)
         state = GibbsState(mu=mu, delta=delta, omega2=omega2, L=L, u=u)
         resolved = resolve_hyperparams(prior, g.k)
+        groups = l_row_groups(g)
         for r in range(self.R):
-            gibbs_sweep(state, x, g, resolved, prior.b1, rng)
+            gibbs_sweep(state, x, groups, resolved, prior.b1, rng)
             x = self._draw_data_given_u(rng, state.mu, state.delta, state.omega2, state.L, state.u)
             sc[r] = self._stats(state.mu, state.delta, state.omega2, state.L, g)
 

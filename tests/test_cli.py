@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -153,7 +154,27 @@ class TestFit:
                        "--iters", 200, "--seed", 1, "--out", tmp_path / "o") == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
-        assert json.loads(err)["error"] == "NumericalFailure"
+        record = json.loads(err)
+        assert record["error"] == "NumericalFailure"
+        assert re.match(r"sweep [0-9]+, mu block: ", record["message"]), record["message"]
+
+    @pytest.mark.parametrize(
+        "header",
+        ["a/b,c", "x,x", "a,", ".,c", "..,c", "a\\b,c", "a\0b,c"],
+        ids=["slash", "duplicate", "empty", "dot", "dot-dot", "backslash", "nul"],
+    )
+    def test_unusable_column_names_rejected(self, tmp_path, capsys, header):
+        # column names become output file names (hist_<name>.csv, fitted_<name>.csv)
+        data = tmp_path / "named.csv"
+        data.write_text(header + "\n" + "".join(f"{i}.0,{i % 3}.5\n" for i in range(30)))
+        graph = write_graph(tmp_path / "g.json", Graph(2, [(0, 1)]))
+        out = tmp_path / "o"
+        assert run_cli("fit", "--data", data, "--graph", graph, "--prior", "noninfo",
+                       "--iters", 50, "--seed", 1, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert json.loads(err)["error"] == "ParseError"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "iters,burnin,thin",

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from scipy.special import log_ndtr
+from scipy.special import log_ndtr, ndtr, ndtri
 from scipy.stats import chi2, multivariate_normal, norm
 
 from sgdg.csn import (
+    TAIL_SWITCH,
     CsnParams,
     SingularBlock,
     UnsupportedCovarianceStructure,
@@ -12,6 +13,7 @@ from sgdg.csn import (
     sample_csn,
     sample_truncated_normal,
 )
+from sgdg.csn import _tail_rejection
 
 from conftest import gauss_legendre_grid
 
@@ -79,6 +81,44 @@ class TestTruncatedNormal:
     def test_positive_variance_required(self, rng):
         with pytest.raises(ValueError):
             sample_truncated_normal(0.0, 0.0, 0.0, rng)
+
+
+def truncated_normal_split_by_bound(mu, var, lower, rng, size=None):
+    """Reference sampler: the inverse CDF on the central bounds, picked out by a
+    mask, then tail rejection on the rest, on the broadcast arrays."""
+    size_shape = () if size is None else tuple(np.atleast_1d(size))
+    shape = np.broadcast_shapes(np.shape(mu), np.shape(var), np.shape(lower), size_shape)
+    mu_b = np.broadcast_to(np.asarray(mu, dtype=float), shape)
+    sd_b = np.sqrt(np.broadcast_to(np.asarray(var, dtype=float), shape))
+    flat_a = ((np.broadcast_to(np.asarray(lower, dtype=float), shape) - mu_b) / sd_b).reshape(-1)
+    out = np.empty(flat_a.shape)
+    central = flat_a <= TAIL_SWITCH
+    if np.any(central):
+        tail_prob = ndtr(-flat_a[central])
+        out[central] = -ndtri((1.0 - rng.uniform(size=tail_prob.shape)) * tail_prob)
+    if np.any(~central):
+        out[~central] = _tail_rejection(flat_a[~central], rng)
+    return mu_b + sd_b * out.reshape(shape)
+
+
+class TestTruncatedNormalSameDraws:
+    _r = np.random.default_rng(3)
+    CASES = {  # (mu, var, lower, size); the "mixed" cases have bounds past TAIL_SWITCH
+        "central": (_r.standard_normal((40, 5)), _r.uniform(0.2, 2.0, 5), 0.0, None),
+        "central-sized": (0.5, 2.0, 0.0, (300,)),
+        "mixed": (np.array([-9.0, 0.0, 3.0, -5.5, -4.1]), 1.0, 0.0, (200, 5)),
+        "mixed-per-entry": (_r.normal(-2.0, 2.5, (60, 4)), _r.uniform(0.1, 1.0, 4), 0.0, None),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_same_draws_as_split_by_bound(self, name):
+        mu, var, lower, size = self.CASES[name]
+        assert np.any((lower - np.asarray(mu)) / np.sqrt(var) > TAIL_SWITCH) == name.startswith("mixed")
+        fast_rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
+        x = sample_truncated_normal(mu, var, lower, fast_rng, size=size)
+        ref = truncated_normal_split_by_bound(mu, var, lower, ref_rng, size=size)
+        assert np.array_equal(x, ref)
+        assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def sn_params_1d(alpha=2.0):

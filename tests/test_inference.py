@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sgdg import inference
+from sgdg.datasets import mathmarks_graph
 from sgdg.graph import Graph, NotDecomposable
 from sgdg.inference import (
     DimensionMismatch,
@@ -19,7 +20,9 @@ from sgdg.inference import (
     _observed_loglik,
     check_propriety,
     delta_conditional_params,
+    gibbs_update_L,
     l_row_conditional_params,
+    l_row_groups,
     mu_conditional_params,
     omega2_conditional_params,
     resolve_hyperparams,
@@ -149,9 +152,10 @@ class TestResolveHyperparams:
         rate = omega2_conditional_params(state, y0, r, prior.b1)[1]
         rate_flat = omega2_conditional_params(state, y0, flat, prior.b1)[1]
         assert np.allclose(rate - rate_flat, 0.5)  # L_i Psi L_i' = 1 for L = I
-        prec = l_row_conditional_params(state, y0, y0.T @ y0, r, 1, [2])[1]
-        prec_flat = l_row_conditional_params(state, y0, y0.T @ y0, flat, 1, [2])[1]
-        assert np.allclose(prec - prec_flat, 3.0)  # omega_2^2 Psi on the row's support
+        (group,) = l_row_groups(g)  # rows 0 and 1, one free entry each
+        prec = l_row_conditional_params(state, y0, y0.T @ y0, r, group)[1]
+        prec_flat = l_row_conditional_params(state, y0, y0.T @ y0, flat, group)[1]
+        assert np.allclose(prec - prec_flat, [[[2.0]], [[3.0]]])  # omega_i^2 Psi on row i's support
 
     def test_resolved_once_per_chain(self, rng, monkeypatch):
         import sgdg.inference
@@ -167,6 +171,82 @@ class TestResolveHyperparams:
         for prior in priors_for(3, rng):
             run_chain(data, chain_graph(3), prior, iters=30, thin=1, seed=5)
         assert regimes == ["proper", "wishart", "noninfo"]
+
+def band_graph(k, width):
+    return Graph(k, [(i, j) for i in range(k) for j in range(i + 1, min(k, i + width + 1))])
+
+
+def l_update_row_by_row(state, y0, graph, resolved, rng):
+    """Reference L block: each row with free entries in turn, one draw call per row."""
+    gram = y0.T @ y0
+    new_l = state.L.copy()
+    for i in range(graph.k):
+        fwd = graph.forward_neighbors(i)
+        if fwd:
+            w = state.omega2[i]
+            block = np.ix_(fwd, fwd + [i])
+            s = w * gram[block] + resolved.V_L[block] + w * resolved.Psi[block]
+            prec, zeta = s[:, :-1], s[:, -1]
+            mean = np.linalg.solve(prec, w * state.delta[i] * (state.u[:, i] @ y0[:, fwd]) - zeta)
+            r = np.linalg.cholesky(prec)
+            new_l[i, fwd] = mean + np.linalg.solve(r.T, rng.standard_normal(len(fwd)))
+    return new_l
+
+
+class TestLRowGroups:
+    GRAPHS = {
+        "marks": mathmarks_graph(),
+        "band-8-3": band_graph(8, 3),
+        "complete-4": band_graph(4, 3),
+        "chain-5": chain_graph(5),
+    }
+
+    @pytest.mark.parametrize("name", GRAPHS)
+    def test_same_draws_as_row_by_row(self, rng, name):
+        g = self.GRAPHS[name]
+        groups = l_row_groups(g)
+        assert [grp.fwd.shape[1] for grp in groups] == sorted({len(g.forward_neighbors(i))
+                                                               for i in range(g.k)} - {0})
+        for prior in priors_for(g.k, rng):
+            resolved = resolve_hyperparams(prior, g.k)
+            state = random_state(rng, g, 12)
+            y0 = rng.standard_normal((12, g.k)) * 1.3 + 0.4
+            seed = int(rng.integers(2**32))
+            stacked_rng, row_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            stacked = gibbs_update_L(state, y0, groups, resolved, stacked_rng)
+            reference = l_update_row_by_row(state, y0, g, resolved, row_rng)
+            assert np.array_equal(stacked, reference), prior.regime
+            assert stacked_rng.bit_generator.state == row_rng.bit_generator.state
+
+    def test_failing_row_is_named(self, rng):
+        g = band_graph(4, 3)
+        state = random_state(rng, g, 12)
+        y0 = rng.standard_normal((12, 4))
+        # column 3 makes the precisions of rows 1 and 2 singular; the groups run by
+        # ascending forward degree, so row 2 (degree 2) fails before row 1 (degree 3)
+        y0[:, 2] = 0.0
+        resolved = resolve_hyperparams(NoninformativePrior(b1=1.0), 4)
+        with pytest.raises(inference.NumericalFailure, match="L block, row 2: "):
+            gibbs_update_L(state, y0, l_row_groups(g), resolved, rng)
+
+    def test_graph_lookups_once_per_chain(self, rng, monkeypatch):
+        calls = []
+        lookup = Graph.forward_neighbors
+
+        def counting(graph, i):
+            calls.append(i)
+            return lookup(graph, i)
+
+        monkeypatch.setattr(Graph, "forward_neighbors", counting)
+        g = mathmarks_graph()
+        data = rng.standard_normal((30, g.k))
+        counts = []
+        for iters in (10, 40):
+            calls.clear()
+            run_chain(data, g, NoninformativePrior(b1=1.0), iters=iters, thin=1, seed=5)
+            counts.append(len(calls))
+        # k to check the elimination ordering and k to build the row groups of L
+        assert counts == [2 * g.k, 2 * g.k]
 
 
 class TestConditionalCollapse:
@@ -214,7 +294,8 @@ def slice_ratio_worst(rng, graph, prior, n, include_delta=True):
         worst = max(worst, abs(lhs - rhs))
 
     # mu block
-    mean_m, prec_m = mu_conditional_params(state, data, resolved)
+    h_m, prec_m = mu_conditional_params(state, data, resolved)
+    mean_m = np.linalg.solve(prec_m, h_m)
     a = mean_m + rng.standard_normal(graph.k)
     b = mean_m + rng.standard_normal(graph.k)
     lhs = -0.5 * ((a - mean_m) @ prec_m @ (a - mean_m) - (b - mean_m) @ prec_m @ (b - mean_m))
@@ -231,12 +312,15 @@ def slice_ratio_worst(rng, graph, prior, n, include_delta=True):
     rhs = joint_with(omega2=oa) - joint_with(omega2=ob)
     worst = max(worst, abs(lhs - rhs))
 
-    # one row of L
-    rows = [i for i in range(graph.k) if graph.forward_neighbors(i)]
+    # one row of L, from its row group; the rows in row order
+    rows = sorted(((grp, g) for grp in l_row_groups(graph) for g in range(len(grp.rows))),
+                  key=lambda pair: pair[0].rows[pair[1]])
     if rows:
-        i = rows[int(rng.integers(len(rows)))]
-        fwd = graph.forward_neighbors(i)
-        mean_l, prec_l = l_row_conditional_params(state, y0, y0.T @ y0, resolved, i, fwd)
+        grp, g = rows[int(rng.integers(len(rows)))]
+        i, fwd = grp.rows[g], list(grp.fwd[g])
+        h_l, prec_l = l_row_conditional_params(state, y0, y0.T @ y0, resolved, grp)
+        h_l, prec_l = h_l[g], prec_l[g]
+        mean_l = np.linalg.solve(prec_l, h_l)
         a = mean_l + rng.standard_normal(len(fwd))
         b = mean_l + rng.standard_normal(len(fwd))
         lhs = -0.5 * ((a - mean_l) @ prec_l @ (a - mean_l) - (b - mean_l) @ prec_l @ (b - mean_l))
