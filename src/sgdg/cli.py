@@ -37,6 +37,7 @@ HYPER_DEFAULTS = {"b1": 100.0, "b2": 1e4, "b3": 1e-6, "b4": 1e-6, "b5": 100.0}
 
 PLOT_DRAWS = 50_000  # draws from the posterior-mean model behind each fitted density
 PLOT_GRID_POINTS = 200  # points of each fitted density grid
+PLOT_BINS = 20  # bins of each data histogram
 # exp(-746.0) == 0.0 in float64, so a draw more than sqrt(2 * 746) bandwidths
 # from a grid point adds exactly nothing to the density there.
 _KDE_REACH = np.sqrt(2 * 746.0)
@@ -358,8 +359,10 @@ def write_plot_data(out, trace, data, colnames, seed):
     for j, name in enumerate(colnames):
         col = data[:, j]
         lo, hi = col.min(), col.max()
-        pad = 0.15 * (hi - lo if hi > lo else 1.0)
-        counts, edges = np.histogram(col, bins=20, range=(lo - pad, hi + pad))
+        pad = 0.15 * (hi - lo)
+        if not np.all(np.diff(np.linspace(lo - pad, hi + pad, PLOT_BINS + 1)) > 0):
+            pad = 0.15  # a constant or near-constant column: its range holds no finite-sized bins
+        counts, edges = np.histogram(col, bins=PLOT_BINS, range=(lo - pad, hi + pad))
         dens = counts / (counts.sum() * np.diff(edges))
         write_csv_rows(
             out / f"hist_{name}.csv",

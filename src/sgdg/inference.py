@@ -26,7 +26,7 @@ import numpy as np
 from . import model as _model
 from .csn import sample_truncated_normal
 from .graph import EliminationOrdering, Graph, NotDecomposable, verify_ordering
-from .linalg import modified_cholesky, solve_unit_triangular
+from .linalg import modified_cholesky
 
 SWEEP_ORDER = ("u", "delta", "mu", "omega2", "L")
 
@@ -139,20 +139,28 @@ class ProprietyReport:
     messages: tuple
 
 
-def check_propriety(prior, n, g):
-    """Posterior-existence gate for the improper prior regimes.
+def check_propriety(prior, data, g):
+    """Posterior-existence gate for the improper prior regimes, on the n x k data.
 
-    Noninformative: needs n >= max_i ||N(i)|| + 2 forward-neighbor counts.
+    Noninformative: needs n >= max_i ||N(i)|| + 2 forward-neighbor counts and
+    data in general position, so no column may be constant.
     Pattern-Wishart: needs psi_i > ||N(i)|| strictly for every i.
     Independent proper priors always pass.
     """
     msgs = []
     fwd = [g.forward_degree(i) for i in range(g.k)]
     if prior.regime == "noninfo":
+        n = data.shape[0]
         need = max(fwd) + 2
         if n < need:
             msgs.append(
                 f"noninformative prior requires n >= max forward degree + 2 = {need}, got n = {n}"
+            )
+        constant = np.flatnonzero(data.min(axis=0) == data.max(axis=0)) + 1
+        if constant.size:
+            msgs.append(
+                "noninformative prior requires data in general position, "
+                f"but column(s) {constant.tolist()} are constant"
             )
     elif prior.regime == "wishart":
         if prior.psi.shape != (g.k,):
@@ -262,12 +270,14 @@ def mu_conditional_params(state, data, resolved):
     """Precision-weighted mean h and precision matrix of the location block.
 
     The conditional is N(prec^-1 h, prec^-1); the draw solves for the mean.
+    h = (Omega L)' (L sum(x) - delta o sum(u)) + v_mu mu0 is the same vector as
+    L' Omega L (sum(x) - L^-1 (delta o sum(u))) + v_mu mu0, with no triangular solve.
     """
     n, k = data.shape
-    q_omega = state.L.T @ (state.omega2[:, np.newaxis] * state.L)
-    prec = n * q_omega + resolved.v_mu * np.eye(k)
-    shift = solve_unit_triangular(state.L, state.delta * state.u.sum(axis=0))
-    h = q_omega @ (data.sum(axis=0) - shift) + resolved.v_mu * resolved.mu0
+    wl = state.omega2[:, np.newaxis] * state.L
+    prec = n * (state.L.T @ wl) + resolved.v_mu * np.eye(k)
+    resid = state.L @ data.sum(axis=0) - state.delta * state.u.sum(axis=0)
+    h = wl.T @ resid + resolved.v_mu * resolved.mu0
     return h, prec
 
 
@@ -282,13 +292,20 @@ def gibbs_update_mu(state, data, resolved, rng):
 def _gaussian_draw(prec, h, z):
     """One draw from N(prec^-1 h, prec^-1) for each matrix of a stack, from standard normals z.
 
-    The mean solves prec m = h; with r r' = prec, m + r'^-1 z has covariance
-    prec^-1. Stacked LAPACK calls give each matrix the result of a single call.
+    With r r' = prec, prec^-1 (h + r z) = prec^-1 h + r'^-1 z has covariance
+    prec^-1: one Cholesky factorization and one solve. 1 x 1 precisions p take
+    the closed form h / p + z / sqrt(p). Stacked LAPACK calls, and r z summed
+    along the last axis, give each matrix the result of a call of its own.
     A singular or indefinite precision raises np.linalg.LinAlgError.
     """
-    mean = np.linalg.solve(prec, h[..., np.newaxis])[..., 0]
+    if prec.shape[-1] == 1:
+        p = prec[..., 0]
+        if not np.all(p > 0):
+            raise np.linalg.LinAlgError("1 x 1 precision is not positive")
+        return h / p + z / np.sqrt(p)
     r = np.linalg.cholesky(prec)
-    return mean + np.linalg.solve(np.swapaxes(r, -1, -2), z[..., np.newaxis])[..., 0]
+    rz = (r * z[..., np.newaxis, :]).sum(axis=-1)
+    return np.linalg.solve(prec, (h + rz)[..., np.newaxis])[..., 0]
 
 
 def omega2_conditional_params(state, y, resolved, b1, include_skew_terms=True):
@@ -350,24 +367,22 @@ def l_row_groups(graph):
     return tuple(groups)
 
 
-def l_row_conditional_params(state, y0, gram, resolved, group):
+def l_row_conditional_params(state, gram, cross, resolved, group):
     """Precision-weighted means h (G, m) and precisions (G, m, m) of a row group's free entries.
 
-    Row i's free entries L[i, fwd] are N(prec^-1 h, prec^-1). y0 = X - mu and
-    gram = y0' y0: cross moments enter centred at the current mean; the
-    uncentred version does not leave the joint distribution invariant. No
-    row's conditional reads L, so one gram serves every row. Of the matrix
-    omega_i^2 gram + V_L + omega_i^2 Psi only the rows `fwd` and the columns
-    `fwd` and i are formed: the precision and zeta. Each row's cross moment
-    u_i' y0[:, fwd] is its own product, as in a row-by-row update; one
-    product u' y0 for all rows would round differently.
+    Row i's free entries L[i, fwd] are N(prec^-1 h, prec^-1). With y0 = X - mu,
+    gram = y0' y0 and cross = u' y0: moments enter centred at the current
+    mean; the uncentred version does not leave the joint distribution
+    invariant. No row's conditional reads L, so one gram and one cross serve
+    every row. Of the matrix omega_i^2 gram + V_L + omega_i^2 Psi only the
+    rows `fwd` and the columns `fwd` and i are formed: the precision and zeta.
     """
     w = state.omega2[group.rows]
     wb = w[:, np.newaxis, np.newaxis]
     block = group.block
     s = wb * gram[block] + resolved.V_L[block] + wb * resolved.Psi[block]
     prec, zeta = s[..., :-1], s[..., -1]
-    m_vec = np.array([state.u[:, i] @ y0[:, fwd] for i, fwd in zip(group.rows, group.fwd)])
+    m_vec = cross[group.rows[:, np.newaxis], group.fwd]
     h = (w * state.delta[group.rows])[:, np.newaxis] * m_vec - zeta
     return h, prec
 
@@ -379,10 +394,11 @@ def gibbs_update_L(state, y0, groups, resolved, rng):
     generator: one standard-normal call yields the numbers of the per-row calls.
     """
     gram = y0.T @ y0
+    cross = state.u.T @ y0
     new_l = state.L.copy()
     z = rng.standard_normal(sum(g.slots.size for g in groups))
     for group in groups:
-        h, prec = l_row_conditional_params(state, y0, gram, resolved, group)
+        h, prec = l_row_conditional_params(state, gram, cross, resolved, group)
         zg = z[group.slots]
         try:
             new_l[group.rows[:, np.newaxis], group.fwd] = _gaussian_draw(prec, h, zg)
@@ -408,7 +424,8 @@ def gibbs_sweep(state, data, groups, resolved, b1, rng, fix_delta_zero=False):
     Each shared statistic is formed once: mu and L stay put through the u and
     delta blocks, so both read one copy of the centred rows (X - mu) L'. After
     the mu block, X - mu is formed once more; it feeds the omega^2 block (as
-    centred rows) and every row of L (through its Gram matrix).
+    centred rows) and every row of L (through its Gram matrix and its cross
+    moment with u).
     """
     y = (data - state.mu) @ state.L.T
     state.u = gibbs_update_u(state, y, rng)
@@ -563,7 +580,7 @@ def run_chain(data, graph, prior, iters, burn_in=None, thin=10, seed=None,
             "graph labels are not a perfect elimination ordering; relabel the "
             "graph (and data columns) with graph.relabel(perfect_elimination_ordering(g))"
         )
-    report = check_propriety(prior, n, graph)
+    report = check_propriety(prior, data, graph)
     if not report.ok:
         raise ProprietyViolation("; ".join(report.messages))
     if seed is None:

@@ -25,6 +25,14 @@ def write_graph(path, g):
     return path
 
 
+def write_near_constant_csv(path):
+    """A 40 x 3 dataset whose columns 2 and 3 take only 3.0 and the next float above it."""
+    up = float(np.nextafter(3.0, 4.0))  # 3.0000000000000004
+    path.write_text("a,b,c\n" + "".join(
+        f"{float(i)!r},{(3.0 if i < 20 else up)!r},{(3.0 if i % 2 else up)!r}\n" for i in range(40)))
+    return path
+
+
 @pytest.fixture
 def sim_dir(tmp_path):
     out = tmp_path / "sim"
@@ -146,9 +154,9 @@ class TestFit:
         assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
 
     def test_degenerate_chain_reported(self, tmp_path, capsys):
-        # two constant columns leave a conditional precision singular
-        data = tmp_path / "flat.csv"
-        data.write_text("a,b,c\n" + "".join(f"{float(i)},3.0,3.0\n" for i in range(40)))
+        # two columns of range one ulp pass the propriety gate but leave a conditional
+        # precision singular after some sweeps
+        data = write_near_constant_csv(tmp_path / "flat.csv")
         graph = write_graph(tmp_path / "g.json", Graph(3, [(0, 1), (1, 2)]))
         assert run_cli("fit", "--data", data, "--graph", graph, "--prior", "noninfo",
                        "--iters", 200, "--seed", 1, "--out", tmp_path / "o") == 3
@@ -157,6 +165,35 @@ class TestFit:
         record = json.loads(err)
         assert record["error"] == "NumericalFailure"
         assert re.match(r"sweep [0-9]+, mu block: ", record["message"]), record["message"]
+
+    def test_constant_columns_refused_under_noninfo(self, tmp_path, capsys):
+        # the noninformative prior's posterior needs data in general position
+        data = tmp_path / "flat.csv"
+        data.write_text("a,b,c\n" + "".join(f"{float(i)},3.0,3.0\n" for i in range(40)))
+        graph = write_graph(tmp_path / "g.json", Graph(3, [(0, 1), (1, 2)]))
+        out = tmp_path / "o"
+        assert run_cli("fit", "--data", data, "--graph", graph, "--prior", "noninfo",
+                       "--iters", 200, "--seed", 1, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        record = json.loads(err)
+        assert record["error"] == "ProprietyViolation"
+        assert "column(s) [2, 3] are constant" in record["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("prior", ["proper", "wishart"])
+    def test_near_constant_column_plot_data(self, tmp_path, prior):
+        # a range of one ulp holds no 20 finite-sized histogram bins once padded by 15%
+        data = write_near_constant_csv(tmp_path / "flat.csv")
+        graph = write_graph(tmp_path / "g.json", Graph(3, [(0, 1), (1, 2)]))
+        out = tmp_path / "o"
+        assert run_cli("fit", "--data", data, "--graph", graph, "--prior", prior,
+                       "--iters", 200, "--seed", 1, "--out", out) == 0
+        assert json.loads((out / "fit.json").read_text())["retained_draws"] == 16
+        for kind in ("hist", "fitted"):
+            for col in ("a", "b", "c"):
+                values = np.loadtxt(out / f"{kind}_{col}.csv", delimiter=",", skiprows=1)
+                assert values.shape[0] > 0 and np.all(np.isfinite(values)), f"{kind}_{col}"
 
     @pytest.mark.parametrize(
         "header",

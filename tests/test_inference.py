@@ -1,4 +1,5 @@
 import json
+from copy import deepcopy
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -14,13 +15,19 @@ from sgdg.inference import (
     GibbsState,
     IndependentProperPrior,
     NoninformativePrior,
+    NumericalFailure,
     PatternWishartPrior,
     ProprietyViolation,
     Trace,
+    _gaussian_draw,
     _observed_loglik,
     check_propriety,
     delta_conditional_params,
+    gibbs_sweep,
+    gibbs_update_delta,
     gibbs_update_L,
+    gibbs_update_omega2,
+    gibbs_update_u,
     l_row_conditional_params,
     l_row_groups,
     mu_conditional_params,
@@ -30,6 +37,7 @@ from sgdg.inference import (
     summarize,
     u_conditional_params,
 )
+from sgdg.linalg import solve_unit_triangular
 from sgdg.model import ReparamParams, reparam_inverse, sample_sgdg, sgdg_log_density
 
 from conftest import chain_graph
@@ -104,23 +112,36 @@ class TestPriors:
 
 
 class TestProprietyGates:
-    def test_chain_minimum_sample_size(self):
+    def test_chain_minimum_sample_size(self, rng):
         g = chain_graph(3)
-        assert check_propriety(NoninformativePrior(b1=100.0), 3, g).ok
-        report = check_propriety(NoninformativePrior(b1=100.0), 2, g)
+        assert check_propriety(NoninformativePrior(b1=100.0), rng.standard_normal((3, 3)), g).ok
+        report = check_propriety(NoninformativePrior(b1=100.0), rng.standard_normal((2, 3)), g)
         assert not report.ok and "n >= " in report.messages[0]
 
-    def test_wishart_boundary_is_strict(self):
+    def test_wishart_boundary_is_strict(self, rng):
         g = chain_graph(3)
+        data = rng.standard_normal((100, 3))
         fwd = np.array([g.forward_degree(i) for i in range(3)], dtype=float)
         at_boundary = PatternWishartPrior(b1=1.0, Psi=np.eye(3), psi=np.maximum(fwd, 0.5))
-        assert not check_propriety(at_boundary, 100, g).ok
+        assert not check_propriety(at_boundary, data, g).ok
         above = PatternWishartPrior(b1=1.0, Psi=np.eye(3), psi=fwd + 0.01)
-        assert check_propriety(above, 100, g).ok
+        assert check_propriety(above, data, g).ok
 
-    def test_proper_always_ok(self):
+    def test_proper_always_ok(self, rng):
         prior = IndependentProperPrior(b1=1.0, mu0=np.zeros(3), b2=1.0, b3=1.0, b4=1.0, b5=1.0)
-        assert check_propriety(prior, 1, chain_graph(3)).ok
+        assert check_propriety(prior, rng.standard_normal((1, 3)), chain_graph(3)).ok
+
+    def test_constant_column_refused_under_noninfo_only(self, rng):
+        g = chain_graph(3)
+        data = rng.standard_normal((40, 3))
+        data[:, 1] = 3.0
+        report = check_propriety(NoninformativePrior(b1=100.0), data, g)
+        assert not report.ok and "column(s) [2] are constant" in report.messages[0]
+        data[0, 1] = np.nextafter(3.0, 4.0)  # a range of one ulp is not zero
+        assert check_propriety(NoninformativePrior(b1=100.0), data, g).ok
+        data[:, 1] = 3.0
+        for prior in priors_for(3, rng)[:2]:  # proper and pattern-Wishart
+            assert check_propriety(prior, data, g).ok, prior.regime
 
 
 class TestResolveHyperparams:
@@ -153,8 +174,8 @@ class TestResolveHyperparams:
         rate_flat = omega2_conditional_params(state, y0, flat, prior.b1)[1]
         assert np.allclose(rate - rate_flat, 0.5)  # L_i Psi L_i' = 1 for L = I
         (group,) = l_row_groups(g)  # rows 0 and 1, one free entry each
-        prec = l_row_conditional_params(state, y0, y0.T @ y0, r, group)[1]
-        prec_flat = l_row_conditional_params(state, y0, y0.T @ y0, flat, group)[1]
+        prec = l_row_conditional_params(state, y0.T @ y0, state.u.T @ y0, r, group)[1]
+        prec_flat = l_row_conditional_params(state, y0.T @ y0, state.u.T @ y0, flat, group)[1]
         assert np.allclose(prec - prec_flat, [[[2.0]], [[3.0]]])  # omega_i^2 Psi on row i's support
 
     def test_resolved_once_per_chain(self, rng, monkeypatch):
@@ -177,7 +198,63 @@ def band_graph(k, width):
 
 
 def l_update_row_by_row(state, y0, graph, resolved, rng):
-    """Reference L block: each row with free entries in turn, one draw call per row."""
+    """Reference L block: each row with free entries in turn, one draw per row.
+
+    A row's cross moment is read from u' y0. A row with one free entry, of
+    precision p, is h / p + z / sqrt(p); a larger row is prec^-1 (h + r z) with
+    r r' = prec.
+    """
+    gram = y0.T @ y0
+    cross = state.u.T @ y0
+    new_l = state.L.copy()
+    for i in range(graph.k):
+        fwd = graph.forward_neighbors(i)
+        if fwd:
+            w = state.omega2[i]
+            block = np.ix_(fwd, fwd + [i])
+            s = w * gram[block] + resolved.V_L[block] + w * resolved.Psi[block]
+            prec, zeta = s[:, :-1], s[:, -1]
+            h = w * state.delta[i] * cross[i, fwd] - zeta
+            z = rng.standard_normal(len(fwd))
+            if len(fwd) == 1:
+                new_l[i, fwd] = h / prec[0] + z / np.sqrt(prec[0])
+            else:
+                r = np.linalg.cholesky(prec)
+                new_l[i, fwd] = np.linalg.solve(prec, h + (r * z).sum(axis=1))
+    return new_l
+
+
+# ---------------------------------------------------------------------------
+# the earlier sweep algorithm, kept as the reference for changes in rounding
+
+
+def three_call_draw(prec, h, z):
+    """The earlier Gaussian draw: solve for the mean, factor prec = r r', solve r' x = z."""
+    mean = np.linalg.solve(prec, h[..., np.newaxis])[..., 0]
+    r = np.linalg.cholesky(prec)
+    return mean + np.linalg.solve(np.swapaxes(r, -1, -2), z[..., np.newaxis])[..., 0]
+
+
+def sweep_three_call(state, data, graph, resolved, b1, rng, fix_delta_zero):
+    """The earlier sweep algorithm.
+
+    The mu mean goes through a triangular solve, and the rows of L are drawn in
+    row order, each with its own cross product u_i' y0[:, fwd] and the
+    three-call draw. The u, delta and omega^2 blocks are the library's.
+    """
+    n, k = data.shape
+    y = (data - state.mu) @ state.L.T
+    state.u = gibbs_update_u(state, y, rng)
+    if not fix_delta_zero:
+        state.delta = gibbs_update_delta(state, y, b1, rng)
+    q_omega = state.L.T @ (state.omega2[:, np.newaxis] * state.L)
+    prec = n * q_omega + resolved.v_mu * np.eye(k)
+    shift = solve_unit_triangular(state.L, state.delta * state.u.sum(axis=0))
+    h = q_omega @ (data.sum(axis=0) - shift) + resolved.v_mu * resolved.mu0
+    state.mu = three_call_draw(prec, h, rng.standard_normal(k))
+    y0 = data - state.mu
+    state.omega2 = gibbs_update_omega2(state, y0 @ state.L.T, resolved, b1, rng,
+                                       include_skew_terms=not fix_delta_zero)
     gram = y0.T @ y0
     new_l = state.L.copy()
     for i in range(graph.k):
@@ -187,10 +264,10 @@ def l_update_row_by_row(state, y0, graph, resolved, rng):
             block = np.ix_(fwd, fwd + [i])
             s = w * gram[block] + resolved.V_L[block] + w * resolved.Psi[block]
             prec, zeta = s[:, :-1], s[:, -1]
-            mean = np.linalg.solve(prec, w * state.delta[i] * (state.u[:, i] @ y0[:, fwd]) - zeta)
-            r = np.linalg.cholesky(prec)
-            new_l[i, fwd] = mean + np.linalg.solve(r.T, rng.standard_normal(len(fwd)))
-    return new_l
+            h = w * state.delta[i] * (state.u[:, i] @ y0[:, fwd]) - zeta
+            new_l[i, fwd] = three_call_draw(prec, h, rng.standard_normal(len(fwd)))
+    state.L = new_l
+    return state
 
 
 class TestLRowGroups:
@@ -247,6 +324,71 @@ class TestLRowGroups:
             counts.append(len(calls))
         # k to check the elimination ordering and k to build the row groups of L
         assert counts == [2 * g.k, 2 * g.k]
+
+
+class TestGaussianDraw:
+    GRAPHS = {**TestLRowGroups.GRAPHS, "k1": Graph(1)}
+    FIELDS = ("u", "delta", "mu", "omega2", "L")
+
+    @pytest.mark.parametrize("fix_delta_zero", [False, True], ids=["skew", "delta-zero"])
+    @pytest.mark.parametrize("name", GRAPHS)
+    def test_one_sweep_matches_three_call_algorithm(self, rng, name, fix_delta_zero):
+        g = self.GRAPHS[name]
+        groups = l_row_groups(g)
+        for prior in priors_for(g.k, rng):
+            resolved = resolve_hyperparams(prior, g.k)
+            start = random_state(rng, g, 12, zero_delta=fix_delta_zero)
+            data = rng.standard_normal((12, g.k)) * 1.3 + 0.4
+            seed = int(rng.integers(2**32))
+            new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            new = gibbs_sweep(deepcopy(start), data, groups, resolved, prior.b1, new_rng, fix_delta_zero)
+            old = sweep_three_call(deepcopy(start), data, g, resolved, prior.b1, old_rng, fix_delta_zero)
+            for f in self.FIELDS:  # relative to the field's largest entry
+                ref = getattr(old, f)
+                np.testing.assert_allclose(getattr(new, f), ref, rtol=0, atol=1e-12 * np.abs(ref).max(),
+                                           err_msg=f"{prior.regime} {f}")
+            assert new_rng.bit_generator.state == old_rng.bit_generator.state
+
+    def test_one_entry_closed_form_equals_three_call_draw(self, rng):
+        for _ in range(2000):
+            G = int(rng.integers(1, 9))
+            prec = np.exp(rng.uniform(-8, 8, (G, 1, 1)))
+            h = rng.standard_normal((G, 1)) * np.exp(rng.uniform(-8, 8, (G, 1)))
+            z = rng.standard_normal((G, 1))
+            assert np.array_equal(_gaussian_draw(prec, h, z), three_call_draw(prec, h, z))
+
+    def test_non_positive_one_entry_precision_is_named(self, rng):
+        g = chain_graph(3)  # rows 1 and 2 have one free entry each
+        state = random_state(rng, g, 12)
+        y0 = rng.standard_normal((12, 3))
+        # row 2's one free entry, L[1, 2] 0-based, gets precision omega2[1] * y0[:, 2]' y0[:, 2] = 0;
+        # without the check, h / p would be 0 / 0
+        y0[:, 2] = 0.0
+        resolved = resolve_hyperparams(NoninformativePrior(b1=1.0), 3)
+        with pytest.raises(NumericalFailure, match="L block, row 2: "):
+            gibbs_update_L(state, y0, l_row_groups(g), resolved, rng)
+
+    def test_lapack_calls_per_sweep(self, rng, monkeypatch):
+        calls = []
+
+        def counting(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("solve", "cholesky"):
+            monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+        g = mathmarks_graph()
+        data = rng.standard_normal((30, g.k))
+        counts = []
+        for iters in (10, 40):
+            calls.clear()
+            run_chain(data, g, NoninformativePrior(b1=1.0), iters=iters, thin=1, seed=5)
+            counts.append(len(calls))
+        # one Cholesky factorization and one solve each for the mu block and for the
+        # group of rows with two free entries; the rows with one free entry need none
+        assert counts[1] - counts[0] == 4 * 30
 
 
 class TestConditionalCollapse:
@@ -318,7 +460,7 @@ def slice_ratio_worst(rng, graph, prior, n, include_delta=True):
     if rows:
         grp, g = rows[int(rng.integers(len(rows)))]
         i, fwd = grp.rows[g], list(grp.fwd[g])
-        h_l, prec_l = l_row_conditional_params(state, y0, y0.T @ y0, resolved, grp)
+        h_l, prec_l = l_row_conditional_params(state, y0.T @ y0, state.u.T @ y0, resolved, grp)
         h_l, prec_l = h_l[g], prec_l[g]
         mean_l = np.linalg.solve(prec_l, h_l)
         a = mean_l + rng.standard_normal(len(fwd))
