@@ -1,20 +1,14 @@
 """Skew Gaussian decomposable graphical models.
 
-Library and CLI for the SGDG model: decomposable-graph machinery, the
-closed-skew-normal distribution layer, exact model sampling, a block Gibbs
-sampler under three prior regimes with propriety gates, and Bayes-factor
-comparison against the Gaussian graphical baseline.
+Library and CLI for the SGDG model: decomposable-graph machinery, exact
+model sampling, a block Gibbs sampler under three prior regimes with
+propriety gates, and Bayes-factor comparison against the Gaussian graphical
+baseline. The general closed-skew-normal layer and the quadrature
+conditional-independence check are reference oracles of the test suite
+(`tests/oracles.py`), not part of the package.
 """
 
-from .csn import (
-    CsnParams,
-    SingularBlock,
-    UnsupportedCovarianceStructure,
-    csn_conditional,
-    csn_log_density,
-    sample_csn,
-    sample_truncated_normal,
-)
+from .csn import sample_truncated_normal
 from .evidence import EvidenceEstimate, NotConverged, bayes_factor, estimate_log_marginal
 from .graph import (
     EliminationOrdering,
@@ -48,14 +42,12 @@ from .linalg import (
 from .model import (
     ReparamParams,
     SgdgParams,
-    ci_factorization_check,
     covariance_matrix,
     mean_vector,
     reparam_forward,
     reparam_inverse,
     sample_sgdg,
     sgdg_log_density,
-    to_csn,
 )
 
 __version__ = "0.1.0"

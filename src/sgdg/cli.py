@@ -25,6 +25,7 @@ from .inference import (
     PatternWishartPrior,
     ProprietyViolation,
     Trace,
+    min_n_noninformative,
     run_chain,
     summarize,
 )
@@ -225,13 +226,12 @@ def cmd_check_graph(args):
         ordering = perfect_elimination_ordering(g)
         identity_ok = verify_ordering(g, EliminationOrdering.identity(g.k))
         fwd_graph = g if identity_ok else g.relabel(ordering)
-        fwd = [fwd_graph.forward_degree(i) for i in range(g.k)]
         report.update(
             {
                 "elimination_ordering": [v + 1 for v in ordering.perm],
                 "labels_are_elimination_ordering": identity_ok,
-                "forward_neighbor_counts": fwd,
-                "min_n_noninformative": max(fwd) + 2,
+                "forward_neighbor_counts": [fwd_graph.forward_degree(i) for i in range(g.k)],
+                "min_n_noninformative": min_n_noninformative(fwd_graph),
             }
         )
     if args.json:

@@ -139,11 +139,47 @@ class ProprietyReport:
     messages: tuple
 
 
+def min_n_noninformative(g):
+    """Smallest sample size with a proper posterior under the noninformative prior.
+
+    The bound is n >= max_i ||N(i)|| + 2 over the forward-neighbor counts
+    ||N(i)|| of g's labels.
+    """
+    return max(g.forward_degree(i) for i in range(g.k)) + 2
+
+
+def _general_position_failure(data, g):
+    """Why the n x k data are not in general position on g, or None if they are.
+
+    Clique i is vertex i with its forward neighbors. Its centred columns must
+    have full column rank, where a singular value at or below
+    eps * n * max|x| over the clique's raw values counts as zero.
+    """
+    n = data.shape[0]
+    eps_n = np.finfo(float).eps * n
+    centred = data - data.mean(axis=0)
+    constant = np.flatnonzero(
+        np.linalg.norm(centred, axis=0) <= eps_n * np.abs(data).max(axis=0)) + 1
+    if constant.size:
+        return f"column(s) {constant.tolist()} are constant"
+    deficient = []
+    for i in range(g.k):
+        clique = [i] + sorted(j for j in g.neighbors(i) if j > i)
+        if len(clique) > 1:
+            s = np.linalg.svd(centred[:, clique], compute_uv=False)
+            if s[-1] <= eps_n * np.abs(data[:, clique]).max():
+                deficient.append([v + 1 for v in clique])
+    if deficient:
+        return f"the centred columns of clique(s) {deficient} are rank-deficient"
+    return None
+
+
 def check_propriety(prior, data, g):
     """Posterior-existence gate for the improper prior regimes, on the n x k data.
 
-    Noninformative: needs n >= max_i ||N(i)|| + 2 forward-neighbor counts and
-    data in general position, so no column may be constant.
+    Noninformative: needs n >= `min_n_noninformative(g)` and data in general
+    position: the centred columns of each clique (vertex i with its forward
+    neighbors) have full column rank to working precision.
     Pattern-Wishart: needs psi_i > ||N(i)|| strictly for every i.
     Independent proper priors always pass.
     """
@@ -151,17 +187,13 @@ def check_propriety(prior, data, g):
     fwd = [g.forward_degree(i) for i in range(g.k)]
     if prior.regime == "noninfo":
         n = data.shape[0]
-        need = max(fwd) + 2
+        need = min_n_noninformative(g)
         if n < need:
             msgs.append(
                 f"noninformative prior requires n >= max forward degree + 2 = {need}, got n = {n}"
             )
-        constant = np.flatnonzero(data.min(axis=0) == data.max(axis=0)) + 1
-        if constant.size:
-            msgs.append(
-                "noninformative prior requires data in general position, "
-                f"but column(s) {constant.tolist()} are constant"
-            )
+        elif (why := _general_position_failure(data, g)) is not None:
+            msgs.append(f"noninformative prior requires data in general position, but {why}")
     elif prior.regime == "wishart":
         if prior.psi.shape != (g.k,):
             raise DimensionMismatch("psi length must equal the vertex count")

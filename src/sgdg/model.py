@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import log_ndtr
 
-from .csn import CsnParams
 from .linalg import CholFactor, pattern_within, solve_unit_triangular
 
 LOG_2_OVER_PI = np.log(2.0 / np.pi)
@@ -24,10 +23,6 @@ LOG_2_OVER_PI = np.log(2.0 / np.pi)
 
 class InvalidDomain(ValueError):
     """Raised when parameter values fall outside their domain."""
-
-
-class DimensionTooLarge(ValueError):
-    """Raised when a quadrature-based check is requested beyond k = 4."""
 
 
 def _check_pattern(L_or_factor, graph):
@@ -174,50 +169,3 @@ def covariance_matrix(p):
     b = solve_unit_triangular(p.factor.L, np.diag(scale))
     return b @ b.T
 
-
-def to_csn(p):
-    """The equivalent CSN parameterization (mu, Q^-1, D_alpha L, 0, D_kappa^-1)."""
-    k = p.k
-    l_inv = solve_unit_triangular(p.factor.L, np.eye(k))
-    sigma = l_inv @ np.diag(1.0 / p.kappa2) @ l_inv.T
-    gamma = p.alpha[:, np.newaxis] * p.factor.L
-    return CsnParams(p.mu, sigma, gamma, np.zeros(k), np.diag(1.0 / p.kappa2))
-
-
-def _gauss_legendre(lo, hi, n):
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    return mid + half * nodes, half * weights
-
-
-def ci_factorization_check(p, i, j, rng=None, n_rest=3, nodes=200, tol=1e-6):
-    """Empirical conditional-independence test of X_i and X_j given the rest.
-
-    Evaluates the joint density on a tensor grid over (x_i, x_j) at several
-    fixed values of the remaining coordinates and checks each slice for
-    rank-one structure (second singular value below tol relative to the
-    first). Quadrature-style grids keep this exact for factorizing densities.
-    """
-    if p.k > 4:
-        raise DimensionTooLarge("factorization check supports k <= 4 only")
-    if i == j or not (0 <= i < p.k and 0 <= j < p.k):
-        raise ValueError("need distinct coordinates i, j")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    mean = mean_vector(p)
-    sd = np.sqrt(np.diag(covariance_matrix(p)))
-    gi, _ = _gauss_legendre(mean[i] - 8 * sd[i], mean[i] + 8 * sd[i], nodes)
-    gj, _ = _gauss_legendre(mean[j] - 8 * sd[j], mean[j] + 8 * sd[j], nodes)
-    rest_points = sample_sgdg(p, rng, n_rest)
-    xi, xj = np.meshgrid(gi, gj, indexing="ij")
-    for rest in rest_points:
-        pts = np.tile(rest, (nodes * nodes, 1))
-        pts[:, i] = xi.ravel()
-        pts[:, j] = xj.ravel()
-        logf = sgdg_log_density(p, pts).reshape(nodes, nodes)
-        f = np.exp(logf - logf.max())
-        s = np.linalg.svd(f, compute_uv=False)
-        if s[1] > tol * s[0]:
-            return False
-    return True

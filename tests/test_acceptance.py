@@ -32,7 +32,6 @@ from sgdg.linalg import assemble_precision, modified_cholesky, verify_pattern
 from sgdg.model import (
     ReparamParams,
     SgdgParams,
-    ci_factorization_check,
     covariance_matrix,
     mean_vector,
     reparam_inverse,
@@ -46,6 +45,7 @@ from conftest import (
     random_decomposable_graph,
     random_pattern_factor,
 )
+from oracles import ci_factorization_check
 from test_inference import priors_for, slice_ratio_worst
 
 RESULTS = []

@@ -10,6 +10,7 @@ import pytest
 from scipy.stats import gaussian_kde
 
 import sgdg
+from sgdg import inference
 from sgdg.cli import PLOT_DRAWS, _gaussian_kde, _posterior_mean_params, main, read_dataset
 from sgdg.graph import Graph
 from sgdg.inference import Trace
@@ -154,11 +155,13 @@ class TestFit:
         assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
 
     def test_degenerate_chain_reported(self, tmp_path, capsys):
-        # two columns of range one ulp pass the propriety gate but leave a conditional
-        # precision singular after some sweeps
+        # the noninformative gate refuses two columns of range one ulp before sampling;
+        # a proper prior whose omega^2 rate is almost zero samples them until a
+        # conditional precision turns singular
         data = write_near_constant_csv(tmp_path / "flat.csv")
         graph = write_graph(tmp_path / "g.json", Graph(3, [(0, 1), (1, 2)]))
-        assert run_cli("fit", "--data", data, "--graph", graph, "--prior", "noninfo",
+        assert run_cli("fit", "--data", data, "--graph", graph, "--prior", "proper",
+                       "--hyper", "b4=1e-300",
                        "--iters", 200, "--seed", 1, "--out", tmp_path / "o") == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
@@ -179,6 +182,29 @@ class TestFit:
         record = json.loads(err)
         assert record["error"] == "ProprietyViolation"
         assert "column(s) [2, 3] are constant" in record["message"]
+        assert not out.exists()
+
+    def test_near_constant_columns_refused_under_noninfo(self, tmp_path, capsys, monkeypatch):
+        # columns of range one ulp are constant to working precision: refused before any sweep
+        sweeps = []
+        gibbs_sweep = inference.gibbs_sweep
+
+        def counted_sweep(*args, **kwargs):
+            sweeps.append(1)
+            return gibbs_sweep(*args, **kwargs)
+
+        monkeypatch.setattr(inference, "gibbs_sweep", counted_sweep)
+        data = write_near_constant_csv(tmp_path / "flat.csv")
+        graph = write_graph(tmp_path / "g.json", Graph(3, [(0, 1), (1, 2)]))
+        out = tmp_path / "o"
+        assert run_cli("fit", "--data", data, "--graph", graph, "--prior", "noninfo",
+                       "--iters", 200, "--seed", 1, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        record = json.loads(err)
+        assert record["error"] == "ProprietyViolation"
+        assert "column(s) [2, 3] are constant" in record["message"]
+        assert sweeps == []
         assert not out.exists()
 
     @pytest.mark.parametrize("prior", ["proper", "wishart"])

@@ -3,19 +3,17 @@ import pytest
 from scipy.special import log_ndtr, ndtr, ndtri
 from scipy.stats import chi2, multivariate_normal, norm
 
-from sgdg.csn import (
-    TAIL_SWITCH,
+from sgdg.csn import TAIL_SWITCH, _tail_rejection, sample_truncated_normal
+
+from conftest import gauss_legendre_grid
+from oracles import (
     CsnParams,
     SingularBlock,
     UnsupportedCovarianceStructure,
     csn_conditional,
     csn_log_density,
     sample_csn,
-    sample_truncated_normal,
 )
-from sgdg.csn import _tail_rejection
-
-from conftest import gauss_legendre_grid
 
 SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
 

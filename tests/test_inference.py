@@ -30,6 +30,7 @@ from sgdg.inference import (
     gibbs_update_u,
     l_row_conditional_params,
     l_row_groups,
+    min_n_noninformative,
     mu_conditional_params,
     omega2_conditional_params,
     resolve_hyperparams,
@@ -40,7 +41,7 @@ from sgdg.inference import (
 from sgdg.linalg import solve_unit_triangular
 from sgdg.model import ReparamParams, reparam_inverse, sample_sgdg, sgdg_log_density
 
-from conftest import chain_graph
+from conftest import chain_graph, random_decomposable_graph
 
 
 # ---------------------------------------------------------------------------
@@ -137,11 +138,31 @@ class TestProprietyGates:
         data[:, 1] = 3.0
         report = check_propriety(NoninformativePrior(b1=100.0), data, g)
         assert not report.ok and "column(s) [2] are constant" in report.messages[0]
-        data[0, 1] = np.nextafter(3.0, 4.0)  # a range of one ulp is not zero
+        data[0, 1] = np.nextafter(3.0, 4.0)  # a range of one ulp is constant to working precision
+        report = check_propriety(NoninformativePrior(b1=100.0), data, g)
+        assert not report.ok and "column(s) [2] are constant" in report.messages[0]
+        data[0, 1] = 3.0 + 1e-8  # a small but real spread is not
         assert check_propriety(NoninformativePrior(b1=100.0), data, g).ok
         data[:, 1] = 3.0
         for prior in priors_for(3, rng)[:2]:  # proper and pattern-Wishart
             assert check_propriety(prior, data, g).ok, prior.regime
+
+    def test_collinear_clique_refused_under_noninfo(self, rng):
+        g = chain_graph(3)
+        data = rng.standard_normal((40, 3))
+        data[:, 2] = 2.0 * data[:, 1]
+        report = check_propriety(NoninformativePrior(b1=100.0), data, g)
+        assert not report.ok and "clique(s) [[2, 3]] are rank-deficient" in report.messages[0]
+        data[:, 2] += 1e-6 * rng.standard_normal(40)
+        assert check_propriety(NoninformativePrior(b1=100.0), data, g).ok
+
+    def test_min_n_noninformative_is_the_smallest_accepted_n(self, rng):
+        prior = NoninformativePrior(b1=100.0)
+        for _ in range(30):
+            g = random_decomposable_graph(rng, int(rng.integers(1, 7)))
+            need = min_n_noninformative(g)
+            assert check_propriety(prior, rng.standard_normal((need, g.k)), g).ok
+            assert not check_propriety(prior, rng.standard_normal((need - 1, g.k)), g).ok
 
 
 class TestResolveHyperparams:

@@ -2,15 +2,12 @@ import numpy as np
 import pytest
 from scipy.stats import multivariate_normal, norm
 
-from sgdg.csn import csn_log_density, sample_csn
 from sgdg.graph import EliminationOrdering, Graph, separates, verify_ordering
 from sgdg.linalg import CholFactor, assemble_precision, modified_cholesky
 from sgdg.model import (
-    DimensionTooLarge,
     InvalidDomain,
     ReparamParams,
     SgdgParams,
-    ci_factorization_check,
     covariance_matrix,
     log_density,
     mean_vector,
@@ -18,7 +15,6 @@ from sgdg.model import (
     reparam_inverse,
     sample_sgdg,
     sgdg_log_density,
-    to_csn,
 )
 
 from conftest import (
@@ -27,6 +23,7 @@ from conftest import (
     random_decomposable_graph,
     random_pattern_factor,
 )
+from oracles import DimensionTooLarge, ci_factorization_check, csn_log_density, sample_csn, to_csn
 
 
 def chain_params(alpha=(2.0, 2.0, 2.0), l12=-0.5, l23=-0.5, kappa2=(1.0, 1.0, 1.0), mu=None):
