@@ -10,12 +10,13 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from .evidence import NotConverged, estimate_log_marginal
-from .graph import EliminationOrdering, Graph, NotDecomposable, is_decomposable, perfect_elimination_ordering, verify_ordering
+from .graph import EliminationOrdering, Graph, NotDecomposable, perfect_elimination_ordering, verify_ordering
 from .inference import (
     DimensionMismatch,
     IndependentProperPrior,
@@ -35,6 +36,11 @@ from .model import InvalidDomain, ReparamParams, reparam_inverse, sample_sgdg
 ERROR_EXIT = 3
 
 HYPER_DEFAULTS = {"b1": 100.0, "b2": 1e4, "b3": 1e-6, "b4": 1e-6, "b5": 100.0}
+HYPER_KEYS = {"proper": ("b1", "mu0", "b2", "b3", "b4", "b5"), "wishart": ("b1", "Psi", "psi"),
+              "noninfo": ("b1",)}  # the --hyper keys each regime reads
+
+# the trace meta entries that fit.json repeats
+FIT_RECORD_KEYS = ("prior", "iters", "burn_in", "thin", "seed", "fix_delta_zero", "n", "k", "data_digest")
 
 PLOT_DRAWS = 50_000  # draws from the posterior-mean model behind each fitted density
 PLOT_GRID_POINTS = 200  # points of each fitted density grid
@@ -182,32 +188,28 @@ def build_prior(regime, hyper, graph):
 
 
 def _build_prior(regime, hyper, graph):
+    if regime not in HYPER_KEYS:
+        raise InvalidParams(f"unknown prior regime {regime!r}")
+    unread = sorted(set(hyper) - set(HYPER_KEYS[regime]))
+    if unread:
+        raise InvalidParams(f"--hyper {', '.join(unread)}: the {regime} prior reads only "
+                            f"{', '.join(HYPER_KEYS[regime])}")
     k = graph.k
-    b1 = float(hyper.get("b1", HYPER_DEFAULTS["b1"]))
+    b = {key: float(hyper.get(key, default)) for key, default in HYPER_DEFAULTS.items()}
     if regime == "noninfo":
-        return NoninformativePrior(b1=b1)
+        return NoninformativePrior(b1=b["b1"])
     if regime == "proper":
-        mu0 = _float_or_list(hyper.get("mu0", "0"), k, "mu0")
-        return IndependentProperPrior(
-            b1=b1,
-            mu0=mu0,
-            b2=float(hyper.get("b2", HYPER_DEFAULTS["b2"])),
-            b3=float(hyper.get("b3", HYPER_DEFAULTS["b3"])),
-            b4=float(hyper.get("b4", HYPER_DEFAULTS["b4"])),
-            b5=float(hyper.get("b5", HYPER_DEFAULTS["b5"])),
-        )
-    if regime == "wishart":
-        if "Psi" in hyper:
-            psi_mat = np.asarray(json.loads(Path(hyper["Psi"]).read_text()), dtype=float)
-        else:
-            psi_mat = np.eye(k)
-        if "psi" in hyper:
-            psi_vec = _float_or_list(hyper["psi"], k, "psi")
-        else:
-            # smallest integer degrees that satisfy the propriety gate
-            psi_vec = np.array([graph.forward_degree(i) + 1.0 for i in range(k)])
-        return PatternWishartPrior(b1=b1, Psi=psi_mat, psi=psi_vec)
-    raise InvalidParams(f"unknown prior regime {regime!r}")
+        return IndependentProperPrior(mu0=_float_or_list(hyper.get("mu0", "0"), k, "mu0"), **b)
+    if "Psi" in hyper:
+        psi_mat = np.asarray(json.loads(Path(hyper["Psi"]).read_text()), dtype=float)
+    else:
+        psi_mat = np.eye(k)
+    if "psi" in hyper:
+        psi_vec = _float_or_list(hyper["psi"], k, "psi")
+    else:
+        # smallest integer degrees that satisfy the propriety gate
+        psi_vec = np.array([graph.forward_degree(i) + 1.0 for i in range(k)])
+    return PatternWishartPrior(b1=b["b1"], Psi=psi_mat, psi=psi_vec)
 
 
 # ---------------------------------------------------------------------------
@@ -216,14 +218,12 @@ def _build_prior(regime, hyper, graph):
 
 def cmd_check_graph(args):
     g = load_graph(args.graph)
-    decomposable = is_decomposable(g)
-    report = {
-        "k": g.k,
-        "n_edges": len(g.edges),
-        "decomposable": decomposable,
-    }
-    if decomposable:
+    report = {"k": g.k, "n_edges": len(g.edges), "decomposable": True}
+    try:
         ordering = perfect_elimination_ordering(g)
+    except NotDecomposable:
+        report["decomposable"] = False
+    else:
         identity_ok = verify_ordering(g, EliminationOrdering.identity(g.k))
         fwd_graph = g if identity_ok else g.relabel(ordering)
         report.update(
@@ -238,7 +238,7 @@ def cmd_check_graph(args):
         _dump_json(report)
         return 0
     print(f"vertices: {report['k']}  edges: {report['n_edges']}")
-    if not decomposable:
+    if not report["decomposable"]:
         print("not decomposable: the graph has a chordless cycle of length >= 4")
         return 0
     print("decomposable: yes")
@@ -400,30 +400,15 @@ def cmd_fit(args):
     out.mkdir(parents=True, exist_ok=True)
     trace.save(out / "trace.ndjson")
     rows = summarize(trace)
-    write_csv_rows(
-        out / "summary.csv",
-        ["param", "mean", "sd", "q2.5", "q50", "q97.5", "ess"],
-        [
-            (r["param"], r["mean"], r["sd"], r["q2.5"], r["q50"], r["q97.5"], r["ess"])
-            for r in rows
-        ],
-    )
+    write_csv_rows(out / "summary.csv", list(rows[0]), [list(r.values()) for r in rows])
     write_plot_data(out, trace, data, colnames, args.seed)
     _dump_json(
         {
             "command": "fit",
             "data": str(args.data),
             "graph": str(args.graph),
-            "prior": trace.meta["prior"],
-            "iters": int(args.iters),
-            "burn_in": trace.meta["burn_in"],
-            "thin": int(args.thin),
-            "seed": int(args.seed),
-            "fix_delta_zero": bool(args.fix_delta_zero),
-            "n": trace.meta["n"],
-            "k": trace.meta["k"],
+            **{key: trace.meta[key] for key in FIT_RECORD_KEYS},
             "retained_draws": len(trace),
-            "data_digest": trace.meta["data_digest"],
         },
         out / "fit.json",
     )
@@ -461,8 +446,8 @@ def cmd_compare(args):
         "trace_b": str(args.trace_b),
         "log_marginal_a": est_a.log_marginal,
         "log_marginal_b": est_b.log_marginal,
-        "evidence_a": est_a.to_dict(),
-        "evidence_b": est_b.to_dict(),
+        "evidence_a": asdict(est_a),
+        "evidence_b": asdict(est_b),
         "log_bayes_factor_a_over_b": log_bf,
     }
     if args.out is not None:

@@ -14,22 +14,22 @@ from scipy.special import ndtr, ndtri
 TAIL_SWITCH = 4.0
 
 
-def sample_truncated_normal(mu, var, lower, rng, size=None):
+def sample_truncated_normal(mu, var, lower, rng):
     """Exact draws from N(mu, var) restricted to [lower, inf).
 
-    Broadcasts over array arguments. Central truncations use the
-    complementary inverse CDF; standardized bounds above TAIL_SWITCH use an
-    exponential-proposal rejection sampler that stays accurate arbitrarily
-    far into the tail. When no bound is past the switch, the inverse CDF runs
-    on the whole array, with the same draws as the split by bound.
+    The result has the broadcast shape of mu, var and lower. Central
+    truncations use the complementary inverse CDF; standardized bounds above
+    TAIL_SWITCH use an exponential-proposal rejection sampler that stays
+    accurate arbitrarily far into the tail. When no bound is past the switch,
+    the inverse CDF runs on the whole array, with the same draws as the split
+    by bound.
     """
     mu = np.asarray(mu, dtype=float)
     var = np.asarray(var, dtype=float)
     lower = np.asarray(lower, dtype=float)
     if np.any(var <= 0):
         raise ValueError("var must be positive")
-    size_shape = () if size is None else tuple(np.atleast_1d(size))
-    shape = np.broadcast_shapes(mu.shape, var.shape, lower.shape, size_shape)
+    shape = np.broadcast_shapes(mu.shape, var.shape, lower.shape)
     sd = np.sqrt(var)
     a = (lower - mu) / sd
     if np.all(a <= TAIL_SWITCH):
@@ -44,10 +44,7 @@ def sample_truncated_normal(mu, var, lower, rng, size=None):
         x[central] = -ndtri(u * tail_prob)
         x[~central] = _tail_rejection(flat_a[~central], rng)
         x = x.reshape(shape)
-    result = mu + sd * x
-    if size is None and result.shape == ():
-        return float(result)
-    return result
+    return mu + sd * x
 
 
 def _tail_rejection(a, rng):

@@ -17,6 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
+TOL = 1e-10  # relative change at which the fixed-point iteration stops
+MAX_ITER = 1000  # iterations before NotConverged
+
 
 class NotConverged(RuntimeError):
     """Raised when the fixed-point iteration fails to settle."""
@@ -30,23 +33,14 @@ class EvidenceEstimate:
     converged: bool
     iterations: int
 
-    def to_dict(self):
-        return {
-            "log_marginal": self.log_marginal,
-            "n_draws_used": self.n_draws_used,
-            "mix_weight": self.mix_weight,
-            "converged": self.converged,
-            "iterations": self.iterations,
-        }
 
-
-def estimate_log_marginal(loglik, mix_weight=0.01, tol=1e-10, max_iter=1000):
+def estimate_log_marginal(loglik, mix_weight=0.01):
     """Log marginal likelihood from per-draw log likelihoods of a posterior.
 
     Starts at the maximum log likelihood and iterates to the fixed point;
-    stops when the relative change drops below tol. Raises NotConverged
-    (never returns NaN) if max_iter is exhausted or the iteration leaves the
-    finite range.
+    stops when the relative change drops below TOL. Raises NotConverged
+    (never returns NaN) after MAX_ITER iterations or if the iteration leaves
+    the finite range.
     """
     lam = np.asarray(loglik, dtype=float).ravel()
     if lam.size == 0:
@@ -63,21 +57,21 @@ def estimate_log_marginal(loglik, mix_weight=0.01, tol=1e-10, max_iter=1000):
     log_1md = math.log1p(-d)
 
     q = float(lam.max())
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         t = np.logaddexp(log_d + q, log_1md + lam)
         log_num = np.logaddexp(log_m0, logsumexp(lam - t))
         log_den = np.logaddexp(log_m0 - q, logsumexp(-t))
         q_new = float(log_num - log_den)
         if not math.isfinite(q_new):
             raise NotConverged("fixed-point iteration left the finite range")
-        if abs(q_new - q) <= tol * max(1.0, abs(q)):
+        if abs(q_new - q) <= TOL * max(1.0, abs(q)):
             return EvidenceEstimate(q_new, s, d, True, it)
         q = q_new
-    raise NotConverged(f"no fixed point within {max_iter} iterations")
+    raise NotConverged(f"no fixed point within {MAX_ITER} iterations")
 
 
-def bayes_factor(trace_a, trace_b, mix_weight=0.01, tol=1e-10, max_iter=1000):
+def bayes_factor(trace_a, trace_b, mix_weight=0.01):
     """Log Bayes factor of model A over model B from their traces."""
-    est_a = estimate_log_marginal(trace_a.loglik, mix_weight, tol, max_iter)
-    est_b = estimate_log_marginal(trace_b.loglik, mix_weight, tol, max_iter)
+    est_a = estimate_log_marginal(trace_a.loglik, mix_weight)
+    est_b = estimate_log_marginal(trace_b.loglik, mix_weight)
     return est_a.log_marginal - est_b.log_marginal

@@ -17,7 +17,7 @@ Gamma draws use the shape-rate convention throughout: G(a, b) has mean a/b.
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -133,12 +133,6 @@ def prior_to_dict(prior):
 # propriety gates
 
 
-@dataclass(frozen=True)
-class ProprietyReport:
-    ok: bool
-    messages: tuple
-
-
 def min_n_noninformative(g):
     """Smallest sample size with a proper posterior under the noninformative prior.
 
@@ -177,11 +171,13 @@ def _general_position_failure(data, g):
 def check_propriety(prior, data, g):
     """Posterior-existence gate for the improper prior regimes, on the n x k data.
 
+    Raises ProprietyViolation, with every failed condition in its message.
     Noninformative: needs n >= `min_n_noninformative(g)` and data in general
     position: the centred columns of each clique (vertex i with its forward
     neighbors) have full column rank to working precision.
     Pattern-Wishart: needs psi_i > ||N(i)|| strictly for every i.
-    Independent proper priors always pass.
+    Independent proper priors always pass. A psi of other than k entries, or
+    a mu0 that is neither a scalar nor of k entries, raises DimensionMismatch.
     """
     msgs = []
     fwd = [g.forward_degree(i) for i in range(g.k)]
@@ -203,7 +199,10 @@ def check_propriety(prior, data, g):
                     f"pattern-Wishart prior requires psi_{i + 1} > {fwd[i]} "
                     f"(forward degree), got {prior.psi[i]}"
                 )
-    return ProprietyReport(not msgs, tuple(msgs))
+    elif prior.regime == "proper" and prior.mu0.shape not in ((), (g.k,)):
+        raise DimensionMismatch("mu0 must be a scalar or have one entry per vertex")
+    if msgs:
+        raise ProprietyViolation("; ".join(msgs))
 
 
 # ---------------------------------------------------------------------------
@@ -230,33 +229,23 @@ class ResolvedHyperparams:
 
 
 def resolve_hyperparams(prior, k):
+    """The regime's table: all zero (noninformative), with the proper and Wishart fields set."""
     zero = np.zeros((k, k))
+    flat = ResolvedHyperparams(
+        v_mu=0.0, mu0=np.zeros(k), s_omega=np.zeros(k), r_omega=np.zeros(k), V_L=zero, Psi=zero
+    )
     if prior.regime == "proper":
-        return ResolvedHyperparams(
+        return replace(
+            flat,
             v_mu=1.0 / prior.b2,
             mu0=prior.mu0,
             s_omega=np.full(k, prior.b3),
             r_omega=np.full(k, prior.b4),
             V_L=(1.0 / prior.b5) * np.eye(k),
-            Psi=zero,
         )
     if prior.regime == "wishart":
-        return ResolvedHyperparams(
-            v_mu=0.0,
-            mu0=np.zeros(k),
-            s_omega=prior.psi / 2.0,
-            r_omega=np.zeros(k),
-            V_L=zero,
-            Psi=prior.Psi,
-        )
-    return ResolvedHyperparams(
-        v_mu=0.0,
-        mu0=np.zeros(k),
-        s_omega=np.zeros(k),
-        r_omega=np.zeros(k),
-        V_L=zero,
-        Psi=zero,
-    )
+        return replace(flat, s_omega=prior.psi / 2.0, Psi=prior.Psi)
+    return flat
 
 
 # ---------------------------------------------------------------------------
@@ -340,28 +329,25 @@ def _gaussian_draw(prec, h, z):
     return np.linalg.solve(prec, (h + rz)[..., np.newaxis])[..., 0]
 
 
-def omega2_conditional_params(state, y, resolved, b1, include_skew_terms=True):
+def omega2_conditional_params(state, y, resolved, b1, fix_delta_zero=False):
     """Gamma shape and rate vectors for the precision-scale block.
 
     The rate uses the centred rows y = (X - mu) L' at the current mean with
     the skew offset removed, plus the pattern-Wishart term L_i Psi L_i' / 2;
-    with the skew machinery switched off (Gaussian baseline) the extra half
-    unit of shape from the delta prior drops out as well.
+    with `fix_delta_zero` (the Gaussian baseline) the extra half unit of
+    shape and the rate term of the delta prior drop out as well.
     """
     n = y.shape[0]
     resid = y - state.u * state.delta
     lpsil = np.einsum("ij,jk,ik->i", state.L, resolved.Psi, state.L)
     rate = resolved.r_omega + 0.5 * lpsil + 0.5 * (resid**2).sum(axis=0)
-    if include_skew_terms:
-        shape = resolved.s_omega + 0.5 * (n + 1)
-        rate = rate + state.delta**2 / (2.0 * b1)
-    else:
-        shape = resolved.s_omega + 0.5 * n
-    return shape, rate
+    if fix_delta_zero:
+        return resolved.s_omega + 0.5 * n, rate
+    return resolved.s_omega + 0.5 * (n + 1), rate + state.delta**2 / (2.0 * b1)
 
 
-def gibbs_update_omega2(state, y, resolved, b1, rng, include_skew_terms=True):
-    shape, rate = omega2_conditional_params(state, y, resolved, b1, include_skew_terms)
+def gibbs_update_omega2(state, y, resolved, b1, rng, fix_delta_zero=False):
+    shape, rate = omega2_conditional_params(state, y, resolved, b1, fix_delta_zero)
     draw = rng.gamma(shape=shape, scale=1.0 / rate)
     if np.any(draw <= 0) or not np.all(np.isfinite(draw)):
         raise NumericalFailure("omega2 block: draw left the positive domain")
@@ -465,9 +451,7 @@ def gibbs_sweep(state, data, groups, resolved, b1, rng, fix_delta_zero=False):
         state.delta = gibbs_update_delta(state, y, b1, rng)
     state.mu = gibbs_update_mu(state, data, resolved, rng)
     y0 = data - state.mu
-    state.omega2 = gibbs_update_omega2(
-        state, y0 @ state.L.T, resolved, b1, rng, include_skew_terms=not fix_delta_zero
-    )
+    state.omega2 = gibbs_update_omega2(state, y0 @ state.L.T, resolved, b1, rng, fix_delta_zero)
     state.L = gibbs_update_L(state, y0, groups, resolved, rng)
     return state
 
@@ -592,7 +576,7 @@ def _observed_loglik(state, data):
     return float(_model.log_density(state.mu, alpha, state.L, kappa2, data).sum())
 
 
-def run_chain(data, graph, prior, iters, burn_in=None, thin=10, seed=None,
+def run_chain(data, graph, prior, iters, burn_in=None, thin=10, *, seed,
               fix_delta_zero=False, colnames=None):
     """Run the block Gibbs sampler and return the retained Trace.
 
@@ -612,11 +596,7 @@ def run_chain(data, graph, prior, iters, burn_in=None, thin=10, seed=None,
             "graph labels are not a perfect elimination ordering; relabel the "
             "graph (and data columns) with graph.relabel(perfect_elimination_ordering(g))"
         )
-    report = check_propriety(prior, data, graph)
-    if not report.ok:
-        raise ProprietyViolation("; ".join(report.messages))
-    if seed is None:
-        raise ValueError("a seed is required; wall-clock seeding is not supported")
+    check_propriety(prior, data, graph)
     if burn_in is None:
         burn_in = iters // 5
     if thin < 1 or burn_in < 0 or iters - burn_in < thin:

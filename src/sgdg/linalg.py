@@ -44,10 +44,10 @@ class CholFactor:
     def k(self):
         return self.D.shape[0]
 
-    def support(self, tol=ZERO_TOL):
-        """Set of index pairs (i, j), i < j, where |L_ij| exceeds tol."""
+    def support(self):
+        """Set of index pairs (i, j), i < j, where |L_ij| exceeds ZERO_TOL."""
         k = self.k
-        return {(i, j) for i in range(k) for j in range(i + 1, k) if abs(self.L[i, j]) > tol}
+        return {(i, j) for i in range(k) for j in range(i + 1, k) if abs(self.L[i, j]) > ZERO_TOL}
 
 
 def modified_cholesky(q):
@@ -89,23 +89,23 @@ def assemble_precision(f):
     return f.L.T @ (f.D[:, np.newaxis] * f.L)
 
 
-def verify_pattern(f, g, tol=ZERO_TOL):
+def verify_pattern(f, g):
     """True iff the off-diagonal support of L equals the edge set of g.
 
     Both directions are checked: entries off the edge set must vanish (within
-    tol) and entries on edges must not. Generic inputs make accidental zeros
-    on edges measure-zero events.
+    ZERO_TOL) and entries on edges must not. Generic inputs make accidental
+    zeros on edges measure-zero events.
     """
     if f.k != g.k:
         return False
-    return f.support(tol) == set(g.edges)
+    return f.support() == set(g.edges)
 
 
-def pattern_within(f, g, tol=ZERO_TOL):
+def pattern_within(f, g):
     """True iff every nonzero off-diagonal of L sits on an edge of g."""
     if f.k != g.k:
         return False
-    return f.support(tol) <= set(g.edges)
+    return f.support() <= set(g.edges)
 
 
 def solve_unit_triangular(L, b):

@@ -390,11 +390,12 @@ def test_criterion_11_propriety_gates():
         run_chain(data, g, NoninformativePrior(b1=100.0), iters=100, seed=1)
     fwd = np.array([g.forward_degree(i) for i in range(3)], dtype=float)
     boundary = PatternWishartPrior(b1=1.0, Psi=np.eye(3), psi=np.maximum(fwd, 0.5))
-    assert not check_propriety(boundary, np.random.default_rng(2).standard_normal((100, 3)), g).ok
+    with pytest.raises(ProprietyViolation):
+        check_propriety(boundary, np.random.default_rng(2).standard_normal((100, 3)), g)
     with pytest.raises(ProprietyViolation):
         run_chain(np.random.default_rng(2).standard_normal((50, 3)), g, boundary, iters=100, seed=1)
     n3 = np.random.default_rng(1011).standard_normal((3, 3))
-    assert check_propriety(NoninformativePrior(b1=1.0), n3, g).ok  # n = max degree + 2 passes
+    check_propriety(NoninformativePrior(b1=1.0), n3, g)  # n = max degree + 2 passes
     record(11, "improper-prior fits refused exactly at the stated bounds")
 
 

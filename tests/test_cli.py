@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -11,7 +13,7 @@ from scipy.stats import gaussian_kde
 
 import sgdg
 from sgdg import inference
-from sgdg.cli import PLOT_DRAWS, _gaussian_kde, _posterior_mean_params, main, read_dataset
+from sgdg.cli import _DOMAIN_ERRORS, PLOT_DRAWS, _gaussian_kde, _posterior_mean_params, main, read_dataset
 from sgdg.graph import Graph
 from sgdg.inference import Trace
 from sgdg.model import sample_sgdg
@@ -256,8 +258,11 @@ class TestFit:
 
     @pytest.mark.parametrize(
         "prior,hyper",
-        [("noninfo", "b1=0"), ("proper", "b2=abc"), ("proper", "b5=-1"), ("wishart", "Psi={tmp}/psi.json")],
-        ids=["noninfo-b1-zero", "proper-b2-text", "proper-b5-negative", "wishart-psi-not-a-matrix"],
+        [("noninfo", "b1=0"), ("proper", "b2=abc"), ("proper", "b5=-1"), ("wishart", "Psi={tmp}/psi.json"),
+         ("proper", "B2=5"), ("proper", "b6=1"), ("proper", "psi=3"), ("noninfo", "b2=5"), ("wishart", "b2=5")],
+        ids=["noninfo-b1-zero", "proper-b2-text", "proper-b5-negative", "wishart-psi-not-a-matrix",
+             "proper-B2-typo", "proper-b6-unknown", "proper-psi-unread", "noninfo-b2-unread",
+             "wishart-b2-unread"],
     )
     def test_bad_hyper_reported(self, sim_dir, tmp_path, capsys, prior, hyper):
         (tmp_path / "psi.json").write_text("{}")
@@ -269,6 +274,13 @@ class TestFit:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert json.loads(err)["error"] == "InvalidParams"
         assert not out.exists()
+
+    def test_unread_hyper_keys_named(self, sim_dir, tmp_path, capsys):
+        assert run_cli("fit", "--data", sim_dir / "data.csv", "--graph", sim_dir / "graph.json",
+                       "--prior", "proper", "--hyper", "B2=5", "--hyper", "b6=1", "--hyper", "b2=5",
+                       "--iters", 100, "--seed", 1, "--out", tmp_path / "o") == 3
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert message == "--hyper B2, b6: the proper prior reads only b1, mu0, b2, b3, b4, b5"
 
     def test_fitted_density_matches_scipy_kde(self, sim_dir, tmp_path):
         out = tmp_path / "fit"
@@ -328,6 +340,18 @@ class TestFit:
         ]
         for name in names:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_domain_errors_cover_every_error_class():
+    # a class left out of the allowlist would end in a traceback, not exit 3 with a record
+    names = [m.name for m in pkgutil.walk_packages(sgdg.__path__, "sgdg.") if m.name != "sgdg.__main__"]
+    defined = {
+        obj for mod in map(importlib.import_module, names) for obj in vars(mod).values()
+        if isinstance(obj, type) and issubclass(obj, Exception) and obj.__module__ == mod.__name__
+    }
+    # EmptyTrace is library-only: run_chain never returns an empty trace, and compare
+    # refuses one as ParseError
+    assert {cls for cls in defined if cls not in _DOMAIN_ERRORS} == {inference.EmptyTrace}
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

@@ -42,14 +42,14 @@ def quadrature_marginal_grid(p, axis_keep, grid_keep, grid_other, w_other):
 class TestTruncatedNormal:
     def test_half_normal_mean(self, rng):
         n = 10**6
-        x = sample_truncated_normal(0.0, 1.0, 0.0, rng, size=n)
+        x = sample_truncated_normal(np.zeros(n), 1.0, 0.0, rng)
         se = np.sqrt((1.0 - 2.0 / np.pi) / n)
         assert abs(x.mean() - SQRT_2_OVER_PI) < 3 * se
         assert x.min() >= 0.0
 
     def test_far_left_bound_is_untruncated(self, rng):
         n = 10**6
-        x = sample_truncated_normal(2.0, 4.0, 2.0 - 10 * 2.0, rng, size=n)
+        x = sample_truncated_normal(np.full(n, 2.0), 4.0, 2.0 - 10 * 2.0, rng)
         grid = np.sort(x)
         ecdf = np.arange(1, n + 1) / n
         ks = np.abs(ecdf - norm.cdf(grid, loc=2.0, scale=2.0)).max()
@@ -62,13 +62,13 @@ class TestTruncatedNormal:
         target = mu + np.sqrt(var) * lam
         sd = np.sqrt(var * (1.0 + a * lam - lam**2))
         n = 10**5
-        x = sample_truncated_normal(mu, var, lower, rng, size=n)
+        x = sample_truncated_normal(np.full(n, mu), var, lower, rng)
         assert x.min() >= lower
         assert abs(x.mean() - target) < 3 * sd / np.sqrt(n)
 
     def test_vectorized_mixed_regimes(self, rng):
         mu = np.array([-9.0, 0.0, 3.0, -5.5])
-        x = sample_truncated_normal(mu, 1.0, 0.0, rng, size=(1000, 4))
+        x = sample_truncated_normal(np.broadcast_to(mu, (1000, 4)), 1.0, 0.0, rng)
         assert x.shape == (1000, 4)
         assert x.min() >= 0.0
 
@@ -81,11 +81,10 @@ class TestTruncatedNormal:
             sample_truncated_normal(0.0, 0.0, 0.0, rng)
 
 
-def truncated_normal_split_by_bound(mu, var, lower, rng, size=None):
+def truncated_normal_split_by_bound(mu, var, lower, rng):
     """Reference sampler: the inverse CDF on the central bounds, picked out by a
     mask, then tail rejection on the rest, on the broadcast arrays."""
-    size_shape = () if size is None else tuple(np.atleast_1d(size))
-    shape = np.broadcast_shapes(np.shape(mu), np.shape(var), np.shape(lower), size_shape)
+    shape = np.broadcast_shapes(np.shape(mu), np.shape(var), np.shape(lower))
     mu_b = np.broadcast_to(np.asarray(mu, dtype=float), shape)
     sd_b = np.sqrt(np.broadcast_to(np.asarray(var, dtype=float), shape))
     flat_a = ((np.broadcast_to(np.asarray(lower, dtype=float), shape) - mu_b) / sd_b).reshape(-1)
@@ -101,20 +100,20 @@ def truncated_normal_split_by_bound(mu, var, lower, rng, size=None):
 
 class TestTruncatedNormalSameDraws:
     _r = np.random.default_rng(3)
-    CASES = {  # (mu, var, lower, size); the "mixed" cases have bounds past TAIL_SWITCH
-        "central": (_r.standard_normal((40, 5)), _r.uniform(0.2, 2.0, 5), 0.0, None),
-        "central-sized": (0.5, 2.0, 0.0, (300,)),
-        "mixed": (np.array([-9.0, 0.0, 3.0, -5.5, -4.1]), 1.0, 0.0, (200, 5)),
-        "mixed-per-entry": (_r.normal(-2.0, 2.5, (60, 4)), _r.uniform(0.1, 1.0, 4), 0.0, None),
+    CASES = {  # (mu, var, lower); the "mixed" cases have bounds past TAIL_SWITCH
+        "central": (_r.standard_normal((40, 5)), _r.uniform(0.2, 2.0, 5), 0.0),
+        "central-sized": (np.full(300, 0.5), 2.0, 0.0),
+        "mixed": (np.broadcast_to([-9.0, 0.0, 3.0, -5.5, -4.1], (200, 5)), 1.0, 0.0),
+        "mixed-per-entry": (_r.normal(-2.0, 2.5, (60, 4)), _r.uniform(0.1, 1.0, 4), 0.0),
     }
 
     @pytest.mark.parametrize("name", CASES)
     def test_same_draws_as_split_by_bound(self, name):
-        mu, var, lower, size = self.CASES[name]
+        mu, var, lower = self.CASES[name]
         assert np.any((lower - np.asarray(mu)) / np.sqrt(var) > TAIL_SWITCH) == name.startswith("mixed")
         fast_rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
-        x = sample_truncated_normal(mu, var, lower, fast_rng, size=size)
-        ref = truncated_normal_split_by_bound(mu, var, lower, ref_rng, size=size)
+        x = sample_truncated_normal(mu, var, lower, fast_rng)
+        ref = truncated_normal_split_by_bound(mu, var, lower, ref_rng)
         assert np.array_equal(x, ref)
         assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
 

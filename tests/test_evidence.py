@@ -1,8 +1,11 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal, norm
 
+from sgdg import evidence
 from sgdg.evidence import EvidenceEstimate, NotConverged, bayes_factor, estimate_log_marginal
 from sgdg.inference import IndependentProperPrior, run_chain
 from sgdg.model import ReparamParams, reparam_inverse, sample_sgdg
@@ -55,14 +58,16 @@ class TestEstimateLogMarginal:
         with pytest.raises(ValueError):
             estimate_log_marginal(np.ones(5), mix_weight=1.5)
 
-    def test_not_converged_surfaces(self):
+    def test_not_converged_surfaces(self, monkeypatch):
+        monkeypatch.setattr(evidence, "TOL", 0.0)
+        monkeypatch.setattr(evidence, "MAX_ITER", 3)
         with pytest.raises(NotConverged):
-            estimate_log_marginal(np.linspace(-1e6, 1e6, 50), tol=0.0, max_iter=3)
+            estimate_log_marginal(np.linspace(-1e6, 1e6, 50))
 
     def test_estimate_is_reportable(self):
         est = estimate_log_marginal(np.full(10, -5.0))
         assert isinstance(est, EvidenceEstimate)
-        d = est.to_dict()
+        d = asdict(est)
         assert d["converged"] is True and d["mix_weight"] == 0.01
 
 

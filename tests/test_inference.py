@@ -1,4 +1,5 @@
 import json
+import re
 from copy import deepcopy
 from dataclasses import replace
 from types import SimpleNamespace
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from sgdg import inference
-from sgdg.datasets import mathmarks_graph
+from sgdg.datasets import load_mathmarks, mathmarks_graph
 from sgdg.graph import Graph, NotDecomposable
 from sgdg.inference import (
     DimensionMismatch,
@@ -115,54 +116,56 @@ class TestPriors:
 class TestProprietyGates:
     def test_chain_minimum_sample_size(self, rng):
         g = chain_graph(3)
-        assert check_propriety(NoninformativePrior(b1=100.0), rng.standard_normal((3, 3)), g).ok
-        report = check_propriety(NoninformativePrior(b1=100.0), rng.standard_normal((2, 3)), g)
-        assert not report.ok and "n >= " in report.messages[0]
+        check_propriety(NoninformativePrior(b1=100.0), rng.standard_normal((3, 3)), g)
+        with pytest.raises(ProprietyViolation, match="n >= "):
+            check_propriety(NoninformativePrior(b1=100.0), rng.standard_normal((2, 3)), g)
 
     def test_wishart_boundary_is_strict(self, rng):
         g = chain_graph(3)
         data = rng.standard_normal((100, 3))
         fwd = np.array([g.forward_degree(i) for i in range(3)], dtype=float)
         at_boundary = PatternWishartPrior(b1=1.0, Psi=np.eye(3), psi=np.maximum(fwd, 0.5))
-        assert not check_propriety(at_boundary, data, g).ok
+        with pytest.raises(ProprietyViolation):
+            check_propriety(at_boundary, data, g)
         above = PatternWishartPrior(b1=1.0, Psi=np.eye(3), psi=fwd + 0.01)
-        assert check_propriety(above, data, g).ok
+        check_propriety(above, data, g)
 
     def test_proper_always_ok(self, rng):
         prior = IndependentProperPrior(b1=1.0, mu0=np.zeros(3), b2=1.0, b3=1.0, b4=1.0, b5=1.0)
-        assert check_propriety(prior, rng.standard_normal((1, 3)), chain_graph(3)).ok
+        check_propriety(prior, rng.standard_normal((1, 3)), chain_graph(3))
 
     def test_constant_column_refused_under_noninfo_only(self, rng):
         g = chain_graph(3)
         data = rng.standard_normal((40, 3))
         data[:, 1] = 3.0
-        report = check_propriety(NoninformativePrior(b1=100.0), data, g)
-        assert not report.ok and "column(s) [2] are constant" in report.messages[0]
+        with pytest.raises(ProprietyViolation, match=re.escape("column(s) [2] are constant")):
+            check_propriety(NoninformativePrior(b1=100.0), data, g)
         data[0, 1] = np.nextafter(3.0, 4.0)  # a range of one ulp is constant to working precision
-        report = check_propriety(NoninformativePrior(b1=100.0), data, g)
-        assert not report.ok and "column(s) [2] are constant" in report.messages[0]
+        with pytest.raises(ProprietyViolation, match=re.escape("column(s) [2] are constant")):
+            check_propriety(NoninformativePrior(b1=100.0), data, g)
         data[0, 1] = 3.0 + 1e-8  # a small but real spread is not
-        assert check_propriety(NoninformativePrior(b1=100.0), data, g).ok
+        check_propriety(NoninformativePrior(b1=100.0), data, g)
         data[:, 1] = 3.0
         for prior in priors_for(3, rng)[:2]:  # proper and pattern-Wishart
-            assert check_propriety(prior, data, g).ok, prior.regime
+            check_propriety(prior, data, g)
 
     def test_collinear_clique_refused_under_noninfo(self, rng):
         g = chain_graph(3)
         data = rng.standard_normal((40, 3))
         data[:, 2] = 2.0 * data[:, 1]
-        report = check_propriety(NoninformativePrior(b1=100.0), data, g)
-        assert not report.ok and "clique(s) [[2, 3]] are rank-deficient" in report.messages[0]
+        with pytest.raises(ProprietyViolation, match=re.escape("clique(s) [[2, 3]] are rank-deficient")):
+            check_propriety(NoninformativePrior(b1=100.0), data, g)
         data[:, 2] += 1e-6 * rng.standard_normal(40)
-        assert check_propriety(NoninformativePrior(b1=100.0), data, g).ok
+        check_propriety(NoninformativePrior(b1=100.0), data, g)
 
     def test_min_n_noninformative_is_the_smallest_accepted_n(self, rng):
         prior = NoninformativePrior(b1=100.0)
         for _ in range(30):
             g = random_decomposable_graph(rng, int(rng.integers(1, 7)))
             need = min_n_noninformative(g)
-            assert check_propriety(prior, rng.standard_normal((need, g.k)), g).ok
-            assert not check_propriety(prior, rng.standard_normal((need - 1, g.k)), g).ok
+            check_propriety(prior, rng.standard_normal((need, g.k)), g)
+            with pytest.raises(ProprietyViolation):
+                check_propriety(prior, rng.standard_normal((need - 1, g.k)), g)
 
 
 class TestResolveHyperparams:
@@ -275,7 +278,7 @@ def sweep_three_call(state, data, graph, resolved, b1, rng, fix_delta_zero):
     state.mu = three_call_draw(prec, h, rng.standard_normal(k))
     y0 = data - state.mu
     state.omega2 = gibbs_update_omega2(state, y0 @ state.L.T, resolved, b1, rng,
-                                       include_skew_terms=not fix_delta_zero)
+                                       fix_delta_zero=fix_delta_zero)
     gram = y0.T @ y0
     new_l = state.L.copy()
     for i in range(graph.k):
@@ -466,7 +469,7 @@ def slice_ratio_worst(rng, graph, prior, n, include_delta=True):
     worst = max(worst, abs(lhs - rhs))
 
     # omega2 coordinate
-    shape, rate = omega2_conditional_params(state, y, resolved, prior.b1, include_skew_terms=include_delta)
+    shape, rate = omega2_conditional_params(state, y, resolved, prior.b1, fix_delta_zero=not include_delta)
     i = int(rng.integers(graph.k))
     a, b = rng.uniform(0.2, 3.0, size=2)
     lhs = (shape[i] - 1.0) * (np.log(a) - np.log(b)) - rate[i] * (a - b)
@@ -590,9 +593,20 @@ class TestRunChain:
         with pytest.raises(DimensionMismatch):
             run_chain(data, chain_graph(3), self._prior(), iters=100, seed=1)
 
+    def test_mu0_of_wrong_length_refused_before_sampling(self, monkeypatch):
+        sweeps = []
+        monkeypatch.setattr(inference, "gibbs_sweep", lambda *args, **kwargs: sweeps.append(1))
+        data, g = load_mathmarks()[0], mathmarks_graph()
+        prior = IndependentProperPrior(1.0, np.zeros(3), 1e4, 1e-6, 1e-6, 100.0)
+        with pytest.raises(DimensionMismatch, match="mu0"):
+            run_chain(data, g, prior, iters=20, seed=1)
+        assert sweeps == []
+        for mu0 in (0.0, np.zeros(g.k)):  # a scalar or one entry per vertex passes
+            check_propriety(replace(prior, mu0=np.asarray(mu0)), data, g)
+
     def test_seed_required(self, rng):
         data, g = self._simulated(rng)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             run_chain(data, g, self._prior(), iters=100)
 
     def test_trace_save_load_round_trip(self, rng, tmp_path):
