@@ -163,8 +163,10 @@ def parse_hyper(pairs):
     for pair in pairs or ():
         if "=" not in pair:
             raise InvalidParams(f"--hyper expects key=value, got {pair!r}")
-        key, val = pair.split("=", 1)
-        out[key.strip()] = val.strip()
+        key, val = (part.strip() for part in pair.split("=", 1))
+        if key in out:
+            raise InvalidParams(f"--hyper {key} is given more than once")
+        out[key] = val
     return out
 
 

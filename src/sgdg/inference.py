@@ -254,6 +254,12 @@ def resolve_hyperparams(prior, k):
 
 @dataclass
 class GibbsState:
+    """The sampler's state: the parameters and the n x k latent block u.
+
+    The Gaussian baseline (`fix_delta_zero`) never reads or redraws u, so
+    there u keeps its initial value.
+    """
+
     mu: np.ndarray
     delta: np.ndarray
     omega2: np.ndarray
@@ -287,23 +293,26 @@ def gibbs_update_delta(state, y, b1, rng):
     return mean + np.sqrt(var) * rng.standard_normal(mean.shape)
 
 
-def mu_conditional_params(state, data, resolved):
+def mu_conditional_params(state, data, resolved, fix_delta_zero=False):
     """Precision-weighted mean h and precision matrix of the location block.
 
     The conditional is N(prec^-1 h, prec^-1); the draw solves for the mean.
     h = (Omega L)' (L sum(x) - delta o sum(u)) + v_mu mu0 is the same vector as
     L' Omega L (sum(x) - L^-1 (delta o sum(u))) + v_mu mu0, with no triangular solve.
+    With `fix_delta_zero` the u term is left out.
     """
     n, k = data.shape
     wl = state.omega2[:, np.newaxis] * state.L
     prec = n * (state.L.T @ wl) + resolved.v_mu * np.eye(k)
-    resid = state.L @ data.sum(axis=0) - state.delta * state.u.sum(axis=0)
+    resid = state.L @ data.sum(axis=0)
+    if not fix_delta_zero:
+        resid = resid - state.delta * state.u.sum(axis=0)
     h = wl.T @ resid + resolved.v_mu * resolved.mu0
     return h, prec
 
 
-def gibbs_update_mu(state, data, resolved, rng):
-    h, prec = mu_conditional_params(state, data, resolved)
+def gibbs_update_mu(state, data, resolved, rng, fix_delta_zero=False):
+    h, prec = mu_conditional_params(state, data, resolved, fix_delta_zero)
     try:
         return _gaussian_draw(prec, h, rng.standard_normal(h.shape[0]))
     except np.linalg.LinAlgError as exc:
@@ -334,11 +343,11 @@ def omega2_conditional_params(state, y, resolved, b1, fix_delta_zero=False):
 
     The rate uses the centred rows y = (X - mu) L' at the current mean with
     the skew offset removed, plus the pattern-Wishart term L_i Psi L_i' / 2;
-    with `fix_delta_zero` (the Gaussian baseline) the extra half unit of
-    shape and the rate term of the delta prior drop out as well.
+    with `fix_delta_zero` (the Gaussian baseline) the skew offset, the extra
+    half unit of shape and the rate term of the delta prior drop out as well.
     """
     n = y.shape[0]
-    resid = y - state.u * state.delta
+    resid = y if fix_delta_zero else y - state.u * state.delta
     lpsil = np.einsum("ij,jk,ik->i", state.L, resolved.Psi, state.L)
     rate = resolved.r_omega + 0.5 * lpsil + 0.5 * (resid**2).sum(axis=0)
     if fix_delta_zero:
@@ -394,25 +403,29 @@ def l_row_conditional_params(state, gram, cross, resolved, group):
     invariant. No row's conditional reads L, so one gram and one cross serve
     every row. Of the matrix omega_i^2 gram + V_L + omega_i^2 Psi only the
     rows `fwd` and the columns `fwd` and i are formed: the precision and zeta.
+    A cross of None stands for delta = 0, which leaves h = -zeta.
     """
     w = state.omega2[group.rows]
     wb = w[:, np.newaxis, np.newaxis]
     block = group.block
     s = wb * gram[block] + resolved.V_L[block] + wb * resolved.Psi[block]
     prec, zeta = s[..., :-1], s[..., -1]
+    if cross is None:
+        return -zeta, prec
     m_vec = cross[group.rows[:, np.newaxis], group.fwd]
     h = (w * state.delta[group.rows])[:, np.newaxis] * m_vec - zeta
     return h, prec
 
 
-def gibbs_update_L(state, y0, groups, resolved, rng):
+def gibbs_update_L(state, y0, groups, resolved, rng, fix_delta_zero=False):
     """Draw every free entry of L from its row conditional, one group of rows at a time.
 
     The draws equal those of a row-by-row update in row order with the same
     generator: one standard-normal call yields the numbers of the per-row calls.
+    With `fix_delta_zero` the cross moment u' y0 is not formed.
     """
     gram = y0.T @ y0
-    cross = state.u.T @ y0
+    cross = None if fix_delta_zero else state.u.T @ y0
     new_l = state.L.copy()
     z = rng.standard_normal(sum(g.slots.size for g in groups))
     for group in groups:
@@ -444,15 +457,23 @@ def gibbs_sweep(state, data, groups, resolved, b1, rng, fix_delta_zero=False):
     the mu block, X - mu is formed once more; it feeds the omega^2 block (as
     centred rows) and every row of L (through its Gram matrix and its cross
     moment with u).
+
+    The Gaussian baseline (`fix_delta_zero`) draws no u and forms none of the
+    u terms, since with delta = 0 they are all zero. Its u conditional is
+    HN(0, 1), which the truncated normal draws by the inverse CDF from one
+    uniform, one generator output, per entry; advancing the generator past
+    those n * k outputs leaves every later draw equal to the full sweep's.
     """
-    y = (data - state.mu) @ state.L.T
-    state.u = gibbs_update_u(state, y, rng)
-    if not fix_delta_zero:
+    if fix_delta_zero:
+        rng.bit_generator.advance(data.size)
+    else:
+        y = (data - state.mu) @ state.L.T
+        state.u = gibbs_update_u(state, y, rng)
         state.delta = gibbs_update_delta(state, y, b1, rng)
-    state.mu = gibbs_update_mu(state, data, resolved, rng)
+    state.mu = gibbs_update_mu(state, data, resolved, rng, fix_delta_zero)
     y0 = data - state.mu
     state.omega2 = gibbs_update_omega2(state, y0 @ state.L.T, resolved, b1, rng, fix_delta_zero)
-    state.L = gibbs_update_L(state, y0, groups, resolved, rng)
+    state.L = gibbs_update_L(state, y0, groups, resolved, rng, fix_delta_zero)
     return state
 
 

@@ -282,6 +282,18 @@ class TestFit:
         message = json.loads(capsys.readouterr().err)["message"]
         assert message == "--hyper B2, b6: the proper prior reads only b1, mu0, b2, b3, b4, b5"
 
+    def test_repeated_hyper_key_refused(self, sim_dir, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run_cli("fit", "--data", sim_dir / "data.csv", "--graph", sim_dir / "graph.json",
+                       "--prior", "proper", "--hyper", "b2=5", "--hyper", "b2=7",
+                       "--iters", 100, "--seed", 1, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        record = json.loads(err)
+        assert record["error"] == "InvalidParams"
+        assert record["message"] == "--hyper b2 is given more than once"
+        assert not out.exists()
+
     def test_fitted_density_matches_scipy_kde(self, sim_dir, tmp_path):
         out = tmp_path / "fit"
         assert run_cli("fit", "--data", sim_dir / "data.csv", "--graph", sim_dir / "graph.json",

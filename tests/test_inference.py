@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from sgdg import inference
+from sgdg.csn import sample_truncated_normal
 from sgdg.datasets import load_mathmarks, mathmarks_graph
 from sgdg.graph import Graph, NotDecomposable
 from sgdg.inference import (
@@ -27,6 +28,7 @@ from sgdg.inference import (
     gibbs_sweep,
     gibbs_update_delta,
     gibbs_update_L,
+    gibbs_update_mu,
     gibbs_update_omega2,
     gibbs_update_u,
     l_row_conditional_params,
@@ -367,7 +369,11 @@ class TestGaussianDraw:
             new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             new = gibbs_sweep(deepcopy(start), data, groups, resolved, prior.b1, new_rng, fix_delta_zero)
             old = sweep_three_call(deepcopy(start), data, g, resolved, prior.b1, old_rng, fix_delta_zero)
-            for f in self.FIELDS:  # relative to the field's largest entry
+            fields = self.FIELDS
+            if fix_delta_zero:  # the baseline draws no u: it keeps the start state's
+                assert np.array_equal(new.u, start.u), prior.regime
+                fields = tuple(f for f in fields if f != "u")
+            for f in fields:  # relative to the field's largest entry
                 ref = getattr(old, f)
                 np.testing.assert_allclose(getattr(new, f), ref, rtol=0, atol=1e-12 * np.abs(ref).max(),
                                            err_msg=f"{prior.regime} {f}")
@@ -423,6 +429,91 @@ class TestConditionalCollapse:
         mean, var = u_conditional_params(state, (data - state.mu) @ state.L.T)
         assert np.all(mean == 0.0)
         assert np.all(var == 1.0)
+
+
+def baseline_sweep_drawing_u(state, data, groups, resolved, b1, rng):
+    """The Gaussian baseline sweep that draws u and forms every u term, kept as the reference.
+
+    With delta = 0 each u term is zero: delta o sum(u) in the mu block, the
+    offset u o delta in the omega^2 block and the cross moment u' y0 in the L
+    block. The mu and L updates form them on their skew path.
+    """
+    y = (data - state.mu) @ state.L.T
+    state.u = gibbs_update_u(state, y, rng)
+    state.mu = gibbs_update_mu(state, data, resolved, rng)
+    y0 = data - state.mu
+    y_offset = y0 @ state.L.T - state.u * state.delta
+    state.omega2 = gibbs_update_omega2(state, y_offset, resolved, b1, rng, fix_delta_zero=True)
+    state.L = gibbs_update_L(state, y0, groups, resolved, rng)
+    return state
+
+
+class TestBaselineSweep:
+    """The baseline sweep skips the u block and advances the generator past its draws."""
+
+    @pytest.mark.parametrize("n,k", [(1, 1), (12, 3), (88, 5), (2000, 40)])
+    def test_advance_lands_where_the_half_normal_draw_does(self, rng, n, k):
+        assert isinstance(np.random.default_rng(0).bit_generator, np.random.PCG64)
+        for _ in range(4):
+            state = random_state(rng, Graph(k), n, zero_delta=True)
+            y = rng.standard_normal((n, k)) * 1e3
+            seed = int(rng.integers(2**32))
+            drawn, advanced = np.random.default_rng(seed), np.random.default_rng(seed)
+            drawn.standard_normal(3)  # start from a state other than the seed's
+            advanced.standard_normal(3)
+            gibbs_update_u(state, y, drawn)
+            advanced.bit_generator.advance(n * k)
+            assert drawn.bit_generator.state == advanced.bit_generator.state
+
+    CHAINS = {
+        "marks": lambda rng: (load_mathmarks()[0], mathmarks_graph()),
+        "band-8-3": lambda rng: (rng.standard_normal((40, 8)) * 1.3 + 0.4, band_graph(8, 3)),
+    }
+
+    @pytest.mark.parametrize("name", CHAINS)
+    def test_chain_equals_the_chain_drawing_u(self, rng, name, monkeypatch):
+        data, g = self.CHAINS[name](rng)
+        library_sweep = gibbs_sweep
+        rngs = []
+
+        def library(state, data, groups, resolved, b1, rng, fix_delta_zero=False):
+            rngs.append(rng)
+            return library_sweep(state, data, groups, resolved, b1, rng, fix_delta_zero)
+
+        def reference(state, data, groups, resolved, b1, rng, fix_delta_zero=False):
+            assert fix_delta_zero
+            rngs.append(rng)
+            return baseline_sweep_drawing_u(state, data, groups, resolved, b1, rng)
+
+        for prior in priors_for(g.k, rng):
+            traces, final_states = [], []
+            for sweep in (library, reference):
+                rngs.clear()
+                monkeypatch.setattr(inference, "gibbs_sweep", sweep)
+                traces.append(run_chain(data, g, prior, iters=300, burn_in=100, thin=2, seed=11,
+                                        fix_delta_zero=True))
+                assert len(rngs) == 300 and all(r is rngs[0] for r in rngs)
+                final_states.append(rngs[0].bit_generator.state)
+            new, ref = traces
+            for f in Trace.DRAW_FIELDS:
+                assert np.array_equal(getattr(new, f), getattr(ref, f)), f"{prior.regime} {f}"
+            assert new.meta == ref.meta
+            assert final_states[0] == final_states[1], prior.regime
+
+    def test_truncated_normal_calls_per_sweep(self, rng, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return sample_truncated_normal(*args, **kwargs)
+
+        monkeypatch.setattr(inference, "sample_truncated_normal", counting)
+        data, g = load_mathmarks()[0], mathmarks_graph()
+        for fix_delta_zero, per_sweep in ((True, 0), (False, 1)):
+            for prior in priors_for(g.k, rng):
+                calls.clear()
+                run_chain(data, g, prior, iters=40, thin=1, seed=5, fix_delta_zero=fix_delta_zero)
+                assert len(calls) == 40 * per_sweep, (fix_delta_zero, prior.regime)
 
 
 def slice_ratio_worst(rng, graph, prior, n, include_delta=True):
