@@ -10,7 +10,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -18,12 +18,10 @@ import numpy as np
 from .evidence import NotConverged, estimate_log_marginal
 from .graph import EliminationOrdering, Graph, NotDecomposable, perfect_elimination_ordering, verify_ordering
 from .inference import (
+    PRIORS,
     DimensionMismatch,
-    IndependentProperPrior,
     InvalidChainSettings,
-    NoninformativePrior,
     NumericalFailure,
-    PatternWishartPrior,
     ProprietyViolation,
     Trace,
     min_n_noninformative,
@@ -36,8 +34,6 @@ from .model import InvalidDomain, ReparamParams, reparam_inverse, sample_sgdg
 ERROR_EXIT = 3
 
 HYPER_DEFAULTS = {"b1": 100.0, "b2": 1e4, "b3": 1e-6, "b4": 1e-6, "b5": 100.0}
-HYPER_KEYS = {"proper": ("b1", "mu0", "b2", "b3", "b4", "b5"), "wishart": ("b1", "Psi", "psi"),
-              "noninfo": ("b1",)}  # the --hyper keys each regime reads
 
 # the trace meta entries that fit.json repeats
 FIT_RECORD_KEYS = ("prior", "iters", "burn_in", "thin", "seed", "fix_delta_zero", "n", "k", "data_digest")
@@ -112,7 +108,7 @@ def read_dataset(path):
                 if any(field.strip() == "" for field in row):
                     raise ParseError(f"{path}:{lineno}: missing value")
                 rows.append([float(v) for v in row])
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, csv.Error) as exc:
         if isinstance(exc, ParseError):
             raise
         raise ParseError(f"{path}: {exc}") from exc
@@ -132,9 +128,8 @@ def write_dataset(path, data, colnames):
 
 def load_graph(path):
     try:
-        with open(path) as fh:
-            return Graph.from_json_dict(json.load(fh))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+        return Graph.load(path)
+    except (OSError, ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise ParseError(f"{path}: not a valid graph file ({exc})") from exc
 
 
@@ -179,39 +174,34 @@ def _float_or_list(text, k, what):
     return np.asarray(vals)
 
 
+def _hyper_value(key, text, graph):
+    """Prior field `key` from its `--hyper` string, or its default when `text` is None."""
+    if key == "mu0":
+        return _float_or_list("0" if text is None else text, graph.k, key)
+    if key == "Psi":
+        return np.eye(graph.k) if text is None else np.asarray(json.loads(Path(text).read_text()), dtype=float)
+    if key == "psi":
+        if text is None:  # smallest integer degrees that satisfy the propriety gate
+            return np.array([graph.forward_degree(i) + 1.0 for i in range(graph.k)])
+        return _float_or_list(text, graph.k, key)
+    return float(HYPER_DEFAULTS[key] if text is None else text)
+
+
 def build_prior(regime, hyper, graph):
-    """The prior of `regime` from `--hyper` strings; any bad value raises InvalidParams."""
+    """The prior of `regime` from `--hyper` strings; any bad key or value raises InvalidParams.
+
+    The keys a regime reads are the fields of its class in `PRIORS`, in order.
+    """
+    keys = [f.name for f in fields(PRIORS[regime])]
+    unread = sorted(set(hyper) - set(keys))
+    if unread:
+        raise InvalidParams(f"--hyper {', '.join(unread)}: the {regime} prior reads only {', '.join(keys)}")
     try:
-        return _build_prior(regime, hyper, graph)
+        return PRIORS[regime](**{key: _hyper_value(key, hyper.get(key), graph) for key in keys})
     except InvalidParams:
         raise
     except (OSError, TypeError, ValueError) as exc:
         raise InvalidParams(f"--hyper: {exc}") from exc
-
-
-def _build_prior(regime, hyper, graph):
-    if regime not in HYPER_KEYS:
-        raise InvalidParams(f"unknown prior regime {regime!r}")
-    unread = sorted(set(hyper) - set(HYPER_KEYS[regime]))
-    if unread:
-        raise InvalidParams(f"--hyper {', '.join(unread)}: the {regime} prior reads only "
-                            f"{', '.join(HYPER_KEYS[regime])}")
-    k = graph.k
-    b = {key: float(hyper.get(key, default)) for key, default in HYPER_DEFAULTS.items()}
-    if regime == "noninfo":
-        return NoninformativePrior(b1=b["b1"])
-    if regime == "proper":
-        return IndependentProperPrior(mu0=_float_or_list(hyper.get("mu0", "0"), k, "mu0"), **b)
-    if "Psi" in hyper:
-        psi_mat = np.asarray(json.loads(Path(hyper["Psi"]).read_text()), dtype=float)
-    else:
-        psi_mat = np.eye(k)
-    if "psi" in hyper:
-        psi_vec = _float_or_list(hyper["psi"], k, "psi")
-    else:
-        # smallest integer degrees that satisfy the propriety gate
-        psi_vec = np.array([graph.forward_degree(i) + 1.0 for i in range(k)])
-    return PatternWishartPrior(b1=b["b1"], Psi=psi_mat, psi=psi_vec)
 
 
 # ---------------------------------------------------------------------------
@@ -256,53 +246,59 @@ CASE_DELTAS = (-1.0, 1.0, 2.0, 3.0)
 CASE_LVALUES = (-1.0, -0.5, 0.5, 1.0)
 
 
-def _simulation_truth(args):
-    g = Graph(3, [(0, 1), (1, 2)])
-    mu = 5.0 * np.ones(3)
-    omega2 = np.ones(3)
-    L = np.eye(3)
-    if args.case == "A":
-        if args.delta is None:
-            raise InvalidParams(f"case A needs --delta (template grid: {CASE_DELTAS})")
-        delta = np.full(3, args.delta)
-        L[0, 1] = L[1, 2] = -0.5
-    elif args.case == "B":
-        if args.l_value is None:
-            raise InvalidParams(f"case B needs --l-value (template grid: {CASE_LVALUES})")
-        delta = np.full(3, 2.0)
-        L[0, 1] = L[1, 2] = args.l_value
-    elif args.case == "C":
-        delta = np.array([3.0, -2.0, -4.0])
-        L[0, 1] = -0.5
-        L[1, 2] = 0.5
-    else:
+def _truth_record(args):
+    """The truth record to simulate from: built-in case A, B or C (a chain on three vertices), or --truth."""
+    if args.case == "custom":
         if args.truth is None:
             raise InvalidParams("case custom needs --truth pointing to a truth JSON file")
         try:
-            cfg = json.loads(Path(args.truth).read_text())
-            g = Graph.from_json_dict(cfg["graph"])
-            mu = np.asarray(cfg["mu"], dtype=float)
-            delta = np.asarray(cfg["delta"], dtype=float)
-            omega2 = np.asarray(cfg["omega2"], dtype=float)
-            L = np.eye(g.k)
-            for i, j, val in cfg["L"]:
-                L[int(i) - 1, int(j) - 1] = float(val)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+            return json.loads(Path(args.truth).read_text())
+        except (OSError, ValueError, RecursionError) as exc:
             raise InvalidParams(f"--truth: {exc}") from exc
+    if args.case == "A" and args.delta is None:
+        raise InvalidParams(f"case A needs --delta (template grid: {CASE_DELTAS})")
+    if args.case == "B" and args.l_value is None:
+        raise InvalidParams(f"case B needs --l-value (template grid: {CASE_LVALUES})")
+    delta, l12, l23 = {"A": ([args.delta] * 3, -0.5, -0.5), "B": ([2.0] * 3, args.l_value, args.l_value),
+                       "C": ([3.0, -2.0, -4.0], -0.5, 0.5)}[args.case]
+    return {"graph": {"k": 3, "edges": [[1, 2], [2, 3]]}, "mu": [5.0] * 3, "delta": delta,
+            "omega2": [1.0] * 3, "L": [[1, 2, l12], [2, 3, l23]]}
+
+
+def read_truth(record):
+    """ReparamParams of a truth record, the dict that `simulate` writes to truth.json.
+
+    Each `L` entry [i, j, v] (1-based) must name an edge i < j of the record's
+    graph; every other entry of L is that of the identity. Parameters must be
+    finite. Any defect raises InvalidParams.
+    """
     try:
-        params = ReparamParams(mu, delta, omega2, L, g)
-    except (ValueError, InvalidDomain) as exc:
-        raise InvalidParams(str(exc)) from exc
-    return g, params
+        g = Graph.from_json_dict(record["graph"])
+        L = np.eye(g.k)
+        for entry in record["L"]:
+            i, j, val = entry
+            i, j = int(i) - 1, int(j) - 1
+            if not (i < j and g.has_edge(i, j)):
+                raise InvalidParams(f"truth L entry {entry} does not name an edge i < j of the graph")
+            L[i, j] = float(val)
+        return ReparamParams(*(np.asarray(record[key], dtype=float) for key in ("mu", "delta", "omega2")), L, g)
+    except InvalidParams:
+        raise
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        raise InvalidParams(f"truth: {exc}") from exc
 
 
 def cmd_simulate(args):
-    g, params = _simulation_truth(args)
+    params = read_truth(_truth_record(args))
+    g = params.graph
     n = args.n
     if n < 1:
         raise InvalidParams("--n must be positive")
     rng = np.random.default_rng(args.seed)
-    data = sample_sgdg(reparam_inverse(params), rng, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        data = sample_sgdg(reparam_inverse(params), rng, n)
+    if not np.all(np.isfinite(data)):
+        raise InvalidParams("the truth's draws overflow to non-finite values")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     colnames = [f"x{i + 1}" for i in range(g.k)]
@@ -419,18 +415,10 @@ def cmd_fit(args):
 
 
 def _load_trace(path):
-    """A trace that `compare` can use: a data digest, draws, finite log likelihoods."""
     try:
-        trace = Trace.load(path)
+        return Trace.load(path)
     except (OSError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    if "data_digest" not in trace.meta:
-        raise ParseError(f"{path}: the meta record has no data_digest")
-    if len(trace) == 0:
-        raise ParseError(f"{path}: the trace has no draws")
-    if not np.all(np.isfinite(trace.loglik)):
-        raise ParseError(f"{path}: non-finite log likelihood")
-    return trace
 
 
 def cmd_compare(args):
@@ -492,7 +480,7 @@ def build_parser():
     p_fit = sub.add_parser("fit", help="run the block Gibbs sampler on a dataset")
     p_fit.add_argument("--data", required=True)
     p_fit.add_argument("--graph", required=True)
-    p_fit.add_argument("--prior", choices=["proper", "wishart", "noninfo"], required=True)
+    p_fit.add_argument("--prior", choices=list(PRIORS), required=True)
     p_fit.add_argument("--hyper", action="append", metavar="KEY=VALUE")
     p_fit.add_argument("--iters", type=int, default=50_000)
     p_fit.add_argument("--burnin", type=int, default=None)

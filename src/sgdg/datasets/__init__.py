@@ -17,24 +17,16 @@ and place it in this directory (or pass it to the CLI directly) with the
 columns reordered to {Meat12, Meat13, Meat11, LeanMeat, Fat13, Fat11,
 Fat12}, together with a decomposable neighborhood graph carcass_graph.json
 on that ordering.
+
+Both are read by `sgdg.cli.read_dataset`, with the checks of `sgdg fit --data`.
 """
 
-import csv
 from importlib import resources
 
-import numpy as np
-
+from ..cli import read_dataset
 from ..graph import Graph
 
 CARCASS_COLUMN_ORDER = ("Meat12", "Meat13", "Meat11", "LeanMeat", "Fat13", "Fat11", "Fat12")
-
-
-def _read_csv(path):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader if row]
-    return np.asarray(rows), header
 
 
 def _data_path(name):
@@ -43,7 +35,7 @@ def _data_path(name):
 
 def load_mathmarks():
     """(88, 5) marks matrix and its column names."""
-    return _read_csv(_data_path("mathmarks.csv"))
+    return read_dataset(_data_path("mathmarks.csv"))
 
 
 def mathmarks_graph():
@@ -63,7 +55,7 @@ def load_carcass():
             "carcass.csv is not bundled (not redistributable from this build "
             "environment); see the sgdg.datasets docstring for how to obtain it"
         )
-    data, header = _read_csv(path)
+    data, header = read_dataset(path)
     if tuple(header) != CARCASS_COLUMN_ORDER:
         order = [header.index(c) for c in CARCASS_COLUMN_ORDER]
         data = data[:, order]

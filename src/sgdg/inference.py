@@ -17,7 +17,7 @@ Gamma draws use the shape-rate convention throughout: G(a, b) has mean a/b.
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -72,9 +72,11 @@ class IndependentProperPrior:
 
     def __post_init__(self):
         for name in ("b1", "b2", "b3", "b4", "b5"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # NaN fails too
                 raise ValueError(f"{name} must be positive")
         object.__setattr__(self, "mu0", np.asarray(self.mu0, dtype=float))
+        if not np.all(np.isfinite(self.mu0)):
+            raise ValueError("mu0 must be finite")
 
 
 @dataclass(frozen=True)
@@ -92,7 +94,7 @@ class PatternWishartPrior:
     regime = "wishart"
 
     def __post_init__(self):
-        if self.b1 <= 0:
+        if not self.b1 > 0:
             raise ValueError("b1 must be positive")
         Psi = np.asarray(self.Psi, dtype=float)
         psi = np.asarray(self.psi, dtype=float)
@@ -102,7 +104,7 @@ class PatternWishartPrior:
             raise ValueError("Psi must be symmetric")
         if np.any(np.linalg.eigvalsh(Psi) <= 0):
             raise ValueError("Psi must be positive definite")
-        if psi.shape != (Psi.shape[0],) or np.any(psi <= 0):
+        if psi.shape != (Psi.shape[0],) or not np.all(psi > 0):
             raise ValueError("psi must be a positive vector matching Psi")
         object.__setattr__(self, "Psi", Psi)
         object.__setattr__(self, "psi", psi)
@@ -116,17 +118,16 @@ class NoninformativePrior:
     regime = "noninfo"
 
     def __post_init__(self):
-        if self.b1 <= 0:
+        if not self.b1 > 0:
             raise ValueError("b1 must be positive")
 
 
+# the prior regimes by name; a regime's hyperparameters are the fields of its class
+PRIORS = {cls.regime: cls for cls in (IndependentProperPrior, PatternWishartPrior, NoninformativePrior)}
+
+
 def prior_to_dict(prior):
-    d = {"regime": prior.regime, "b1": prior.b1}
-    if prior.regime == "proper":
-        d.update(mu0=prior.mu0.tolist(), b2=prior.b2, b3=prior.b3, b4=prior.b4, b5=prior.b5)
-    elif prior.regime == "wishart":
-        d.update(Psi=prior.Psi.tolist(), psi=prior.psi.tolist())
-    return d
+    return {"regime": prior.regime, **{f.name: np.asarray(getattr(prior, f.name)).tolist() for f in fields(prior)}}
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +545,12 @@ class Trace:
 
     @classmethod
     def load(cls, path):
-        """Read a trace file; a bad record (named by its line) or a non-number raises ValueError."""
+        """Read and check a trace file; any defect raises ValueError.
+
+        Defects: a bad record (named by its line), no meta record or one without
+        `data_digest`, no draws, a draw field that is not numeric, and a log
+        likelihood that is not one finite number per draw.
+        """
         draws = {name: [] for name in cls.DRAW_FIELDS}
         meta = None
         with open(path) as fh:
@@ -558,11 +564,20 @@ class Trace:
                             values.append(rec[name])
                 except json.JSONDecodeError as exc:
                     raise ValueError(f"line {lineno}, column {exc.colno}: {exc.msg}") from exc
-                except (KeyError, TypeError, AttributeError) as exc:
+                except (KeyError, TypeError, AttributeError, RecursionError) as exc:
                     raise ValueError(f"line {lineno}: not a trace record ({exc!r})") from exc
         if meta is None:
             raise ValueError("trace file has no meta record")
-        arrays = {name: np.asarray(values, dtype=float) for name, values in draws.items()}
+        if "data_digest" not in meta:
+            raise ValueError("the meta record has no data_digest")
+        if not draws["loglik"]:
+            raise ValueError("the trace has no draws")
+        try:
+            arrays = {name: np.asarray(values, dtype=float) for name, values in draws.items()}
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"a draw field is not numeric ({exc})") from exc
+        if arrays["loglik"].ndim != 1 or not np.all(np.isfinite(arrays["loglik"])):
+            raise ValueError("non-finite log likelihood")
         return cls(**arrays, meta=meta)
 
 
@@ -576,13 +591,15 @@ def data_digest(data):
 
 def _initial_state(data, graph, rng):
     n, k = data.shape
-    mu = data.mean(axis=0)
-    if n >= 2:
-        cov = np.cov(data, rowvar=False).reshape(k, k)
-    else:
-        cov = np.eye(k)
-    cov = cov + (1e-6 * np.trace(cov) / k + 1e-10) * np.eye(k)
-    factor = modified_cholesky(np.linalg.inv(cov))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = data.mean(axis=0)
+        cov = np.cov(data, rowvar=False).reshape(k, k) if n >= 2 else np.eye(k)
+        cov = cov + (1e-6 * np.trace(cov) / k + 1e-10) * np.eye(k)
+    if not np.all(np.isfinite(cov)):
+        raise NumericalFailure("start state: the sample covariance of the data is not finite")
+    q = np.linalg.inv(cov)
+    # inv(cov) is symmetric only to rounding; the factor reads its lower triangle
+    factor = modified_cholesky(np.tril(q) + np.tril(q, -1).T)
     L = np.eye(k)
     for a, b in graph.edges:
         i, j = min(a, b), max(a, b)
@@ -617,6 +634,8 @@ def run_chain(data, graph, prior, iters, burn_in=None, thin=10, *, seed,
             "graph labels are not a perfect elimination ordering; relabel the "
             "graph (and data columns) with graph.relabel(perfect_elimination_ordering(g))"
         )
+    rng = np.random.default_rng(seed)
+    state = _initial_state(data, graph, rng)  # refuses data whose covariance overflows
     check_propriety(prior, data, graph)
     if burn_in is None:
         burn_in = iters // 5
@@ -645,8 +664,6 @@ def run_chain(data, graph, prior, iters, burn_in=None, thin=10, *, seed,
     trace = Trace(np.empty((keep, k)), np.empty((keep, k)), np.empty((keep, k)),
                   np.empty((keep, len(graph.edges))), np.empty(keep), meta)
 
-    rng = np.random.default_rng(seed)
-    state = _initial_state(data, graph, rng)
     resolved = resolve_hyperparams(prior, k)
     groups = l_row_groups(graph)
     try:

@@ -85,6 +85,8 @@ class ReparamParams:
         k = self.graph.k
         if mu.shape != (k,) or delta.shape != (k,) or omega2.shape != (k,):
             raise ValueError("parameter dimensions do not match the graph")
+        if not all(np.all(np.isfinite(a)) for a in (mu, delta, omega2, L)):
+            raise InvalidDomain("mu, delta, omega^2 and L must be finite")
         if np.any(omega2 <= 0):
             raise InvalidDomain("omega^2 entries must be positive")
         _check_pattern(L, self.graph)

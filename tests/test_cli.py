@@ -13,7 +13,15 @@ from scipy.stats import gaussian_kde
 
 import sgdg
 from sgdg import inference
-from sgdg.cli import _DOMAIN_ERRORS, PLOT_DRAWS, _gaussian_kde, _posterior_mean_params, main, read_dataset
+from sgdg.cli import (
+    _DOMAIN_ERRORS,
+    PLOT_DRAWS,
+    _gaussian_kde,
+    _posterior_mean_params,
+    main,
+    read_dataset,
+    write_dataset,
+)
 from sgdg.graph import Graph
 from sgdg.inference import Trace
 from sgdg.model import sample_sgdg
@@ -21,6 +29,13 @@ from sgdg.model import sample_sgdg
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def error_record(capsys):
+    """The one JSON line a refused command writes to stderr."""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    return json.loads(err)
 
 
 def write_graph(path, g):
@@ -121,6 +136,70 @@ class TestSimulate:
         for name in ("data.csv", "truth.json", "graph.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    @pytest.mark.parametrize("case,extra", [("A", ("--delta", "2")), ("B", ("--l-value", "0.5")), ("C", ())])
+    def test_builtin_truth_round_trips_through_custom(self, tmp_path, case, extra):
+        # the built-in cases are truth records, read by the code that reads --truth
+        builtin, custom = tmp_path / "builtin", tmp_path / "custom"
+        assert run_cli("simulate", "--case", case, *extra, "--seed", "8", "--out", builtin) == 0
+        assert run_cli("simulate", "--case", "custom", "--truth", builtin / "truth.json",
+                       "--seed", "8", "--out", custom) == 0
+        for name in ("data.csv", "graph.json"):
+            assert (builtin / name).read_bytes() == (custom / name).read_bytes(), name
+
+    @pytest.mark.parametrize(
+        "k,edges,entry",
+        [(2, [[1, 2]], [1, 3, 0.5]), (2, [[1, 2]], [2, 1, 0.5]), (3, [[1, 2], [2, 3]], [1, 3, 0.5])],
+        ids=["outside-the-matrix", "below-the-diagonal", "off-the-graph"],
+    )
+    def test_truth_l_entry_must_name_an_edge(self, tmp_path, capsys, k, edges, entry):
+        truth = tmp_path / "truth.json"
+        truth.write_text(json.dumps({"graph": {"k": k, "edges": edges}, "mu": [0.0] * k, "delta": [1.0] * k,
+                                     "omega2": [1.0] * k, "L": [entry]}))
+        out = tmp_path / "o"
+        assert run_cli("simulate", "--case", "custom", "--truth", truth, "--seed", "1", "--out", out) == 3
+        record = error_record(capsys)
+        assert record["error"] == "InvalidParams"
+        assert f"truth L entry {entry}" in record["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv,truth",
+        [(("--case", "B", "--l-value", "inf"), None), (("--case", "B", "--l-value=-inf"), None),
+         (("--case", "A", "--delta", "nan"), None),
+         (("--case", "custom"), {"mu": [0.0, float("nan")]}), (("--case", "custom"), {"omega2": [1.0, float("inf")]}),
+         (("--case", "custom"), {"L": [[1, 2, float("-inf")]]}),
+         (("--case", "custom"), {"graph": {"k": 3, "edges": [[1, 2], [2, 3]]}, "mu": [0.0] * 3, "delta": [0.0] * 3,
+                                 "omega2": [1.0] * 3, "L": [[1, 2, 1e200], [2, 3, 1e200]]})],
+        ids=["B-inf", "B-minus-inf", "A-nan", "custom-nan-mu", "custom-inf-omega2", "custom-inf-L",
+             "custom-draws-overflow"],
+    )
+    def test_non_finite_truth_refused(self, tmp_path, capsys, argv, truth):
+        if truth is not None:
+            record = {"graph": {"k": 2, "edges": [[1, 2]]}, "mu": [0.0, 1.0], "delta": [1.0, -1.0],
+                      "omega2": [1.0, 2.0], "L": [[1, 2, 0.7]], **truth}
+            (tmp_path / "truth.json").write_text(json.dumps(record))
+            argv = (*argv, "--truth", tmp_path / "truth.json")
+        out = tmp_path / "o"
+        assert run_cli("simulate", *argv, "--seed", "1", "--out", out) == 3
+        record = error_record(capsys)
+        assert record["error"] == "InvalidParams"
+        assert "finite" in record["message"]
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("reader", ["graph", "truth", "trace"])
+def test_deeply_nested_json_refused(tmp_path, capsys, reader):
+    # Python's JSON parser raises RecursionError, not ValueError, on 100,000 nested arrays
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000)
+    argv = {"graph": ("check-graph", "--graph", nested),
+            "truth": ("simulate", "--case", "custom", "--truth", nested, "--seed", 1, "--out", tmp_path / "o"),
+            "trace": ("compare", "--trace-a", nested, "--trace-b", nested)}[reader]
+    capsys.readouterr()
+    assert run_cli(*argv) == 3
+    assert error_record(capsys)["error"] == {"truth": "InvalidParams"}.get(reader, "ParseError")
+    assert not (tmp_path / "o").exists()
+
 
 class TestFit:
     def test_fit_outputs(self, sim_dir, tmp_path):
@@ -155,6 +234,46 @@ class TestFit:
         assert run_cli("fit", "--data", data, "--graph", graph, "--prior", "proper",
                        "--iters", 100, "--seed", 1, "--out", tmp_path / "o") == 3
         assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
+
+    def test_overlong_csv_field_refused(self, tmp_path, capsys):
+        # longer than the csv module's field size limit (131072 characters)
+        data = tmp_path / "long.csv"
+        data.write_text("a,b\n" + "1" * 140_000 + ",2.0\n3.0,4.0\n")
+        graph = write_graph(tmp_path / "g.json", Graph(2, [(0, 1)]))
+        out = tmp_path / "o"
+        assert run_cli("fit", "--data", data, "--graph", graph, "--prior", "proper",
+                       "--iters", 100, "--seed", 1, "--out", out) == 3
+        record = error_record(capsys)
+        assert record["error"] == "ParseError" and "field larger than field limit" in record["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("prior", ["proper", "wishart", "noninfo"])
+    def test_ill_conditioned_start_state(self, tmp_path, prior):
+        # rank-2 data plus 1e-7 noise with column scales over seven decades: the inverse of
+        # the start covariance is asymmetric beyond the factorization's symmetry tolerance
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((300, 2)) @ rng.standard_normal((2, 12)) + 1e-7 * rng.standard_normal((300, 12))
+        x *= 10 ** rng.uniform(-3, 4, 12)
+        write_dataset(tmp_path / "ill.csv", x, [f"x{i + 1}" for i in range(12)])
+        graph = write_graph(tmp_path / "g.json", Graph(12, [(i, j) for i in range(12) for j in range(i + 1, min(12, i + 3))]))
+        out = tmp_path / "o"
+        assert run_cli("fit", "--data", tmp_path / "ill.csv", "--graph", graph, "--prior", prior,
+                       "--iters", 50, "--burnin", 10, "--thin", 10, "--seed", 1, "--out", out) == 0
+        assert json.loads((out / "fit.json").read_text())["retained_draws"] == 4
+
+    @pytest.mark.parametrize("prior", ["proper", "wishart", "noninfo"])
+    def test_overflowing_covariance_refused(self, tmp_path, capsys, prior):
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((100, 3))
+        x[:, 1] = 1e307 * (1.0 + 0.1 * rng.standard_normal(100))
+        write_dataset(tmp_path / "huge.csv", x, ["a", "b", "c"])
+        graph = write_graph(tmp_path / "g.json", Graph(3, [(0, 1), (1, 2)]))
+        out = tmp_path / "o"
+        assert run_cli("fit", "--data", tmp_path / "huge.csv", "--graph", graph, "--prior", prior,
+                       "--iters", 50, "--seed", 1, "--out", out) == 3
+        record = error_record(capsys)
+        assert record["error"] == "NumericalFailure" and record["message"].startswith("start state: ")
+        assert not out.exists()
 
     def test_degenerate_chain_reported(self, tmp_path, capsys):
         # the noninformative gate refuses two columns of range one ulp before sampling;
@@ -259,10 +378,11 @@ class TestFit:
     @pytest.mark.parametrize(
         "prior,hyper",
         [("noninfo", "b1=0"), ("proper", "b2=abc"), ("proper", "b5=-1"), ("wishart", "Psi={tmp}/psi.json"),
-         ("proper", "B2=5"), ("proper", "b6=1"), ("proper", "psi=3"), ("noninfo", "b2=5"), ("wishart", "b2=5")],
+         ("proper", "B2=5"), ("proper", "b6=1"), ("proper", "psi=3"), ("noninfo", "b2=5"), ("wishart", "b2=5"),
+         ("noninfo", "b1=nan"), ("proper", "mu0=1,nan,2"), ("wishart", "psi=3,nan,3")],
         ids=["noninfo-b1-zero", "proper-b2-text", "proper-b5-negative", "wishart-psi-not-a-matrix",
              "proper-B2-typo", "proper-b6-unknown", "proper-psi-unread", "noninfo-b2-unread",
-             "wishart-b2-unread"],
+             "wishart-b2-unread", "noninfo-b1-nan", "proper-mu0-nan", "wishart-psi-nan"],
     )
     def test_bad_hyper_reported(self, sim_dir, tmp_path, capsys, prior, hyper):
         (tmp_path / "psi.json").write_text("{}")
@@ -407,7 +527,8 @@ class TestCompare:
         assert run_cli("compare", "--trace-a", ta, "--trace-b", out_b / "trace.ndjson") == 3
         assert json.loads(capsys.readouterr().err)["error"] == "DataMismatch"
 
-    @pytest.mark.parametrize("defect", ["truncated", "empty", "missing", "no-digest", "no-draws", "nan-loglik", "text-loglik"])
+    @pytest.mark.parametrize("defect", ["truncated", "empty", "missing", "no-digest", "no-draws", "nan-loglik", "text-loglik",
+                                        "object-loglik"])
     def test_unreadable_trace_reported(self, sim_dir, tmp_path, capsys, defect):
         good = self._fit(sim_dir, tmp_path, "good", 45)
         bad = tmp_path / "bad.ndjson"
@@ -423,9 +544,9 @@ class TestCompare:
             bad.write_text(json.dumps(record) + "\n" + first + "".join(rest))
         elif defect == "no-draws":
             bad.write_text(meta)
-        elif defect in ("nan-loglik", "text-loglik"):
+        elif defect in ("nan-loglik", "text-loglik", "object-loglik"):
             record = json.loads(first)
-            record["loglik"] = float("nan") if defect == "nan-loglik" else "x"
+            record["loglik"] = {"nan-loglik": float("nan"), "text-loglik": "x", "object-loglik": {"a": 1}}[defect]
             bad.write_text(meta + json.dumps(record) + "\n" + "".join(rest))
         capsys.readouterr()
         assert run_cli("compare", "--trace-a", good, "--trace-b", bad) == 3
