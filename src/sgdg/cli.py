@@ -29,7 +29,7 @@ from .inference import (
     summarize,
 )
 from .linalg import NotPositiveDefinite
-from .model import InvalidDomain, ReparamParams, reparam_inverse, sample_sgdg
+from .model import InvalidDomain, ReparamParams, marginal_densities, reparam_inverse, sample_sgdg
 
 ERROR_EXIT = 3
 
@@ -38,12 +38,8 @@ HYPER_DEFAULTS = {"b1": 100.0, "b2": 1e4, "b3": 1e-6, "b4": 1e-6, "b5": 100.0}
 # the trace meta entries that fit.json repeats
 FIT_RECORD_KEYS = ("prior", "iters", "burn_in", "thin", "seed", "fix_delta_zero", "n", "k", "data_digest")
 
-PLOT_DRAWS = 50_000  # draws from the posterior-mean model behind each fitted density
 PLOT_GRID_POINTS = 200  # points of each fitted density grid
 PLOT_BINS = 20  # bins of each data histogram
-# exp(-746.0) == 0.0 in float64, so a draw more than sqrt(2 * 746) bandwidths
-# from a grid point adds exactly nothing to the density there.
-_KDE_REACH = np.sqrt(2 * 746.0)
 
 
 class ParseError(ValueError):
@@ -327,35 +323,10 @@ def _posterior_mean_params(trace):
     return reparam_inverse(r)
 
 
-def _gaussian_kde(draws, grid):
-    """Gaussian KDE of 1-D `draws` at `grid`, with Scott's-rule bandwidth.
-
-    The estimator of `scipy.stats.gaussian_kde`. Each grid point sums the
-    kernel over the sorted draws within `_KDE_REACH` bandwidths only: every
-    kernel outside that window is exactly 0.0, so no term is dropped.
-    """
-    x = np.sort(draws)
-    n = x.size
-    h2 = draws.var(ddof=1) * n**-0.4
-    reach = _KDE_REACH * np.sqrt(h2)
-    lo = np.searchsorted(x, grid - reach)
-    hi = np.searchsorted(x, grid + reach, side="right")
-    work = np.empty(n)
-    sums = np.empty(grid.size)
-    for i, (g, a, b) in enumerate(zip(grid, lo, hi)):
-        d = np.subtract(x[a:b], g, out=work[: b - a])
-        d *= d
-        d *= -0.5 / h2
-        sums[i] = np.exp(d, out=d).sum()
-    return sums / (n * np.sqrt(2 * np.pi * h2))
-
-
-def write_plot_data(out, trace, data, colnames, seed):
-    """Per-variable histogram bins plus a fitted marginal density grid."""
-    rng = np.random.default_rng([int(seed), 982451653])
-    fitted = sample_sgdg(_posterior_mean_params(trace), rng, PLOT_DRAWS)
-    for j, name in enumerate(colnames):
-        col = data[:, j]
+def write_plot_data(out, trace, data, colnames):
+    """Per-variable histogram bins plus the exact fitted marginal density at the posterior mean."""
+    grids = []
+    for name, col in zip(colnames, data.T):
         lo, hi = col.min(), col.max()
         pad = 0.15 * (hi - lo)
         if not np.all(np.diff(np.linspace(lo - pad, hi + pad, PLOT_BINS + 1)) > 0):
@@ -370,12 +341,10 @@ def write_plot_data(out, trace, data, colnames, seed):
                 for b in range(len(counts))
             ],
         )
-        grid = np.linspace(lo - pad, hi + pad, PLOT_GRID_POINTS)
-        write_csv_rows(
-            out / f"fitted_{name}.csv",
-            ["x", "density"],
-            list(zip(grid, _gaussian_kde(fitted[:, j], grid))),
-        )
+        grids.append(np.linspace(lo - pad, hi + pad, PLOT_GRID_POINTS))
+    fitted = marginal_densities(_posterior_mean_params(trace), np.array(grids))
+    for name, grid, dens in zip(colnames, grids, fitted):
+        write_csv_rows(out / f"fitted_{name}.csv", ["x", "density"], list(zip(grid, dens)))
 
 
 def cmd_fit(args):
@@ -399,7 +368,7 @@ def cmd_fit(args):
     trace.save(out / "trace.ndjson")
     rows = summarize(trace)
     write_csv_rows(out / "summary.csv", list(rows[0]), [list(r.values()) for r in rows])
-    write_plot_data(out, trace, data, colnames, args.seed)
+    write_plot_data(out, trace, data, colnames)
     _dump_json(
         {
             "command": "fit",

@@ -74,6 +74,9 @@ class IndependentProperPrior:
         for name in ("b1", "b2", "b3", "b4", "b5"):
             if not getattr(self, name) > 0:  # NaN fails too
                 raise ValueError(f"{name} must be positive")
+        for name in ("b2", "b5"):  # the prior precisions of mu and of L are their reciprocals
+            if not np.isfinite(1.0 / getattr(self, name)):
+                raise ValueError(f"{name} is so small that 1/{name} overflows")
         object.__setattr__(self, "mu0", np.asarray(self.mu0, dtype=float))
         if not np.all(np.isfinite(self.mu0)):
             raise ValueError("mu0 must be finite")
@@ -218,9 +221,11 @@ class ResolvedHyperparams:
     conditional uses its slice on the row's forward-neighbor support. Psi is
     the pattern-Wishart matrix, zero in the other regimes: the conditionals
     form its state terms themselves, L_i Psi L_i' / 2 in the omega_i^2 rate
-    and omega_i^2 Psi in the prior precision of row i of L.
+    (under the "wishart" `regime` only, as it is zero elsewhere) and
+    omega_i^2 Psi in the prior precision of row i of L.
     """
 
+    regime: str
     v_mu: float
     mu0: np.ndarray
     s_omega: np.ndarray
@@ -233,7 +238,8 @@ def resolve_hyperparams(prior, k):
     """The regime's table: all zero (noninformative), with the proper and Wishart fields set."""
     zero = np.zeros((k, k))
     flat = ResolvedHyperparams(
-        v_mu=0.0, mu0=np.zeros(k), s_omega=np.zeros(k), r_omega=np.zeros(k), V_L=zero, Psi=zero
+        regime=prior.regime, v_mu=0.0, mu0=np.zeros(k), s_omega=np.zeros(k), r_omega=np.zeros(k),
+        V_L=zero, Psi=zero,
     )
     if prior.regime == "proper":
         return replace(
@@ -349,8 +355,10 @@ def omega2_conditional_params(state, y, resolved, b1, fix_delta_zero=False):
     """
     n = y.shape[0]
     resid = y if fix_delta_zero else y - state.u * state.delta
-    lpsil = np.einsum("ij,jk,ik->i", state.L, resolved.Psi, state.L)
-    rate = resolved.r_omega + 0.5 * lpsil + 0.5 * (resid**2).sum(axis=0)
+    rate = resolved.r_omega
+    if resolved.regime == "wishart":
+        rate = rate + 0.5 * np.einsum("ij,jk,ik->i", state.L, resolved.Psi, state.L)
+    rate = rate + 0.5 * (resid**2).sum(axis=0)
     if fix_delta_zero:
         return resolved.s_omega + 0.5 * n, rate
     return resolved.s_omega + 0.5 * (n + 1), rate + state.delta**2 / (2.0 * b1)
@@ -548,8 +556,10 @@ class Trace:
         """Read and check a trace file; any defect raises ValueError.
 
         Defects: a bad record (named by its line), no meta record or one without
-        `data_digest`, no draws, a draw field that is not numeric, and a log
-        likelihood that is not one finite number per draw.
+        `data_digest`, no draws, a draw field that is not numeric, a log
+        likelihood that is not one finite number per draw, a meta `k` or
+        `edge_order` other than that of its `graph`, and draw vectors whose
+        lengths are not meta `k` (`mu`, `delta`, `omega2`) or the edge count (`L`).
         """
         draws = {name: [] for name in cls.DRAW_FIELDS}
         meta = None
@@ -578,6 +588,17 @@ class Trace:
             raise ValueError(f"a draw field is not numeric ({exc})") from exc
         if arrays["loglik"].ndim != 1 or not np.all(np.isfinite(arrays["loglik"])):
             raise ValueError("non-finite log likelihood")
+        try:
+            graph = Graph.from_json_dict(meta["graph"])
+            k, edge_order = meta["k"], meta["edge_order"]
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"the meta record has no valid graph, k and edge_order ({exc!r})") from exc
+        if k != graph.k or edge_order != graph.to_json_dict()["edges"]:
+            raise ValueError("the meta k or edge_order does not match the meta graph")
+        n_draws = len(arrays["loglik"])
+        for name, width in (("mu", k), ("delta", k), ("omega2", k), ("L", len(graph.edges))):
+            if arrays[name].shape != (n_draws, width):
+                raise ValueError(f"draw field {name} has shape {arrays[name].shape}, not ({n_draws}, {width})")
         return cls(**arrays, meta=meta)
 
 

@@ -9,14 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.stats import gaussian_kde
+from scipy.stats import norm
 
 import sgdg
 from sgdg import inference
 from sgdg.cli import (
     _DOMAIN_ERRORS,
-    PLOT_DRAWS,
-    _gaussian_kde,
     _posterior_mean_params,
     main,
     read_dataset,
@@ -24,7 +22,6 @@ from sgdg.cli import (
 )
 from sgdg.graph import Graph
 from sgdg.inference import Trace
-from sgdg.model import sample_sgdg
 
 
 def run_cli(*argv):
@@ -379,10 +376,12 @@ class TestFit:
         "prior,hyper",
         [("noninfo", "b1=0"), ("proper", "b2=abc"), ("proper", "b5=-1"), ("wishart", "Psi={tmp}/psi.json"),
          ("proper", "B2=5"), ("proper", "b6=1"), ("proper", "psi=3"), ("noninfo", "b2=5"), ("wishart", "b2=5"),
-         ("noninfo", "b1=nan"), ("proper", "mu0=1,nan,2"), ("wishart", "psi=3,nan,3")],
+         ("noninfo", "b1=nan"), ("proper", "mu0=1,nan,2"), ("wishart", "psi=3,nan,3"),
+         ("proper", "b2=1e-320"), ("proper", "b5=1e-320")],
         ids=["noninfo-b1-zero", "proper-b2-text", "proper-b5-negative", "wishart-psi-not-a-matrix",
              "proper-B2-typo", "proper-b6-unknown", "proper-psi-unread", "noninfo-b2-unread",
-             "wishart-b2-unread", "noninfo-b1-nan", "proper-mu0-nan", "wishart-psi-nan"],
+             "wishart-b2-unread", "noninfo-b1-nan", "proper-mu0-nan", "wishart-psi-nan",
+             "proper-b2-reciprocal-overflows", "proper-b5-reciprocal-overflows"],
     )
     def test_bad_hyper_reported(self, sim_dir, tmp_path, capsys, prior, hyper):
         (tmp_path / "psi.json").write_text("{}")
@@ -414,28 +413,37 @@ class TestFit:
         assert record["message"] == "--hyper b2 is given more than once"
         assert not out.exists()
 
-    def test_fitted_density_matches_scipy_kde(self, sim_dir, tmp_path):
+    def _fitted(self, out, col):
+        return np.loadtxt(out / f"fitted_{col}.csv", delimiter=",", skiprows=1, unpack=True)
+
+    def test_baseline_fitted_density_is_the_gaussian_marginal(self, sim_dir, tmp_path):
+        out = tmp_path / "fit"
+        assert run_cli("fit", "--data", sim_dir / "data.csv", "--graph", sim_dir / "graph.json",
+                       "--prior", "noninfo", "--iters", 400, "--burnin", 100, "--fix-delta-zero",
+                       "--seed", 5, "--out", out) == 0
+        p = _posterior_mean_params(Trace.load(out / "trace.ndjson"))
+        L = p.factor.L
+        cov = np.linalg.inv(L.T @ np.diag(p.kappa2) @ L)  # alpha = 0: N(mu, (L' D_kappa L)^-1)
+        for j, col in enumerate(("x1", "x2", "x3")):
+            grid, dens = self._fitted(out, col)
+            expected = norm.pdf(grid, p.mu[j], np.sqrt(cov[j, j]))
+            np.testing.assert_allclose(dens, expected, rtol=0, atol=1e-12 * expected.max())
+
+    def test_fitted_density_with_one_loading_is_azzalinis_skew_normal(self, sim_dir, tmp_path):
+        # the last coordinate loads only its own half-normal: X_k = mu_k + b |Z1_k| + s Z
         out = tmp_path / "fit"
         assert run_cli("fit", "--data", sim_dir / "data.csv", "--graph", sim_dir / "graph.json",
                        "--prior", "noninfo", "--iters", 400, "--burnin", 100,
                        "--seed", 5, "--out", out) == 0
-        trace = Trace.load(out / "trace.ndjson")
-        draws = sample_sgdg(_posterior_mean_params(trace), np.random.default_rng([5, 982451653]), PLOT_DRAWS)
-        for j, col in enumerate(("x1", "x2", "x3")):
-            oracle = gaussian_kde(draws[:, j])
-            grid, dens = np.loadtxt(out / f"fitted_{col}.csv", delimiter=",", skiprows=1, unpack=True)
-            expected = oracle(grid)
-            np.testing.assert_allclose(dens, expected, rtol=0, atol=1e-12 * expected.max())
-            # far into both tails, where the kernel window holds part of the draws or none;
-            # pointwise there (above the subnormals), so that a window dropping a nonzero term fails
-            sd = draws[:, j].std()
-            tails = np.linspace(draws[:, j].min() - 40 * sd, draws[:, j].max() + 40 * sd, 401)
-            expected = oracle(tails)
-            dens = _gaussian_kde(draws[:, j], tails)
-            assert (expected == 0).any()
-            np.testing.assert_allclose(dens, expected, rtol=0, atol=1e-12 * expected.max())
-            normal = expected > 1e-300
-            np.testing.assert_allclose(dens[normal], expected[normal], rtol=1e-10)
+        p = _posterior_mean_params(Trace.load(out / "trace.ndjson"))
+        scale = np.sqrt(p.kappa2[2] * (1.0 + p.alpha[2] ** 2))
+        b, s = p.alpha[2] / scale, 1.0 / scale
+        omega = np.hypot(b, s)
+        grid, dens = self._fitted(out, "x3")
+        z = (grid - p.mu[2]) / omega
+        expected = 2.0 / omega * norm.pdf(z) * norm.cdf(b / s * z)
+        assert abs(b / s) > 0.5  # the fit is visibly skewed, so a Gaussian answer would fail
+        np.testing.assert_allclose(dens, expected, rtol=0, atol=1e-12 * expected.max())
 
     def test_wishart_gate_refusal(self, sim_dir, tmp_path, capsys):
         assert run_cli("fit", "--data", sim_dir / "data.csv", "--graph", sim_dir / "graph.json",
@@ -528,7 +536,7 @@ class TestCompare:
         assert json.loads(capsys.readouterr().err)["error"] == "DataMismatch"
 
     @pytest.mark.parametrize("defect", ["truncated", "empty", "missing", "no-digest", "no-draws", "nan-loglik", "text-loglik",
-                                        "object-loglik"])
+                                        "object-loglik", "short-mu", "short-L", "edge-order", "k-off-graph"])
     def test_unreadable_trace_reported(self, sim_dir, tmp_path, capsys, defect):
         good = self._fit(sim_dir, tmp_path, "good", 45)
         bad = tmp_path / "bad.ndjson"
@@ -548,6 +556,19 @@ class TestCompare:
             record = json.loads(first)
             record["loglik"] = {"nan-loglik": float("nan"), "text-loglik": "x", "object-loglik": {"a": 1}}[defect]
             bad.write_text(meta + json.dumps(record) + "\n" + "".join(rest))
+        elif defect in ("short-mu", "short-L"):  # every draw one entry short, so the arrays stack
+            field = defect.split("-")[1]
+            records = [json.loads(line) for line in (first, *rest)]
+            for record in records:
+                del record[field][-1]
+            bad.write_text(meta + "".join(json.dumps(r) + "\n" for r in records))
+        elif defect in ("edge-order", "k-off-graph"):
+            record = json.loads(meta)
+            if defect == "edge-order":
+                record["edge_order"].reverse()
+            else:
+                record["k"] += 1
+            bad.write_text(json.dumps(record) + "\n" + first + "".join(rest))
         capsys.readouterr()
         assert run_cli("compare", "--trace-a", good, "--trace-b", bad) == 3
         err = capsys.readouterr().err

@@ -204,6 +204,19 @@ class TestResolveHyperparams:
         prec_flat = l_row_conditional_params(state, y0.T @ y0, state.u.T @ y0, flat, group)[1]
         assert np.allclose(prec - prec_flat, [[[2.0]], [[3.0]]])  # omega_i^2 Psi on row i's support
 
+    def test_psi_term_formed_only_where_psi_is_nonzero(self, rng):
+        # the rate leaves out L_i Psi L_i' / 2 outside the wishart regime, with the same bytes
+        g = chain_graph(3)
+        for prior in priors_for(3, rng):
+            r = resolve_hyperparams(prior, 3)
+            assert r.regime == prior.regime
+            state = random_state(rng, g, 6)
+            y = rng.standard_normal((6, 3))
+            lpsil = np.einsum("ij,jk,ik->i", state.L, r.Psi, state.L)
+            resid = y - state.u * state.delta
+            rate = r.r_omega + 0.5 * lpsil + 0.5 * (resid**2).sum(axis=0) + state.delta**2 / (2.0 * prior.b1)
+            assert np.array_equal(omega2_conditional_params(state, y, r, prior.b1)[1], rate), prior.regime
+
     def test_resolved_once_per_chain(self, rng, monkeypatch):
         import sgdg.inference
 

@@ -2,14 +2,18 @@ import numpy as np
 import pytest
 from scipy.stats import multivariate_normal, norm
 
+import sgdg.model
 from sgdg.graph import EliminationOrdering, Graph, separates, verify_ordering
 from sgdg.linalg import CholFactor, assemble_precision, modified_cholesky
 from sgdg.model import (
+    _MAX_NODES,
+    _T_CHUNK,
     InvalidDomain,
     ReparamParams,
     SgdgParams,
     covariance_matrix,
     log_density,
+    marginal_densities,
     mean_vector,
     reparam_forward,
     reparam_inverse,
@@ -219,6 +223,85 @@ class TestMoments:
         p = chain_params(alpha=(2.0, -1.0, 3.0), kappa2=(0.8, 1.2, 1.7))
         prec = np.linalg.inv(covariance_matrix(p))
         assert abs(prec[0, 2]) < 1e-10
+
+
+class TestMarginalDensities:
+    def _params(self):
+        return chain_params(alpha=(1.0, -2.0, 0.5), l12=-0.6, l23=0.4, kappa2=(1.0, 1.5, 0.8), mu=(1.0, 0.0, -1.0))
+
+    def test_equals_the_joint_density_integrated_over_the_others(self):
+        # the oracle integrates exp(log_density) over the two other coordinates, 12 SDs each way
+        p = self._params()
+        m, sd = mean_vector(p), np.sqrt(np.diag(covariance_matrix(p)))
+        quad = [gauss_legendre_grid(m[i] - 12 * sd[i], m[i] + 12 * sd[i], 110) for i in range(3)]
+        points = np.array([np.linspace(m[i] - 5 * sd[i], m[i] + 5 * sd[i], 41) for i in range(3)])
+        dens = marginal_densities(p, points)
+        for j in range(3):
+            others = [i for i in range(3) if i != j]
+            (ga, wa), (gb, wb) = (quad[i] for i in others)
+            xa, xb = np.meshgrid(ga, gb, indexing="ij")
+            x = np.empty((xa.size, 3))
+            x[:, others[0]], x[:, others[1]] = xa.ravel(), xb.ravel()
+            expected = []
+            for z in points[j]:
+                x[:, j] = z
+                expected.append(np.outer(wa, wb).ravel() @ np.exp(sgdg_log_density(p, x)))
+            expected = np.array(expected)
+            np.testing.assert_allclose(dens[j], expected, rtol=0, atol=1e-12 * expected.max())
+
+    def test_moments_equal_the_closed_forms(self):
+        p = self._params()
+        m, var = mean_vector(p), np.diag(covariance_matrix(p))
+        sd = np.sqrt(var)
+        z = np.array([np.linspace(m[i] - 14 * sd[i], m[i] + 14 * sd[i], 4001) for i in range(3)])
+        dens = marginal_densities(p, z)
+        for j in range(3):
+            w = np.full(z.shape[1], z[j, 1] - z[j, 0])  # trapezoid weights
+            w[[0, -1]] /= 2
+            assert w @ dens[j] == pytest.approx(1.0, abs=1e-12)
+            mean = w @ (z[j] * dens[j])
+            assert mean == pytest.approx(m[j], abs=1e-12 * sd[j])
+            assert w @ ((z[j] - mean) ** 2 * dens[j]) == pytest.approx(var[j], rel=1e-12)
+
+    @pytest.fixture
+    def wofz_sizes(self, monkeypatch):
+        """The size of each argument `marginal_densities` passes to the Faddeeva function."""
+        sizes = []
+        wofz = sgdg.model.wofz
+
+        def recording(x):
+            sizes.append(np.size(x))
+            return wofz(x)
+
+        monkeypatch.setattr(sgdg.model, "wofz", recording)
+        return sizes
+
+    @pytest.mark.parametrize("alpha", [1e3, -1e3])
+    def test_high_skew_matches_azzalini_within_the_chunk_bound(self, wofz_sizes, alpha):
+        # k = 1 with b / s = alpha needs about 26 |alpha| frequency nodes, several chunks
+        p = SgdgParams(np.array([2.0]), np.array([alpha]), CholFactor(np.eye(1), np.array([0.5])), Graph(1))
+        b = alpha / np.sqrt(0.5 * (1.0 + alpha**2))
+        s = b / alpha
+        omega = np.hypot(b, s)
+        grid = 2.0 + np.linspace(-4.0, 4.0, 200) * omega
+        dens = marginal_densities(p, grid[np.newaxis])[0]
+        z = (grid - 2.0) / omega
+        expected = 2.0 / omega * norm.pdf(z) * norm.cdf(alpha * z)
+        np.testing.assert_allclose(dens, expected, rtol=0, atol=1e-12 * expected.max())
+        assert np.all(dens >= 0.0)
+        assert len(wofz_sizes) > 1 and max(wofz_sizes) <= _T_CHUNK
+
+    def test_nearly_noiseless_marginal_is_bounded_and_smoothed(self, wofz_sizes):
+        # b / s = 1e150 (kappa^2 = 4, so b = 0.5): exact inversion would need about 1e152 nodes;
+        # the work stops at _MAX_NODES and the result is the half-normal limit 2/b phi(x/b)
+        p = SgdgParams(np.zeros(1), np.array([1e150]), CholFactor(np.eye(1), np.array([4.0])), Graph(1))
+        x = np.linspace(-0.5, 2.5, 200)
+        dens = marginal_densities(p, x[np.newaxis])[0]
+        assert sum(wofz_sizes) <= _MAX_NODES
+        limit = np.where(x > 0, 4.0 * norm.pdf(2.0 * x), 0.0)
+        far = np.abs(x) > 0.05  # away from the jump at 0, which the smoothing rounds off
+        np.testing.assert_allclose(dens[far], limit[far], rtol=0, atol=1e-6 * limit.max())
+        assert np.all(dens >= 0.0)
 
 
 class TestFactorizationCheck:
