@@ -3,9 +3,8 @@
 Library and CLI for the SGDG model: decomposable-graph machinery, exact
 model sampling, a block Gibbs sampler under three prior regimes with
 propriety gates, and Bayes-factor comparison against the Gaussian graphical
-baseline. The general closed-skew-normal layer and the quadrature
-conditional-independence check are reference oracles of the test suite
-(`tests/oracles.py`), not part of the package.
+baseline. The reference oracles that the tests check it against, such as
+the general closed-skew-normal layer, live in `tests/oracles.py`.
 """
 
 from .csn import sample_truncated_normal
@@ -14,9 +13,7 @@ from .graph import (
     EliminationOrdering,
     Graph,
     NotDecomposable,
-    is_decomposable,
     perfect_elimination_ordering,
-    separates,
     verify_ordering,
 )
 from .inference import (
@@ -34,17 +31,14 @@ from .inference import (
 from .linalg import (
     CholFactor,
     NotPositiveDefinite,
-    assemble_precision,
     modified_cholesky,
     solve_unit_triangular,
-    verify_pattern,
 )
 from .model import (
     ReparamParams,
     SgdgParams,
     covariance_matrix,
     mean_vector,
-    reparam_forward,
     reparam_inverse,
     sample_sgdg,
     sgdg_log_density,

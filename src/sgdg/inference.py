@@ -149,9 +149,10 @@ def min_n_noninformative(g):
 def _general_position_failure(data, g):
     """Why the n x k data are not in general position on g, or None if they are.
 
-    Clique i is vertex i with its forward neighbors. Its centred columns must
-    have full column rank, where a singular value at or below
-    eps * n * max|x| over the clique's raw values counts as zero.
+    Clique i is vertex i with its forward neighbors. Its centred columns,
+    each scaled to unit norm so that the test does not depend on the units of
+    the data, must have full column rank, where a singular value at or below
+    eps * n counts as zero.
     """
     n = data.shape[0]
     eps_n = np.finfo(float).eps * n
@@ -164,8 +165,8 @@ def _general_position_failure(data, g):
     for i in range(g.k):
         clique = [i] + sorted(j for j in g.neighbors(i) if j > i)
         if len(clique) > 1:
-            s = np.linalg.svd(centred[:, clique], compute_uv=False)
-            if s[-1] <= eps_n * np.abs(data[:, clique]).max():
+            cols = centred[:, clique]
+            if np.linalg.svd(cols / np.linalg.norm(cols, axis=0), compute_uv=False)[-1] <= eps_n:
                 deficient.append([v + 1 for v in clique])
     if deficient:
         return f"the centred columns of clique(s) {deficient} are rank-deficient"

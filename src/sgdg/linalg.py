@@ -1,4 +1,4 @@
-"""Modified Cholesky decomposition Q = L' D L with graph-pattern bookkeeping.
+"""Modified Cholesky decomposition Q = L' D L and the unit triangular solve.
 
 L is unit-diagonal and upper triangular: only entries L[i, j] with i < j may
 be nonzero, and for a graph-patterned factor only on edges (i, j). Under a
@@ -9,8 +9,6 @@ Q in P_G has exactly the graph's support above the diagonal.
 from dataclasses import dataclass
 
 import numpy as np
-
-ZERO_TOL = 1e-12
 
 
 class NotPositiveDefinite(ValueError):
@@ -43,11 +41,6 @@ class CholFactor:
     @property
     def k(self):
         return self.D.shape[0]
-
-    def support(self):
-        """Set of index pairs (i, j), i < j, where |L_ij| exceeds ZERO_TOL."""
-        k = self.k
-        return {(i, j) for i in range(k) for j in range(i + 1, k) if abs(self.L[i, j]) > ZERO_TOL}
 
 
 def modified_cholesky(q):
@@ -82,30 +75,6 @@ def modified_cholesky(q):
     lmat = np.triu(lmat)
     np.fill_diagonal(lmat, 1.0)
     return CholFactor(lmat, d**2)
-
-
-def assemble_precision(f):
-    """Return Q = L' diag(D) L for a factor; SPD by construction."""
-    return f.L.T @ (f.D[:, np.newaxis] * f.L)
-
-
-def verify_pattern(f, g):
-    """True iff the off-diagonal support of L equals the edge set of g.
-
-    Both directions are checked: entries off the edge set must vanish (within
-    ZERO_TOL) and entries on edges must not. Generic inputs make accidental
-    zeros on edges measure-zero events.
-    """
-    if f.k != g.k:
-        return False
-    return f.support() == set(g.edges)
-
-
-def pattern_within(f, g):
-    """True iff every nonzero off-diagonal of L sits on an edge of g."""
-    if f.k != g.k:
-        return False
-    return f.support() <= set(g.edges)
 
 
 def solve_unit_triangular(L, b):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import log_ndtr, wofz
 
-from .linalg import CholFactor, pattern_within, solve_unit_triangular
+from .linalg import CholFactor, solve_unit_triangular
 
 LOG_2_OVER_PI = np.log(2.0 / np.pi)
 
@@ -25,13 +25,21 @@ class InvalidDomain(ValueError):
     """Raised when parameter values fall outside their domain."""
 
 
-def _check_pattern(L_or_factor, graph):
-    if isinstance(L_or_factor, CholFactor):
-        f = L_or_factor
-    else:
-        f = CholFactor(L_or_factor, np.ones(graph.k))
-    if not pattern_within(f, graph):
+MAX_ABS_ALPHA = np.sqrt(np.finfo(float).max)  # the largest |alpha| whose 1 + alpha^2 is finite
+
+
+def _check_pattern(L, graph):
+    """Refuse an L with an entry above 1e-12 in magnitude off the graph's edges."""
+    off = np.abs(np.triu(L, 1)) > 1e-12
+    off[tuple(np.array(list(graph.edges), dtype=int).reshape(-1, 2).T)] = False
+    if off.any():
         raise InvalidDomain("factor support is not contained in the graph pattern")
+
+
+def _check_alpha(alpha):
+    if not np.all(np.abs(alpha) <= MAX_ABS_ALPHA):
+        raise InvalidDomain(f"alpha entries must be finite with |alpha| <= {MAX_ABS_ALPHA:.4g}, "
+                            "beyond which 1 + alpha^2 overflows")
 
 
 @dataclass(frozen=True)
@@ -49,7 +57,8 @@ class SgdgParams:
         k = self.graph.k
         if mu.shape != (k,) or alpha.shape != (k,) or self.factor.k != k:
             raise ValueError("parameter dimensions do not match the graph")
-        _check_pattern(self.factor, self.graph)
+        _check_alpha(alpha)
+        _check_pattern(self.factor.L, self.graph)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "alpha", alpha)
 
@@ -89,20 +98,13 @@ class ReparamParams:
             raise InvalidDomain("mu, delta, omega^2 and L must be finite")
         if np.any(omega2 <= 0):
             raise InvalidDomain("omega^2 entries must be positive")
+        if L.shape != (k, k) or not np.array_equal(np.tril(L), np.eye(k)):
+            raise ValueError("L must be a k x k unit upper-triangular matrix")
         _check_pattern(L, self.graph)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "omega2", omega2)
         object.__setattr__(self, "L", L)
-
-
-def reparam_forward(p):
-    """Map (mu, alpha, L, D_kappa) to (mu, delta, omega^2, L)."""
-    kappa = np.sqrt(p.kappa2)
-    root = np.sqrt(1.0 + p.alpha**2)
-    delta = p.alpha / (kappa * root)
-    omega2 = p.kappa2 * (1.0 + p.alpha**2)
-    return ReparamParams(p.mu, delta, omega2, p.factor.L, p.graph)
 
 
 def alpha_kappa2(delta, omega2):
@@ -113,8 +115,7 @@ def alpha_kappa2(delta, omega2):
 
 def reparam_inverse(r):
     """Map (mu, delta, omega^2, L) back to (mu, alpha, L, D_kappa)."""
-    if np.any(np.asarray(r.omega2) <= 0):
-        raise InvalidDomain("omega^2 entries must be positive")
+    _check_alpha(r.delta * np.sqrt(r.omega2))  # before 1 + alpha^2 can overflow kappa^2 to zero
     alpha, kappa2 = alpha_kappa2(r.delta, r.omega2)
     return SgdgParams(r.mu, alpha, CholFactor(r.L, kappa2), r.graph)
 

@@ -5,7 +5,7 @@ from itertools import combinations, permutations
 import numpy as np
 import pytest
 
-from sgdg.graph import Graph, perfect_elimination_ordering
+from sgdg.graph import Graph, NotDecomposable, perfect_elimination_ordering
 from sgdg.linalg import CholFactor
 
 
@@ -34,6 +34,15 @@ def has_chordless_cycle(g):
 
 def oracle_is_chordal(g):
     return not has_chordless_cycle(g)
+
+
+def ordering_refused(g):
+    """Whether `perfect_elimination_ordering` refuses g with NotDecomposable."""
+    try:
+        perfect_elimination_ordering(g)
+    except NotDecomposable:
+        return True
+    return False
 
 
 def random_graph(rng, k, p=None):

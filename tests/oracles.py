@@ -1,4 +1,6 @@
-"""Reference closed-skew-normal layer and conditional-independence check.
+"""Reference oracles: the closed-skew-normal layer, conditional independence,
+graph separation, precision assembly, the pattern of a factor and the forward
+parameter map.
 
 The SGDG model is a closed skew normal (CSN) distribution in the sense of
 González-Farías, Domínguez-Molina & Gupta (2004). The general CSN density,
@@ -11,6 +13,10 @@ The supported density/sampling cases are those where the latent covariance
 Delta + Gamma Sigma Gamma' is diagonal, so every multivariate normal CDF in
 the normalizing constant factors into univariate terms. Non-diagonal inputs
 raise rather than silently approximate.
+
+`separates`, `assemble_precision`, `verify_pattern` and `reparam_forward`
+state the paper's definitions directly; the package needs none of them, and
+the tests check its factorization, sampler and parameter maps against them.
 """
 
 from dataclasses import dataclass
@@ -19,7 +25,7 @@ import numpy as np
 from scipy.special import log_ndtr
 
 from sgdg.linalg import solve_unit_triangular
-from sgdg.model import covariance_matrix, mean_vector, sample_sgdg, sgdg_log_density
+from sgdg.model import ReparamParams, covariance_matrix, mean_vector, sample_sgdg, sgdg_log_density
 
 from conftest import gauss_legendre_grid
 
@@ -224,3 +230,52 @@ def ci_factorization_check(p, i, j, rng=None, n_rest=3, nodes=200, tol=1e-6):
         if s[1] > tol * s[0]:
             return False
     return True
+
+
+def separates(g, i, j):
+    """Whether F(i,j) = {i+1..j-1} u {j+1..k-1} separates i from j.
+
+    Computed by reachability in the subgraph induced on the complement
+    {0..i} u {j}; requires i < j.
+    """
+    if not i < j:
+        raise ValueError("requires i < j")
+    allowed = set(range(i + 1)) | {j}
+    stack = [i]
+    seen = {i}
+    while stack:
+        v = stack.pop()
+        if v == j:
+            return False
+        for u in g.neighbors(v):
+            if u in allowed and u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return True
+
+
+def assemble_precision(f):
+    """Return Q = L' diag(D) L for a factor; SPD by construction."""
+    return f.L.T @ (f.D[:, np.newaxis] * f.L)
+
+
+def verify_pattern(f, g):
+    """True iff the off-diagonal support of L equals the edge set of g.
+
+    Both directions are checked: entries off the edge set must vanish (within
+    1e-12) and entries on edges must not. Generic inputs make accidental
+    zeros on edges measure-zero events.
+    """
+    if f.k != g.k:
+        return False
+    support = {(i, j) for i in range(f.k) for j in range(i + 1, f.k) if abs(f.L[i, j]) > 1e-12}
+    return support == set(g.edges)
+
+
+def reparam_forward(p):
+    """Map (mu, alpha, L, D_kappa) to (mu, delta, omega^2, L)."""
+    kappa = np.sqrt(p.kappa2)
+    root = np.sqrt(1.0 + p.alpha**2)
+    delta = p.alpha / (kappa * root)
+    omega2 = p.kappa2 * (1.0 + p.alpha**2)
+    return ReparamParams(p.mu, delta, omega2, p.factor.L, p.graph)

@@ -20,7 +20,7 @@ from sgdg.cli import (
     read_dataset,
     write_dataset,
 )
-from sgdg.graph import Graph
+from sgdg.graph import MAX_VERTICES, Graph
 from sgdg.inference import Trace
 
 
@@ -97,6 +97,18 @@ class TestSimulate:
     def test_case_a_requires_delta(self, tmp_path, capsys):
         assert run_cli("simulate", "--case", "A", "--seed", "1", "--out", tmp_path / "x") == 3
         assert json.loads(capsys.readouterr().err)["error"] == "InvalidParams"
+
+    def test_alpha_whose_square_overflows_refused(self, tmp_path, capsys):
+        # alpha = delta sqrt(omega^2) = 1e200: 1 + alpha^2 overflows, so kappa^2 would round to 0
+        truth = tmp_path / "truth.json"
+        truth.write_text(json.dumps({"graph": {"k": 2, "edges": [[1, 2]]}, "mu": [0.0, 1.0], "delta": [1e200, 0.5],
+                                     "omega2": [1.0, 1.0], "L": [[1, 2, 0.7]]}))
+        out = tmp_path / "o"
+        assert run_cli("simulate", "--case", "custom", "--truth", truth, "--seed", "1", "--out", out) == 3
+        record = error_record(capsys)
+        assert record["error"] == "InvalidDomain"
+        assert "alpha" in record["message"]
+        assert not out.exists()
 
     def test_case_c_middle_column_symmetric(self, tmp_path):
         out = tmp_path / "c"
@@ -195,6 +207,22 @@ def test_deeply_nested_json_refused(tmp_path, capsys, reader):
     capsys.readouterr()
     assert run_cli(*argv) == 3
     assert error_record(capsys)["error"] == {"truth": "InvalidParams"}.get(reader, "ParseError")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("reader", ["graph", "truth"])
+def test_vertex_cap_refused(tmp_path, capsys, reader):
+    graph = {"k": MAX_VERTICES + 1, "edges": []}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"graph": graph, "truth": {"graph": graph, "mu": [0.0], "delta": [0.0],
+                                                          "omega2": [1.0], "L": []}}[reader]))
+    argv = {"graph": ("check-graph", "--graph", path),
+            "truth": ("simulate", "--case", "custom", "--truth", path, "--seed", 1, "--out", tmp_path / "o")}[reader]
+    capsys.readouterr()
+    assert run_cli(*argv) == 3
+    record = error_record(capsys)
+    assert record["error"] == {"graph": "ParseError", "truth": "InvalidParams"}[reader]
+    assert f"exceeds the vertex cap of {MAX_VERTICES}" in record["message"]
     assert not (tmp_path / "o").exists()
 
 
@@ -536,7 +564,8 @@ class TestCompare:
         assert json.loads(capsys.readouterr().err)["error"] == "DataMismatch"
 
     @pytest.mark.parametrize("defect", ["truncated", "empty", "missing", "no-digest", "no-draws", "nan-loglik", "text-loglik",
-                                        "object-loglik", "short-mu", "short-L", "edge-order", "k-off-graph"])
+                                        "object-loglik", "short-mu", "short-L", "edge-order", "k-off-graph",
+                                        "k-above-cap"])
     def test_unreadable_trace_reported(self, sim_dir, tmp_path, capsys, defect):
         good = self._fit(sim_dir, tmp_path, "good", 45)
         bad = tmp_path / "bad.ndjson"
@@ -562,12 +591,14 @@ class TestCompare:
             for record in records:
                 del record[field][-1]
             bad.write_text(meta + "".join(json.dumps(r) + "\n" for r in records))
-        elif defect in ("edge-order", "k-off-graph"):
+        elif defect in ("edge-order", "k-off-graph", "k-above-cap"):
             record = json.loads(meta)
             if defect == "edge-order":
                 record["edge_order"].reverse()
-            else:
+            elif defect == "k-off-graph":
                 record["k"] += 1
+            else:
+                record["graph"]["k"] = record["k"] = MAX_VERTICES + 1
             bad.write_text(json.dumps(record) + "\n" + first + "".join(rest))
         capsys.readouterr()
         assert run_cli("compare", "--trace-a", good, "--trace-b", bad) == 3
@@ -578,6 +609,8 @@ class TestCompare:
         assert record["message"].startswith(str(bad))
         if defect == "truncated":
             assert f"line {text.count(chr(10))}," in record["message"]
+        if defect == "k-above-cap":
+            assert f"exceeds the vertex cap of {MAX_VERTICES}" in record["message"]
 
     def test_mix_weight_out_of_range_reported(self, sim_dir, tmp_path, capsys):
         t = self._fit(sim_dir, tmp_path, "mw", 47)

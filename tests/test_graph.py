@@ -3,16 +3,16 @@ from itertools import permutations
 import pytest
 
 from sgdg.graph import (
+    MAX_VERTICES,
     EliminationOrdering,
     Graph,
     NotDecomposable,
-    is_decomposable,
     perfect_elimination_ordering,
-    separates,
     verify_ordering,
 )
 
-from conftest import chain_graph, oracle_is_chordal, random_graph
+from conftest import chain_graph, oracle_is_chordal, ordering_refused, random_graph
+from oracles import separates
 
 
 FOUR_CYCLE = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
@@ -48,30 +48,37 @@ class TestGraphBasics:
         assert Graph.load(path) == g
         assert g.to_json_dict() == {"k": 4, "edges": [[1, 3], [2, 4]]}
 
+    def test_json_vertex_cap(self):
+        assert Graph.from_json_dict({"k": MAX_VERTICES, "edges": [[1, MAX_VERTICES]]}).k == MAX_VERTICES
+        with pytest.raises(ValueError, match=f"exceeds the vertex cap of {MAX_VERTICES}"):
+            Graph.from_json_dict({"k": MAX_VERTICES + 1, "edges": []})
+
 
 class TestIsDecomposable:
+    """`perfect_elimination_ordering` is the chordality test: it raises on exactly the non-chordal graphs."""
+
     def test_four_cycle_is_not(self):
-        assert not is_decomposable(FOUR_CYCLE)
+        assert ordering_refused(FOUR_CYCLE)
 
     def test_triangle_is(self):
-        assert is_decomposable(TRIANGLE)
+        assert not ordering_refused(TRIANGLE)
 
     def test_empty_graph_is(self):
-        assert is_decomposable(Graph(5))
+        assert not ordering_refused(Graph(5))
 
     def test_chorded_four_cycle_is(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
         assert oracle_is_chordal(g)  # every cycle of length >= 4 has a chord
-        assert is_decomposable(g)
+        assert not ordering_refused(g)
 
     def test_single_vertex(self):
-        assert is_decomposable(Graph(1))
+        assert not ordering_refused(Graph(1))
         assert perfect_elimination_ordering(Graph(1)).perm == (0,)
 
     def test_agrees_with_brute_force_oracle(self, rng):
         for _ in range(300):
             g = random_graph(rng, int(rng.integers(4, 9)))
-            assert is_decomposable(g) == oracle_is_chordal(g)
+            assert ordering_refused(g) == (not oracle_is_chordal(g))
 
 
 class TestPerfectEliminationOrdering:

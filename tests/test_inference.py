@@ -160,6 +160,14 @@ class TestProprietyGates:
         data[:, 2] += 1e-6 * rng.standard_normal(40)
         check_propriety(NoninformativePrior(b1=100.0), data, g)
 
+    def test_general_position_does_not_depend_on_units(self):
+        # independent columns on scales 300 decades apart (sample correlation 0.17) are in general position
+        data = np.random.default_rng(0).standard_normal((50, 2)) * [1e150, 1e-150]
+        check_propriety(NoninformativePrior(b1=100.0), data, Graph(2, [(0, 1)]))
+        data[:, 1] = 1e-300 * data[:, 0]  # the same column in other units is not
+        with pytest.raises(ProprietyViolation, match=re.escape("clique(s) [[1, 2]] are rank-deficient")):
+            check_propriety(NoninformativePrior(b1=100.0), data, Graph(2, [(0, 1)]))
+
     def test_min_n_noninformative_is_the_smallest_accepted_n(self, rng):
         prior = NoninformativePrior(b1=100.0)
         for _ in range(30):

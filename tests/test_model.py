@@ -3,11 +3,12 @@ import pytest
 from scipy.stats import multivariate_normal, norm
 
 import sgdg.model
-from sgdg.graph import EliminationOrdering, Graph, separates, verify_ordering
-from sgdg.linalg import CholFactor, assemble_precision, modified_cholesky
+from sgdg.graph import EliminationOrdering, Graph, verify_ordering
+from sgdg.linalg import CholFactor, modified_cholesky
 from sgdg.model import (
     _MAX_NODES,
     _T_CHUNK,
+    MAX_ABS_ALPHA,
     InvalidDomain,
     ReparamParams,
     SgdgParams,
@@ -15,7 +16,6 @@ from sgdg.model import (
     log_density,
     marginal_densities,
     mean_vector,
-    reparam_forward,
     reparam_inverse,
     sample_sgdg,
     sgdg_log_density,
@@ -27,7 +27,16 @@ from conftest import (
     random_decomposable_graph,
     random_pattern_factor,
 )
-from oracles import DimensionTooLarge, ci_factorization_check, csn_log_density, sample_csn, to_csn
+from oracles import (
+    DimensionTooLarge,
+    assemble_precision,
+    ci_factorization_check,
+    csn_log_density,
+    reparam_forward,
+    sample_csn,
+    separates,
+    to_csn,
+)
 
 
 def chain_params(alpha=(2.0, 2.0, 2.0), l12=-0.5, l23=-0.5, kappa2=(1.0, 1.0, 1.0), mu=None):
@@ -57,6 +66,42 @@ class TestParamsValidation:
     def test_zero_entries_on_edges_allowed(self):
         p = chain_params(l12=0.0)
         assert p.factor.L[0, 1] == 0.0
+
+    def test_pattern_check_matches_support_loop(self, rng):
+        # both parameter classes refuse exactly the L whose entries above 1e-12 leave the edge set
+        values = np.array([0.0, 1e-13, 1e-12, -1e-12, 2e-12, -0.5, 0.7])
+        for _ in range(300):
+            g = random_decomposable_graph(rng, int(rng.integers(1, 6)))
+            k = g.k
+            L = np.eye(k) + np.triu(rng.choice(values, size=(k, k)), 1)
+            within = all(abs(L[i, j]) <= 1e-12 or g.has_edge(i, j) for i in range(k) for j in range(i + 1, k))
+            for build in (lambda: SgdgParams(np.zeros(k), np.zeros(k), CholFactor(L, np.ones(k)), g),
+                          lambda: ReparamParams(np.zeros(k), np.zeros(k), np.ones(k), L, g)):
+                if within:
+                    build()
+                else:
+                    with pytest.raises(InvalidDomain, match="graph pattern"):
+                        build()
+
+    def test_reparam_l_structure_refused_as_value_error(self):
+        g = chain_graph(3)
+        lower = np.eye(3)
+        lower[1, 0] = 0.3
+        for L in (np.eye(2), np.ones((3, 4)), np.diag([2.0, 1.0, 1.0]), lower):
+            with pytest.raises(ValueError) as info:
+                ReparamParams(np.zeros(3), np.zeros(3), np.ones(3), L, g)
+            assert type(info.value) is ValueError
+
+    def test_alpha_whose_square_overflows_refused(self):
+        f = CholFactor(np.eye(2), np.ones(2))
+        assert SgdgParams(np.zeros(2), np.array([MAX_ABS_ALPHA, -MAX_ABS_ALPHA]), f, Graph(2)).k == 2
+        for alpha in (1e200, -np.nextafter(MAX_ABS_ALPHA, np.inf), np.inf, np.nan):
+            with pytest.raises(InvalidDomain, match="alpha"):
+                SgdgParams(np.zeros(2), np.array([alpha, 0.5]), f, Graph(2))
+        # delta 1e200 with omega^2 1 is alpha 1e200, whose kappa^2 = 1 / (1 + alpha^2) would round to 0
+        r = ReparamParams(np.zeros(2), np.array([1e200, 0.5]), np.ones(2), np.eye(2), Graph(2))
+        with pytest.raises(InvalidDomain, match="alpha"):
+            reparam_inverse(r)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

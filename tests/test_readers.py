@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sgdg.cli import InvalidParams, ParseError, _load_trace, build_prior, load_graph, main, parse_hyper, read_dataset
-from sgdg.graph import Graph
+from sgdg.graph import MAX_VERTICES, Graph
 from sgdg.inference import PRIORS, NoninformativePrior, Trace, run_chain
 
 EXAMPLES = settings(max_examples=100, derandomize=True, deadline=None,
@@ -69,10 +69,11 @@ def test_read_dataset_returns_finite_matrix_or_parse_error(work, text):
 # ---------------------------------------------------------------------------
 # graph JSON
 
-# k stays at or below 40: Graph.__init__ allocates one adjacency set per vertex, so a
-# file with "k": 1e9 would ask for about 10^9 sets before any check could refuse it
+# an accepted k stays at or below 40, so that each example stays cheap; larger ones are
+# drawn only above the reader's vertex cap, which refuses them before allocating anything
 graph_k = st.one_of(st.integers(-3, 40), st.floats(-3.0, 40.0), special_floats, json_scalars.filter(
-    lambda v: not isinstance(v, (int, float)) or isinstance(v, bool)))
+    lambda v: not isinstance(v, (int, float)) or isinstance(v, bool)),
+    st.sampled_from([MAX_VERTICES + 1, 10**9, 1e9, 10**400]))
 graph_edges = st.lists(st.one_of(st.lists(numbers, min_size=0, max_size=3), json_scalars), max_size=6)
 graph_texts = st.one_of(
     st.fixed_dictionaries({"k": graph_k, "edges": graph_edges}).map(json.dumps),
@@ -153,7 +154,7 @@ def test_custom_truth_exits_0_or_3_with_one_record(work, truth):
         assert np.all(np.isfinite(read_dataset(out / "data.csv")[0]))
     else:
         assert code == 3 and err.count("\n") == 1
-        assert json.loads(err)["error"] in ("InvalidParams", "NotPositiveDefinite")
+        assert json.loads(err)["error"] in ("InvalidParams", "InvalidDomain", "NotPositiveDefinite")
         assert not out.exists()
 
 
