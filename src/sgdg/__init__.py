@@ -10,7 +10,6 @@ the general closed-skew-normal layer, live in `tests/oracles.py`.
 from .csn import sample_truncated_normal
 from .evidence import EvidenceEstimate, NotConverged, bayes_factor, estimate_log_marginal
 from .graph import (
-    EliminationOrdering,
     Graph,
     NotDecomposable,
     perfect_elimination_ordering,
@@ -29,7 +28,6 @@ from .inference import (
     summarize,
 )
 from .linalg import (
-    CholFactor,
     NotPositiveDefinite,
     modified_cholesky,
     solve_unit_triangular,

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .evidence import NotConverged, estimate_log_marginal
-from .graph import EliminationOrdering, Graph, NotDecomposable, perfect_elimination_ordering, verify_ordering
+from .graph import Graph, NotDecomposable, perfect_elimination_ordering, verify_ordering
 from .inference import (
     PRIORS,
     DimensionMismatch,
@@ -212,11 +212,11 @@ def cmd_check_graph(args):
     except NotDecomposable:
         report["decomposable"] = False
     else:
-        identity_ok = verify_ordering(g, EliminationOrdering.identity(g.k))
+        identity_ok = verify_ordering(g)
         fwd_graph = g if identity_ok else g.relabel(ordering)
         report.update(
             {
-                "elimination_ordering": [v + 1 for v in ordering.perm],
+                "elimination_ordering": [v + 1 for v in ordering],
                 "labels_are_elimination_ordering": identity_ok,
                 "forward_neighbor_counts": [fwd_graph.forward_degree(i) for i in range(g.k)],
                 "min_n_noninformative": min_n_noninformative(fwd_graph),

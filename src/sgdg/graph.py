@@ -6,7 +6,6 @@ from JSON has at most `MAX_VERTICES` vertices.
 """
 
 import json
-from dataclasses import dataclass
 from itertools import combinations
 
 
@@ -57,9 +56,11 @@ class Graph:
     def forward_degree(self, i):
         return sum(1 for j in self._adj[i] if j > i)
 
-    def relabel(self, ordering):
-        """Rename the vertex at position p of `ordering` to p."""
-        pos = ordering.position_of()
+    def relabel(self, perm):
+        """Rename vertex perm[p] to p; perm must be a permutation of 0..k-1."""
+        if sorted(perm) != list(range(self.k)):
+            raise ValueError("perm is not a permutation of 0..k-1")
+        pos = {v: p for p, v in enumerate(perm)}
         return Graph(self.k, [(pos[a], pos[b]) for a, b in self.edges])
 
     def sorted_edges(self):
@@ -96,28 +97,6 @@ class Graph:
             return cls.from_json_dict(json.load(fh))
 
 
-@dataclass(frozen=True)
-class EliminationOrdering:
-    """Bijection from elimination positions 0..k-1 to vertices."""
-
-    perm: tuple
-
-    def __post_init__(self):
-        if sorted(self.perm) != list(range(len(self.perm))):
-            raise ValueError("perm is not a permutation of 0..k-1")
-
-    @classmethod
-    def identity(cls, k):
-        return cls(tuple(range(k)))
-
-    def position_of(self):
-        """Inverse map: position_of()[v] is the elimination slot of vertex v."""
-        pos = [0] * len(self.perm)
-        for p, v in enumerate(self.perm):
-            pos[v] = p
-        return tuple(pos)
-
-
 def _mcs_ordering(g):
     """Maximum cardinality search; first-visited vertex takes the last slot.
 
@@ -136,20 +115,18 @@ def _mcs_ordering(g):
         for u in g.neighbors(best):
             if not visited[u]:
                 weight[u] += 1
-    return EliminationOrdering(tuple(perm))
+    return tuple(perm)
 
 
-def verify_ordering(g, ordering):
-    """True iff `ordering` is a perfect vertex elimination scheme for g.
+def verify_ordering(g):
+    """True iff g's labels 0..k-1 are a perfect vertex elimination scheme.
 
-    Checks, on the relabeled graph, that the later-eliminated neighbors of
-    each vertex are mutually adjacent (zero fill-in condition).
+    Checks that the later-eliminated neighbors of each vertex are mutually
+    adjacent (zero fill-in condition).
     """
-    relabeled = g.relabel(ordering)
-    for i in range(relabeled.k):
-        fwd = relabeled.forward_neighbors(i)
-        for a, b in combinations(fwd, 2):
-            if not relabeled.has_edge(a, b):
+    for i in range(g.k):
+        for a, b in combinations(g.forward_neighbors(i), 2):
+            if not g.has_edge(a, b):
                 return False
     return True
 
@@ -157,9 +134,11 @@ def verify_ordering(g, ordering):
 def perfect_elimination_ordering(g):
     """A deterministic perfect elimination ordering of a decomposable graph.
 
-    Raises NotDecomposable when g is not chordal.
+    Returns the tuple perm of vertices in elimination order, so that
+    `g.relabel(perm)` has labels that form the ordering. Raises
+    NotDecomposable when g is not chordal.
     """
-    ordering = _mcs_ordering(g)
-    if not verify_ordering(g, ordering):
+    perm = _mcs_ordering(g)
+    if not verify_ordering(g.relabel(perm)):
         raise NotDecomposable("graph has a chordless cycle of length >= 4")
-    return ordering
+    return perm

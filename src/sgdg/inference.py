@@ -25,7 +25,7 @@ import numpy as np
 
 from . import model as _model
 from .csn import sample_truncated_normal
-from .graph import EliminationOrdering, Graph, NotDecomposable, verify_ordering
+from .graph import Graph, NotDecomposable, verify_ordering
 from .linalg import modified_cholesky
 
 SWEEP_ORDER = ("u", "delta", "mu", "omega2", "L")
@@ -146,16 +146,28 @@ def min_n_noninformative(g):
     return max(g.forward_degree(i) for i in range(g.k)) + 2
 
 
+def _scaled_by_power_of_two(x):
+    """(x 2^-e, e) with e such that each column of x 2^-e has its largest magnitude in [1/2, 1).
+
+    The scaling is exact, so statistics that scale with x come out as on x
+    itself, but no square of an entry can overflow. A 1-d x is one column.
+    """
+    e = np.frexp(np.abs(x).max(axis=0))[1]
+    return np.ldexp(x, -e), e
+
+
 def _general_position_failure(data, g):
     """Why the n x k data are not in general position on g, or None if they are.
 
     Clique i is vertex i with its forward neighbors. Its centred columns,
     each scaled to unit norm so that the test does not depend on the units of
     the data, must have full column rank, where a singular value at or below
-    eps * n counts as zero.
+    eps * n counts as zero. The columns are scaled by powers of two first,
+    which leaves every verdict as on the raw data but keeps the norms finite.
     """
     n = data.shape[0]
     eps_n = np.finfo(float).eps * n
+    data, _ = _scaled_by_power_of_two(data)
     centred = data - data.mean(axis=0)
     constant = np.flatnonzero(
         np.linalg.norm(centred, axis=0) <= eps_n * np.abs(data).max(axis=0)) + 1
@@ -163,7 +175,7 @@ def _general_position_failure(data, g):
         return f"column(s) {constant.tolist()} are constant"
     deficient = []
     for i in range(g.k):
-        clique = [i] + sorted(j for j in g.neighbors(i) if j > i)
+        clique = [i] + g.forward_neighbors(i)
         if len(clique) > 1:
             cols = centred[:, clique]
             if np.linalg.svd(cols / np.linalg.norm(cols, axis=0), compute_uv=False)[-1] <= eps_n:
@@ -324,7 +336,8 @@ def gibbs_update_mu(state, data, resolved, rng, fix_delta_zero=False):
     try:
         return _gaussian_draw(prec, h, rng.standard_normal(h.shape[0]))
     except np.linalg.LinAlgError as exc:
-        raise NumericalFailure("mu block: conditional precision is not positive definite") from exc
+        raise NumericalFailure("mu block: conditional precision is not positive definite "
+                               f"(smallest eigenvalue {np.linalg.eigvalsh(prec)[0]:.6g})") from exc
 
 
 def _gaussian_draw(prec, h, z):
@@ -450,7 +463,8 @@ def gibbs_update_L(state, y0, groups, resolved, rng, fix_delta_zero=False):
                     _gaussian_draw(prec[g], h[g], zg[g])
                 except np.linalg.LinAlgError:
                     raise NumericalFailure(
-                        f"L block, row {row + 1}: conditional precision is not positive definite"
+                        f"L block, row {row + 1}: conditional precision is not positive definite "
+                        f"(smallest eigenvalue {np.linalg.eigvalsh(prec[g])[0]:.6g})"
                     ) from exc
             raise
     return new_l
@@ -621,12 +635,11 @@ def _initial_state(data, graph, rng):
         raise NumericalFailure("start state: the sample covariance of the data is not finite")
     q = np.linalg.inv(cov)
     # inv(cov) is symmetric only to rounding; the factor reads its lower triangle
-    factor = modified_cholesky(np.tril(q) + np.tril(q, -1).T)
+    full_l, omega2 = modified_cholesky(np.tril(q) + np.tril(q, -1).T)
     L = np.eye(k)
     for a, b in graph.edges:
         i, j = min(a, b), max(a, b)
-        L[i, j] = factor.L[i, j]
-    omega2 = factor.D.copy()
+        L[i, j] = full_l[i, j]
     u = np.abs(rng.standard_normal((n, k)))
     return GibbsState(mu=mu, delta=np.zeros(k), omega2=omega2, L=L, u=u)
 
@@ -651,7 +664,7 @@ def run_chain(data, graph, prior, iters, burn_in=None, thin=10, *, seed,
     n, k = data.shape
     if k != graph.k:
         raise DimensionMismatch(f"data has {k} columns but the graph has {graph.k} vertices")
-    if not verify_ordering(graph, EliminationOrdering.identity(k)):
+    if not verify_ordering(graph):
         raise NotDecomposable(
             "graph labels are not a perfect elimination ordering; relabel the "
             "graph (and data columns) with graph.relabel(perfect_elimination_ordering(g))"
@@ -713,6 +726,7 @@ def effective_sample_size(x):
     n = x.shape[0]
     if n < 4:
         return float(n)
+    x, _ = _scaled_by_power_of_two(x)
     var = x.var()
     if var == 0:
         return float(n)
@@ -747,11 +761,12 @@ def summarize(trace):
     rows = []
     for name, x in _param_columns(trace):
         q = np.quantile(x, [0.025, 0.5, 0.975])
+        scaled, e = _scaled_by_power_of_two(x)
         rows.append(
             {
                 "param": name,
                 "mean": float(x.mean()),
-                "sd": float(x.std(ddof=1)) if len(x) > 1 else 0.0,
+                "sd": float(np.ldexp(scaled.std(ddof=1), e)) if len(x) > 1 else 0.0,
                 "q2.5": float(q[0]),
                 "q50": float(q[1]),
                 "q97.5": float(q[2]),

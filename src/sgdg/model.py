@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import log_ndtr, wofz
 
-from .linalg import CholFactor, solve_unit_triangular
+from .linalg import solve_unit_triangular
 
 LOG_2_OVER_PI = np.log(2.0 / np.pi)
 
@@ -28,8 +28,12 @@ class InvalidDomain(ValueError):
 MAX_ABS_ALPHA = np.sqrt(np.finfo(float).max)  # the largest |alpha| whose 1 + alpha^2 is finite
 
 
-def _check_pattern(L, graph):
-    """Refuse an L with an entry above 1e-12 in magnitude off the graph's edges."""
+def _check_factor(L, graph):
+    """Refuse an L that is not k x k unit upper triangular (ValueError) or that has an entry
+    above 1e-12 in magnitude off the graph's edges (InvalidDomain)."""
+    k = graph.k
+    if L.shape != (k, k) or not np.array_equal(np.tril(L), np.eye(k)):
+        raise ValueError("L must be a k x k unit upper-triangular matrix")
     off = np.abs(np.triu(L, 1)) > 1e-12
     off[tuple(np.array(list(graph.edges), dtype=int).reshape(-1, 2).T)] = False
     if off.any():
@@ -44,31 +48,33 @@ def _check_alpha(alpha):
 
 @dataclass(frozen=True)
 class SgdgParams:
-    """Model state (mu, alpha, factor=(L, D_kappa)) on a graph."""
+    """Model state (mu, alpha, L, kappa^2) on a graph, with Q = L' diag(kappa^2) L."""
 
     mu: np.ndarray
     alpha: np.ndarray
-    factor: CholFactor
+    L: np.ndarray
+    kappa2: np.ndarray
     graph: object
 
     def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=float)
-        alpha = np.asarray(self.alpha, dtype=float)
+        mu, alpha, L, kappa2 = (np.asarray(a, dtype=float) for a in (self.mu, self.alpha, self.L, self.kappa2))
         k = self.graph.k
-        if mu.shape != (k,) or alpha.shape != (k,) or self.factor.k != k:
+        if mu.shape != (k,) or alpha.shape != (k,) or kappa2.shape != (k,):
             raise ValueError("parameter dimensions do not match the graph")
         _check_alpha(alpha)
-        _check_pattern(self.factor.L, self.graph)
+        if not np.all(kappa2 > 0):
+            i = int(np.argmin(kappa2 > 0))  # the first entry that is not positive
+            raise InvalidDomain(f"kappa^2 = omega^2 / (1 + alpha^2) must be positive, "
+                                f"but entry {i + 1} is {float(kappa2[i])!r} (alpha {float(alpha[i])!r})")
+        _check_factor(L, self.graph)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "L", L)
+        object.__setattr__(self, "kappa2", kappa2)
 
     @property
     def k(self):
         return self.graph.k
-
-    @property
-    def kappa2(self):
-        return self.factor.D
 
 
 @dataclass(frozen=True)
@@ -98,9 +104,7 @@ class ReparamParams:
             raise InvalidDomain("mu, delta, omega^2 and L must be finite")
         if np.any(omega2 <= 0):
             raise InvalidDomain("omega^2 entries must be positive")
-        if L.shape != (k, k) or not np.array_equal(np.tril(L), np.eye(k)):
-            raise ValueError("L must be a k x k unit upper-triangular matrix")
-        _check_pattern(L, self.graph)
+        _check_factor(L, self.graph)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "omega2", omega2)
@@ -114,10 +118,10 @@ def alpha_kappa2(delta, omega2):
 
 
 def reparam_inverse(r):
-    """Map (mu, delta, omega^2, L) back to (mu, alpha, L, D_kappa)."""
+    """Map (mu, delta, omega^2, L) back to (mu, alpha, L, kappa^2)."""
     _check_alpha(r.delta * np.sqrt(r.omega2))  # before 1 + alpha^2 can overflow kappa^2 to zero
     alpha, kappa2 = alpha_kappa2(r.delta, r.omega2)
-    return SgdgParams(r.mu, alpha, CholFactor(r.L, kappa2), r.graph)
+    return SgdgParams(r.mu, alpha, r.L, kappa2, r.graph)
 
 
 def log_density(mu, alpha, L, kappa2, x):
@@ -131,7 +135,7 @@ def log_density(mu, alpha, L, kappa2, x):
 def sgdg_log_density(p, x):
     """Log density at x (length-k vector) or at each row of a (m, k) array."""
     x = np.asarray(x, dtype=float)
-    out = log_density(p.mu, p.alpha, p.factor.L, p.factor.D, x)
+    out = log_density(p.mu, p.alpha, p.L, p.kappa2, x)
     return float(out[0]) if x.ndim == 1 else out
 
 
@@ -150,7 +154,7 @@ def sample_sgdg(p, rng, n_draws):
     z1 = np.abs(rng.standard_normal((n_draws, p.k)))
     z2 = rng.standard_normal((n_draws, p.k))
     w = z1 * c_skew + z2 * c_gauss
-    return p.mu + solve_unit_triangular(p.factor.L, w.T).T
+    return p.mu + solve_unit_triangular(p.L, w.T).T
 
 
 def loadings(p):
@@ -160,7 +164,7 @@ def loadings(p):
     `sample_sgdg`; B is zero when alpha is.
     """
     c_skew, c_gauss = _latent_scales(p)
-    a = solve_unit_triangular(p.factor.L, np.eye(p.k))
+    a = solve_unit_triangular(p.L, np.eye(p.k))
     return a * c_skew, a * c_gauss
 
 

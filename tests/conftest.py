@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from sgdg.graph import Graph, NotDecomposable, perfect_elimination_ordering
-from sgdg.linalg import CholFactor
 
 
 def has_chordless_cycle(g):
@@ -64,14 +63,14 @@ def random_decomposable_graph(rng, k, relabeled=True):
 
 
 def random_pattern_factor(rng, g, lo=0.15, hi=1.2):
-    """Generic factor on the graph pattern; entries bounded away from zero."""
+    """Generic factor (L, D) on the graph pattern; entries bounded away from zero."""
     k = g.k
     L = np.eye(k)
     for a, b in g.edges:
         i, j = min(a, b), max(a, b)
         L[i, j] = rng.choice([-1.0, 1.0]) * rng.uniform(lo, hi)
     D = rng.uniform(0.4, 2.5, size=k)
-    return CholFactor(L, D)
+    return L, D
 
 
 def dense_ldl_oracle(q):

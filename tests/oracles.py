@@ -194,9 +194,9 @@ def sample_csn(p, rng, n_draws):
 def to_csn(p):
     """The CSN parameterization (mu, Q^-1, D_alpha L, 0, D_kappa^-1) of SGDG parameters p."""
     k = p.k
-    l_inv = solve_unit_triangular(p.factor.L, np.eye(k))
+    l_inv = solve_unit_triangular(p.L, np.eye(k))
     sigma = l_inv @ np.diag(1.0 / p.kappa2) @ l_inv.T
-    gamma = p.alpha[:, np.newaxis] * p.factor.L
+    gamma = p.alpha[:, np.newaxis] * p.L
     return CsnParams(p.mu, sigma, gamma, np.zeros(k), np.diag(1.0 / p.kappa2))
 
 
@@ -254,28 +254,29 @@ def separates(g, i, j):
     return True
 
 
-def assemble_precision(f):
-    """Return Q = L' diag(D) L for a factor; SPD by construction."""
-    return f.L.T @ (f.D[:, np.newaxis] * f.L)
+def assemble_precision(L, D):
+    """Return Q = L' diag(D) L for a factor (L, D); SPD by construction."""
+    return L.T @ (D[:, np.newaxis] * L)
 
 
-def verify_pattern(f, g):
+def verify_pattern(L, g):
     """True iff the off-diagonal support of L equals the edge set of g.
 
     Both directions are checked: entries off the edge set must vanish (within
     1e-12) and entries on edges must not. Generic inputs make accidental
     zeros on edges measure-zero events.
     """
-    if f.k != g.k:
+    k = L.shape[0]
+    if k != g.k:
         return False
-    support = {(i, j) for i in range(f.k) for j in range(i + 1, f.k) if abs(f.L[i, j]) > 1e-12}
+    support = {(i, j) for i in range(k) for j in range(i + 1, k) if abs(L[i, j]) > 1e-12}
     return support == set(g.edges)
 
 
 def reparam_forward(p):
-    """Map (mu, alpha, L, D_kappa) to (mu, delta, omega^2, L)."""
+    """Map (mu, alpha, L, kappa^2) to (mu, delta, omega^2, L)."""
     kappa = np.sqrt(p.kappa2)
     root = np.sqrt(1.0 + p.alpha**2)
     delta = p.alpha / (kappa * root)
     omega2 = p.kappa2 * (1.0 + p.alpha**2)
-    return ReparamParams(p.mu, delta, omega2, p.factor.L, p.graph)
+    return ReparamParams(p.mu, delta, omega2, p.L, p.graph)

@@ -107,11 +107,11 @@ def test_criterion_01_gaussian_reduction():
     for _ in range(100):
         k = int(rng.integers(2, 7))
         g = random_decomposable_graph(rng, k)
-        f = random_pattern_factor(rng, g)
+        L, D = random_pattern_factor(rng, g)
         mu = rng.standard_normal(k)
-        p = SgdgParams(mu, np.zeros(k), f, g)
+        p = SgdgParams(mu, np.zeros(k), L, D, g)
         x = mu + rng.standard_normal((5, k)) * 2.0
-        ref = multivariate_normal(mean=mu, cov=np.linalg.inv(assemble_precision(f))).logpdf(x)
+        ref = multivariate_normal(mean=mu, cov=np.linalg.inv(assemble_precision(L, D))).logpdf(x)
         worst = max(worst, np.abs(sgdg_log_density(p, x) - ref).max())
     assert worst < 1e-10
     record(1, f"zero-skew density equals the Gaussian one (max dev {worst:.2e})")
@@ -124,9 +124,7 @@ def test_criterion_02_density_normalization():
     L[0, 1] = -0.5
     worst = 0.0
     for alpha in (2.0, 4.0):
-        from sgdg.linalg import CholFactor
-
-        p = SgdgParams(np.zeros(2), np.full(2, alpha), CholFactor(L, np.ones(2)), g)
+        p = SgdgParams(np.zeros(2), np.full(2, alpha), L, np.ones(2), g)
         m, sd = mean_vector(p), np.sqrt(np.diag(covariance_matrix(p)))
         g1, w1 = gauss_legendre_grid(m[0] - 8 * sd[0], m[0] + 8 * sd[0], 200)
         g2, w2 = gauss_legendre_grid(m[1] - 8 * sd[1], m[1] + 8 * sd[1], 200)
@@ -144,11 +142,10 @@ def test_criterion_03_pattern_preservation():
     worst = 0.0
     for _ in range(100):
         g = random_decomposable_graph(rng, int(rng.integers(2, 9)))
-        f = random_pattern_factor(rng, g)
-        q = assemble_precision(f)
-        back = modified_cholesky(q)
-        assert verify_pattern(back, g)
-        rebuilt = assemble_precision(back)
+        q = assemble_precision(*random_pattern_factor(rng, g))
+        back_l, back_d = modified_cholesky(q)
+        assert verify_pattern(back_l, g)
+        rebuilt = assemble_precision(back_l, back_d)
         worst = max(worst, np.linalg.norm(q - rebuilt) / np.linalg.norm(q))
     assert worst < 1e-10
     record(3, f"100 random factors round-trip with pattern intact (max rel err {worst:.2e})")
@@ -192,12 +189,10 @@ def test_criterion_04_chordality_oracle_agreement():
 
 def test_criterion_05_conditional_independence_checks():
     start = time.time()
-    from sgdg.linalg import CholFactor
-
     L = np.eye(3)
     L[0, 1], L[1, 2] = -0.6, 0.45
     p = SgdgParams(
-        np.zeros(3), np.array([1.7, -2.3, 1.1]), CholFactor(L, np.array([1.0, 1.4, 0.8])),
+        np.zeros(3), np.array([1.7, -2.3, 1.1]), L, np.array([1.0, 1.4, 0.8]),
         chain_graph(3),
     )
     assert ci_factorization_check(p, 0, 2, tol=1e-6)
@@ -209,11 +204,9 @@ def test_criterion_05_conditional_independence_checks():
 
 def test_criterion_06_moment_formulas():
     rng = np.random.default_rng(1006)
-    from sgdg.linalg import CholFactor
-
     L = np.eye(3)
     L[0, 1] = L[1, 2] = -0.5
-    p = SgdgParams(np.zeros(3), np.full(3, 2.0), CholFactor(L, np.ones(3)), chain_graph(3))
+    p = SgdgParams(np.zeros(3), np.full(3, 2.0), L, np.ones(3), chain_graph(3))
     n = 10**6
     x = sample_sgdg(p, rng, n)
     mean, cov = mean_vector(p), covariance_matrix(p)

@@ -56,6 +56,21 @@ def test_readme_library_snippet_runs():
     assert np.isfinite(bayes_factor(trace, baseline))
 
 
+def test_readme_parameter_snippet_runs():
+    from sgdg import Graph, SgdgParams, perfect_elimination_ordering, sample_sgdg, sgdg_log_density
+
+    star = Graph(3, [(0, 1), (0, 2)])
+    perm = perfect_elimination_ordering(star)
+    assert perm == (1, 0, 2)
+    g = star.relabel(perm)
+    assert g == Graph(3, [(0, 1), (1, 2)])
+    L = np.eye(3)
+    L[0, 1], L[1, 2] = -0.5, 0.4
+    p = SgdgParams(mu=np.zeros(3), alpha=np.array([2.0, 0.0, -1.0]), L=L, kappa2=np.ones(3), graph=g)
+    x = sample_sgdg(p, np.random.default_rng(1), 5)
+    assert x.shape == (5, 3) and np.all(np.isfinite(sgdg_log_density(p, x)))
+
+
 def test_oracles_are_not_package_api():
     for module in (sgdg, sgdg.csn, sgdg.graph, sgdg.linalg, sgdg.model):
         present = [name for name in ORACLE_NAMES if hasattr(module, name)]

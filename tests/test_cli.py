@@ -1,3 +1,4 @@
+import csv
 import importlib
 import json
 import os
@@ -5,6 +6,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +110,19 @@ class TestSimulate:
         record = error_record(capsys)
         assert record["error"] == "InvalidDomain"
         assert "alpha" in record["message"]
+        assert not out.exists()
+
+    def test_kappa2_that_underflows_refused(self, tmp_path, capsys):
+        # alpha = 1e170 sqrt(1e-40) = 1e150 is in range, but kappa^2 = 1e-40 / (1 + 1e300) rounds to 0
+        truth = tmp_path / "truth.json"
+        truth.write_text(json.dumps({"graph": {"k": 1, "edges": []}, "mu": [0.0], "delta": [1e170],
+                                     "omega2": [1e-40], "L": []}))
+        out = tmp_path / "o"
+        assert run_cli("simulate", "--case", "custom", "--truth", truth, "--seed", "1", "--out", out) == 3
+        record = error_record(capsys)
+        assert record["error"] == "InvalidDomain"
+        assert "kappa^2 = omega^2 / (1 + alpha^2)" in record["message"]
+        assert "entry 1 is 0.0" in record["message"]
         assert not out.exists()
 
     def test_case_c_middle_column_symmetric(self, tmp_path):
@@ -313,7 +328,8 @@ class TestFit:
         assert err.count("\n") == 1 and "Traceback" not in err
         record = json.loads(err)
         assert record["error"] == "NumericalFailure"
-        assert re.match(r"sweep [0-9]+, mu block: ", record["message"]), record["message"]
+        assert re.match(r"sweep [0-9]+, mu block: .*\(smallest eigenvalue \S+\)$",
+                        record["message"]), record["message"]
 
     def test_constant_columns_refused_under_noninfo(self, tmp_path, capsys):
         # the noninformative prior's posterior needs data in general position
@@ -441,6 +457,19 @@ class TestFit:
         assert record["message"] == "--hyper b2 is given more than once"
         assert not out.exists()
 
+    def test_huge_omega2_draws_summarized_finite(self, sim_dir, tmp_path, capsys):
+        # a gamma rate of 1e300 puts omega^2 near 1e301, whose squares overflow
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("fit", "--data", sim_dir / "data.csv", "--graph", sim_dir / "graph.json",
+                           "--prior", "proper", "--hyper", "b3=1e300",
+                           "--iters", 200, "--seed", 1, "--out", out) == 0
+        assert capsys.readouterr().err == ""
+        rows = {row["param"]: row for row in csv.DictReader((out / "summary.csv").open())}
+        assert float(rows["omega2_1"]["mean"]) > 1e290
+        assert all(np.isfinite(float(row["sd"])) and np.isfinite(float(row["ess"])) for row in rows.values())
+
     def _fitted(self, out, col):
         return np.loadtxt(out / f"fitted_{col}.csv", delimiter=",", skiprows=1, unpack=True)
 
@@ -450,7 +479,7 @@ class TestFit:
                        "--prior", "noninfo", "--iters", 400, "--burnin", 100, "--fix-delta-zero",
                        "--seed", 5, "--out", out) == 0
         p = _posterior_mean_params(Trace.load(out / "trace.ndjson"))
-        L = p.factor.L
+        L = p.L
         cov = np.linalg.inv(L.T @ np.diag(p.kappa2) @ L)  # alpha = 0: N(mu, (L' D_kappa L)^-1)
         for j, col in enumerate(("x1", "x2", "x3")):
             grid, dens = self._fitted(out, col)

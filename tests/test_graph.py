@@ -4,7 +4,6 @@ import pytest
 
 from sgdg.graph import (
     MAX_VERTICES,
-    EliminationOrdering,
     Graph,
     NotDecomposable,
     perfect_elimination_ordering,
@@ -41,6 +40,13 @@ class TestGraphBasics:
         assert sum(g.forward_degree(i) for i in range(5)) == len(g.edges)
         assert g.forward_degree(4) == 0
 
+    def test_relabel_needs_a_permutation_of_the_vertices(self):
+        g = Graph(3, [(0, 1), (0, 2)])
+        assert g.relabel((1, 2, 0)) == Graph(3, [(2, 0), (2, 1)])  # vertex perm[p] becomes p
+        for perm in ((0, 1), (0, 1, 2, 3), (0, 0, 1), (1, 2, 3)):
+            with pytest.raises(ValueError, match="not a permutation"):
+                g.relabel(perm)
+
     def test_json_round_trip(self, tmp_path):
         g = Graph(4, [(0, 2), (1, 3)])
         path = tmp_path / "g.json"
@@ -73,7 +79,7 @@ class TestIsDecomposable:
 
     def test_single_vertex(self):
         assert not ordering_refused(Graph(1))
-        assert perfect_elimination_ordering(Graph(1)).perm == (0,)
+        assert perfect_elimination_ordering(Graph(1)) == (0,)
 
     def test_agrees_with_brute_force_oracle(self, rng):
         for _ in range(300):
@@ -85,19 +91,19 @@ class TestPerfectEliminationOrdering:
     def test_chain_returns_identity(self):
         g = chain_graph(3)
         ordering = perfect_elimination_ordering(g)
-        assert verify_ordering(g, EliminationOrdering.identity(3))
-        assert ordering.perm == (0, 1, 2)
+        assert verify_ordering(g)
+        assert ordering == (0, 1, 2)
 
     def test_complete_graph_returns_lexicographically_smallest(self):
-        assert perfect_elimination_ordering(K4).perm == (0, 1, 2, 3)
+        assert perfect_elimination_ordering(K4) == (0, 1, 2, 3)
 
     def test_star_output_is_in_brute_forced_valid_set(self):
         valid = {
             perm
             for perm in permutations(range(4))
-            if verify_ordering(STAR, EliminationOrdering(perm))
+            if verify_ordering(STAR.relabel(perm))
         }
-        assert perfect_elimination_ordering(STAR).perm in valid
+        assert perfect_elimination_ordering(STAR) in valid
 
     def test_nondecomposable_raises(self):
         with pytest.raises(NotDecomposable):
@@ -108,7 +114,7 @@ class TestPerfectEliminationOrdering:
             g = random_graph(rng, int(rng.integers(4, 9)))
             if not oracle_is_chordal(g):
                 continue
-            assert verify_ordering(g, perfect_elimination_ordering(g))
+            assert verify_ordering(g.relabel(perfect_elimination_ordering(g)))
 
     def test_relabel_idempotence(self, rng):
         for _ in range(60):
@@ -116,35 +122,34 @@ class TestPerfectEliminationOrdering:
             if not oracle_is_chordal(g):
                 continue
             relabeled = g.relabel(perfect_elimination_ordering(g))
-            assert perfect_elimination_ordering(relabeled).perm == tuple(range(g.k))
+            assert perfect_elimination_ordering(relabeled) == tuple(range(g.k))
 
 
 class TestVerifyOrdering:
     def test_chain_identity(self):
-        assert verify_ordering(chain_graph(3), EliminationOrdering.identity(3))
+        assert verify_ordering(chain_graph(3))
 
     def test_chain_middle_vertex_first_fails(self):
         # eliminating the middle vertex first requires its endpoints adjacent
-        assert not verify_ordering(chain_graph(3), EliminationOrdering((1, 0, 2)))
+        assert not verify_ordering(chain_graph(3).relabel((1, 0, 2)))
 
     def test_complete_graph_any_ordering(self):
         for perm in permutations(range(3)):
-            assert verify_ordering(TRIANGLE, EliminationOrdering(perm))
+            assert verify_ordering(TRIANGLE.relabel(perm))
 
     def test_matches_triple_enumeration(self, rng):
         # direct Definition-style check on the relabeled graph
         for _ in range(40):
             g = random_graph(rng, 5)
             perm = tuple(rng.permutation(5))
-            ordering = EliminationOrdering(perm)
-            rel = g.relabel(ordering)
+            rel = g.relabel(perm)
             expected = True
             for i in range(5):
                 for j in range(i + 1, 5):
                     for l in range(j + 1, 5):
                         if rel.has_edge(j, i) and rel.has_edge(l, i) and not rel.has_edge(l, j):
                             expected = False
-            assert verify_ordering(g, ordering) == expected
+            assert verify_ordering(rel) == expected
 
 
 class TestSeparates:

@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from copy import deepcopy
 from dataclasses import replace
 from types import SimpleNamespace
@@ -167,6 +168,20 @@ class TestProprietyGates:
         data[:, 1] = 1e-300 * data[:, 0]  # the same column in other units is not
         with pytest.raises(ProprietyViolation, match=re.escape("clique(s) [[1, 2]] are rank-deficient")):
             check_propriety(NoninformativePrior(b1=100.0), data, Graph(2, [(0, 1)]))
+
+    def test_general_position_of_data_near_the_top_of_the_float_range(self):
+        # the squares of entries near 1e160 overflow; the verdicts are those of the same data in small units
+        g = Graph(2, [(0, 1)])
+        data = np.random.default_rng(0).standard_normal((50, 2)) * [1.0, 1e160]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            check_propriety(NoninformativePrior(b1=100.0), data, g)
+            data[:, 1] = 1e160 * data[:, 0]
+            with pytest.raises(ProprietyViolation, match=re.escape("clique(s) [[1, 2]] are rank-deficient")):
+                check_propriety(NoninformativePrior(b1=100.0), data, g)
+            data[:, 1] = 1e300
+            with pytest.raises(ProprietyViolation, match=re.escape("column(s) [2] are constant")):
+                check_propriety(NoninformativePrior(b1=100.0), data, g)
 
     def test_min_n_noninformative_is_the_smallest_accepted_n(self, rng):
         prior = NoninformativePrior(b1=100.0)
@@ -350,8 +365,11 @@ class TestLRowGroups:
         # ascending forward degree, so row 2 (degree 2) fails before row 1 (degree 3)
         y0[:, 2] = 0.0
         resolved = resolve_hyperparams(NoninformativePrior(b1=1.0), 4)
-        with pytest.raises(inference.NumericalFailure, match="L block, row 2: "):
+        with pytest.raises(inference.NumericalFailure, match="L block, row 2: ") as info:
             gibbs_update_L(state, y0, l_row_groups(g), resolved, rng)
+        # row 2's precision is omega_2^2 times the gram of columns 3 and 4 of y0, which is singular
+        smallest = np.linalg.eigvalsh(state.omega2[1] * (y0.T @ y0)[np.ix_([2, 3], [2, 3])])[0]
+        assert str(info.value).endswith(f"(smallest eigenvalue {smallest:.6g})")
 
     def test_graph_lookups_once_per_chain(self, rng, monkeypatch):
         calls = []
@@ -369,8 +387,9 @@ class TestLRowGroups:
             calls.clear()
             run_chain(data, g, NoninformativePrior(b1=1.0), iters=iters, thin=1, seed=5)
             counts.append(len(calls))
-        # k to check the elimination ordering and k to build the row groups of L
-        assert counts == [2 * g.k, 2 * g.k]
+        # k to check the elimination ordering, k for the cliques of the noninformative
+        # general-position test and k to build the row groups of L
+        assert counts == [3 * g.k, 3 * g.k]
 
 
 class TestGaussianDraw:
@@ -416,8 +435,20 @@ class TestGaussianDraw:
         # without the check, h / p would be 0 / 0
         y0[:, 2] = 0.0
         resolved = resolve_hyperparams(NoninformativePrior(b1=1.0), 3)
-        with pytest.raises(NumericalFailure, match="L block, row 2: "):
+        with pytest.raises(NumericalFailure, match="L block, row 2: ") as info:
             gibbs_update_L(state, y0, l_row_groups(g), resolved, rng)
+        assert str(info.value).endswith("(smallest eigenvalue 0)")  # a 1 x 1 precision is its own eigenvalue
+
+    def test_indefinite_mu_precision_is_named(self, rng):
+        g = chain_graph(3)
+        state = random_state(rng, g, 12)
+        state.omega2[1] = -0.5  # under the noninformative prior the precision is n L' diag(omega^2) L
+        data = rng.standard_normal((12, 3))
+        resolved = resolve_hyperparams(NoninformativePrior(b1=1.0), 3)
+        _, prec = mu_conditional_params(state, data, resolved)
+        with pytest.raises(NumericalFailure, match="^mu block: ") as info:
+            gibbs_update_mu(state, data, resolved, rng)
+        assert str(info.value).endswith(f"(smallest eigenvalue {np.linalg.eigvalsh(prec)[0]:.6g})")
 
     def test_lapack_calls_per_sweep(self, rng, monkeypatch):
         calls = []

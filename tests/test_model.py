@@ -3,8 +3,8 @@ import pytest
 from scipy.stats import multivariate_normal, norm
 
 import sgdg.model
-from sgdg.graph import EliminationOrdering, Graph, verify_ordering
-from sgdg.linalg import CholFactor, modified_cholesky
+from sgdg.graph import Graph, verify_ordering
+from sgdg.linalg import modified_cholesky
 from sgdg.model import (
     _MAX_NODES,
     _T_CHUNK,
@@ -45,14 +45,14 @@ def chain_params(alpha=(2.0, 2.0, 2.0), l12=-0.5, l23=-0.5, kappa2=(1.0, 1.0, 1.
     L[0, 1] = l12
     L[1, 2] = l23
     mu = np.zeros(3) if mu is None else np.asarray(mu, float)
-    return SgdgParams(mu, np.asarray(alpha, float), CholFactor(L, np.asarray(kappa2, float)), g)
+    return SgdgParams(mu, np.asarray(alpha, float), L, np.asarray(kappa2, float), g)
 
 
 def figure_like_params(alpha):
     g = Graph(2, [(0, 1)])
     L = np.eye(2)
     L[0, 1] = -0.5
-    return SgdgParams(np.zeros(2), np.full(2, alpha), CholFactor(L, np.ones(2)), g)
+    return SgdgParams(np.zeros(2), np.full(2, alpha), L, np.ones(2), g)
 
 
 class TestParamsValidation:
@@ -61,11 +61,11 @@ class TestParamsValidation:
         L = np.eye(3)
         L[0, 2] = 0.4  # not an edge
         with pytest.raises(InvalidDomain):
-            SgdgParams(np.zeros(3), np.zeros(3), CholFactor(L, np.ones(3)), g)
+            SgdgParams(np.zeros(3), np.zeros(3), L, np.ones(3), g)
 
     def test_zero_entries_on_edges_allowed(self):
         p = chain_params(l12=0.0)
-        assert p.factor.L[0, 1] == 0.0
+        assert p.L[0, 1] == 0.0
 
     def test_pattern_check_matches_support_loop(self, rng):
         # both parameter classes refuse exactly the L whose entries above 1e-12 leave the edge set
@@ -75,7 +75,7 @@ class TestParamsValidation:
             k = g.k
             L = np.eye(k) + np.triu(rng.choice(values, size=(k, k)), 1)
             within = all(abs(L[i, j]) <= 1e-12 or g.has_edge(i, j) for i in range(k) for j in range(i + 1, k))
-            for build in (lambda: SgdgParams(np.zeros(k), np.zeros(k), CholFactor(L, np.ones(k)), g),
+            for build in (lambda: SgdgParams(np.zeros(k), np.zeros(k), L, np.ones(k), g),
                           lambda: ReparamParams(np.zeros(k), np.zeros(k), np.ones(k), L, g)):
                 if within:
                     build()
@@ -93,11 +93,11 @@ class TestParamsValidation:
             assert type(info.value) is ValueError
 
     def test_alpha_whose_square_overflows_refused(self):
-        f = CholFactor(np.eye(2), np.ones(2))
-        assert SgdgParams(np.zeros(2), np.array([MAX_ABS_ALPHA, -MAX_ABS_ALPHA]), f, Graph(2)).k == 2
+        L, kappa2 = np.eye(2), np.ones(2)
+        assert SgdgParams(np.zeros(2), np.array([MAX_ABS_ALPHA, -MAX_ABS_ALPHA]), L, kappa2, Graph(2)).k == 2
         for alpha in (1e200, -np.nextafter(MAX_ABS_ALPHA, np.inf), np.inf, np.nan):
             with pytest.raises(InvalidDomain, match="alpha"):
-                SgdgParams(np.zeros(2), np.array([alpha, 0.5]), f, Graph(2))
+                SgdgParams(np.zeros(2), np.array([alpha, 0.5]), L, kappa2, Graph(2))
         # delta 1e200 with omega^2 1 is alpha 1e200, whose kappa^2 = 1 / (1 + alpha^2) would round to 0
         r = ReparamParams(np.zeros(2), np.array([1e200, 0.5]), np.ones(2), np.eye(2), Graph(2))
         with pytest.raises(InvalidDomain, match="alpha"):
@@ -105,11 +105,29 @@ class TestParamsValidation:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            SgdgParams(np.zeros(2), np.zeros(3), CholFactor(np.eye(3), np.ones(3)), chain_graph(3))
+            SgdgParams(np.zeros(2), np.zeros(3), np.eye(3), np.ones(3), chain_graph(3))
 
     def test_identity_ordering_helper(self):
-        assert verify_ordering(chain_graph(4), EliminationOrdering.identity(4))
-        assert not verify_ordering(Graph(3, [(0, 1), (0, 2)]), EliminationOrdering.identity(3))
+        assert verify_ordering(chain_graph(4))
+        assert not verify_ordering(Graph(3, [(0, 1), (0, 2)]))
+
+
+class TestFactorInvariants:
+    """The factor (L, kappa^2) of `SgdgParams`: L unit upper triangular, kappa^2 positive."""
+
+    def test_requires_unit_diagonal(self):
+        with pytest.raises(ValueError):
+            SgdgParams(np.zeros(2), np.zeros(2), np.diag([2.0, 1.0]), np.ones(2), Graph(2, [(0, 1)]))
+
+    def test_requires_upper_triangular(self):
+        L = np.eye(2)
+        L[1, 0] = 0.3
+        with pytest.raises(ValueError):
+            SgdgParams(np.zeros(2), np.zeros(2), L, np.ones(2), Graph(2, [(0, 1)]))
+
+    def test_requires_positive_diagonal(self):
+        with pytest.raises(InvalidDomain):
+            SgdgParams(np.zeros(2), np.zeros(2), np.eye(2), np.array([1.0, 0.0]), Graph(2, [(0, 1)]))
 
 
 class TestLogDensity:
@@ -119,9 +137,9 @@ class TestLogDensity:
             g = random_decomposable_graph(rng, k)
             f = random_pattern_factor(rng, g)
             mu = rng.standard_normal(k)
-            p = SgdgParams(mu, np.zeros(k), f, g)
+            p = SgdgParams(mu, np.zeros(k), *f, g)
             x = rng.standard_normal((8, k)) * 1.5 + mu
-            q = assemble_precision(f)
+            q = assemble_precision(*f)
             ref = multivariate_normal(mean=mu, cov=np.linalg.inv(q)).logpdf(x)
             assert np.allclose(sgdg_log_density(p, x), ref, atol=1e-10)
 
@@ -189,14 +207,14 @@ class TestReparam:
         max_err = 0.0
         for _ in range(1000):
             f = random_pattern_factor(rng, g)
-            p = SgdgParams(rng.standard_normal(3), rng.standard_normal(3) * 3, f, g)
+            p = SgdgParams(rng.standard_normal(3), rng.standard_normal(3) * 3, *f, g)
             back = reparam_inverse(reparam_forward(p))
             max_err = max(
                 max_err,
                 np.abs(back.mu - p.mu).max(),
                 np.abs(back.alpha - p.alpha).max(),
-                np.abs(back.factor.L - p.factor.L).max(),
-                np.abs(back.factor.D - p.factor.D).max(),
+                np.abs(back.L - p.L).max(),
+                np.abs(back.kappa2 - p.kappa2).max(),
             )
         assert max_err < 1e-12
 
@@ -215,7 +233,7 @@ class TestSampler:
         p = chain_params(alpha=(0.0, 0.0, 0.0), kappa2=(1.0, 2.0, 0.5))
         n = 10**6
         x = sample_sgdg(p, rng, n)
-        q = assemble_precision(p.factor)
+        q = assemble_precision(p.L, p.kappa2)
         qhat = np.linalg.inv(np.cov(x, rowvar=False))
         assert np.abs(qhat - q).max() < 0.02 * np.abs(q).max()
 
@@ -249,7 +267,7 @@ class TestMoments:
     def test_zero_skew(self):
         p = chain_params(alpha=(0.0, 0.0, 0.0), kappa2=(1.0, 2.0, 0.5), mu=(1.0, 2.0, 3.0))
         assert np.allclose(mean_vector(p), p.mu)
-        q = assemble_precision(p.factor)
+        q = assemble_precision(p.L, p.kappa2)
         assert np.allclose(covariance_matrix(p), np.linalg.inv(q), atol=1e-12)
 
     def test_monte_carlo_agreement(self, rng):
@@ -324,7 +342,7 @@ class TestMarginalDensities:
     @pytest.mark.parametrize("alpha", [1e3, -1e3])
     def test_high_skew_matches_azzalini_within_the_chunk_bound(self, wofz_sizes, alpha):
         # k = 1 with b / s = alpha needs about 26 |alpha| frequency nodes, several chunks
-        p = SgdgParams(np.array([2.0]), np.array([alpha]), CholFactor(np.eye(1), np.array([0.5])), Graph(1))
+        p = SgdgParams(np.array([2.0]), np.array([alpha]), np.eye(1), np.array([0.5]), Graph(1))
         b = alpha / np.sqrt(0.5 * (1.0 + alpha**2))
         s = b / alpha
         omega = np.hypot(b, s)
@@ -339,7 +357,7 @@ class TestMarginalDensities:
     def test_nearly_noiseless_marginal_is_bounded_and_smoothed(self, wofz_sizes):
         # b / s = 1e150 (kappa^2 = 4, so b = 0.5): exact inversion would need about 1e152 nodes;
         # the work stops at _MAX_NODES and the result is the half-normal limit 2/b phi(x/b)
-        p = SgdgParams(np.zeros(1), np.array([1e150]), CholFactor(np.eye(1), np.array([4.0])), Graph(1))
+        p = SgdgParams(np.zeros(1), np.array([1e150]), np.eye(1), np.array([4.0]), Graph(1))
         x = np.linspace(-0.5, 2.5, 200)
         dens = marginal_densities(p, x[np.newaxis])[0]
         assert sum(wofz_sizes) <= _MAX_NODES
@@ -361,7 +379,7 @@ class TestFactorizationCheck:
     def test_complete_graph_generic_pair_does_not(self, rng):
         g = Graph(3, [(0, 1), (0, 2), (1, 2)])
         f = random_pattern_factor(rng, g)
-        p = SgdgParams(np.zeros(3), np.array([1.0, 0.5, -1.5]), f, g)
+        p = SgdgParams(np.zeros(3), np.array([1.0, 0.5, -1.5]), *f, g)
         assert not ci_factorization_check(p, 0, 2)
 
     def test_gaussian_case_with_missing_edge(self):
@@ -370,7 +388,7 @@ class TestFactorizationCheck:
 
     def test_dimension_guard(self, rng):
         g = random_decomposable_graph(rng, 5)
-        p = SgdgParams(np.zeros(5), np.zeros(5), random_pattern_factor(rng, g), g)
+        p = SgdgParams(np.zeros(5), np.zeros(5), *random_pattern_factor(rng, g), g)
         with pytest.raises(DimensionTooLarge):
             ci_factorization_check(p, 0, 2)
 
@@ -380,10 +398,10 @@ class TestFactorizationCheck:
         q = 4.0 * np.eye(4)
         for a, b in four_cycle.edges:
             q[a, b] = q[b, a] = rng.uniform(0.3, 0.8) * rng.choice([-1, 1])
-        f = modified_cholesky(q)
-        assert abs(f.L[0, 2]) < 1e-12  # separation zero survives despite fill-in
+        L, D = modified_cholesky(q)
+        assert abs(L[0, 2]) < 1e-12  # separation zero survives despite fill-in
         filled = Graph(4, list(four_cycle.edges) + [(1, 3)])
-        p = SgdgParams(np.zeros(4), np.array([1.0, -1.0, 0.8, 1.2]), f, filled)
+        p = SgdgParams(np.zeros(4), np.array([1.0, -1.0, 0.8, 1.2]), L, D, filled)
         assert separates(four_cycle, 0, 2)
         assert ci_factorization_check(p, 0, 2, nodes=120)
 
@@ -393,7 +411,7 @@ class TestFactorizationCheck:
             g = random_decomposable_graph(rng, int(rng.integers(3, 5)))
             f = random_pattern_factor(rng, g)
             alpha = rng.choice([-1.0, 1.0], size=g.k) * rng.uniform(0.8, 2.5, size=g.k)
-            p = SgdgParams(rng.standard_normal(g.k) * 0.3, alpha, f, g)
+            p = SgdgParams(rng.standard_normal(g.k) * 0.3, alpha, *f, g)
             for i in range(g.k):
                 for j in range(i + 1, g.k):
                     assert ci_factorization_check(p, i, j, nodes=120) == (not g.has_edge(i, j))

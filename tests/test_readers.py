@@ -154,7 +154,7 @@ def test_custom_truth_exits_0_or_3_with_one_record(work, truth):
         assert np.all(np.isfinite(read_dataset(out / "data.csv")[0]))
     else:
         assert code == 3 and err.count("\n") == 1
-        assert json.loads(err)["error"] in ("InvalidParams", "InvalidDomain", "NotPositiveDefinite")
+        assert json.loads(err)["error"] in ("InvalidParams", "InvalidDomain")
         assert not out.exists()
 
 
