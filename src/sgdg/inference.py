@@ -29,6 +29,7 @@ from .graph import Graph, NotDecomposable, verify_ordering
 from .linalg import modified_cholesky
 
 SWEEP_ORDER = ("u", "delta", "mu", "omega2", "L")
+TRACE_SCHEMA = 1  # the version of the trace file format that `run_chain` writes
 
 
 class ProprietyViolation(ValueError):
@@ -287,6 +288,39 @@ class GibbsState:
     u: np.ndarray
 
 
+@dataclass(frozen=True)
+class DataStats:
+    """What the Gaussian parts of a sweep read of the n x k data X, formed once per chain.
+
+    `total` and `xbar` are the column sums and means, r is a factor of the
+    centred scatter matrix, r'r = (X - xbar)'(X - xbar), from the QR
+    decomposition of X - xbar (r has min(n, k) rows), and `scatter` is r'r.
+    """
+
+    n: int
+    total: np.ndarray
+    xbar: np.ndarray
+    r: np.ndarray
+    scatter: np.ndarray
+
+    @classmethod
+    def of(cls, data):
+        n = data.shape[0]
+        total = data.sum(axis=0)
+        xbar = total / n
+        r = np.linalg.qr(data - xbar, mode="r")
+        return cls(n, total, xbar, r, r.T @ r)
+
+    def gram(self, mu):
+        """(X - mu)'(X - mu) = r'r + n d d' with d = xbar - mu."""
+        d = self.xbar - mu
+        return self.scatter + self.n * (d[:, np.newaxis] * d)
+
+    def sum_sq(self, mu, L):
+        """The sum over the rows x of (L_i (x - mu))^2 for each i: ||r L_i'||^2 + n (L_i d)^2."""
+        return ((self.r @ L.T) ** 2).sum(axis=0) + self.n * (L @ (self.xbar - mu)) ** 2
+
+
 def u_conditional_params(state, y):
     """Truncated-normal mean (n, k) and variance (k,) from the centred rows y = (X - mu) L'."""
     w = state.omega2 * state.delta
@@ -313,26 +347,27 @@ def gibbs_update_delta(state, y, b1, rng):
     return mean + np.sqrt(var) * rng.standard_normal(mean.shape)
 
 
-def mu_conditional_params(state, data, resolved, fix_delta_zero=False):
+def mu_conditional_params(state, stats, resolved, fix_delta_zero=False):
     """Precision-weighted mean h and precision matrix of the location block.
 
     The conditional is N(prec^-1 h, prec^-1); the draw solves for the mean.
     h = (Omega L)' (L sum(x) - delta o sum(u)) + v_mu mu0 is the same vector as
     L' Omega L (sum(x) - L^-1 (delta o sum(u))) + v_mu mu0, with no triangular solve.
-    With `fix_delta_zero` the u term is left out.
+    n and sum(x) come from the chain's `DataStats`. With `fix_delta_zero` the u
+    term is left out.
     """
-    n, k = data.shape
+    k = state.mu.shape[0]
     wl = state.omega2[:, np.newaxis] * state.L
-    prec = n * (state.L.T @ wl) + resolved.v_mu * np.eye(k)
-    resid = state.L @ data.sum(axis=0)
+    prec = stats.n * (state.L.T @ wl) + resolved.v_mu * np.eye(k)
+    resid = state.L @ stats.total
     if not fix_delta_zero:
         resid = resid - state.delta * state.u.sum(axis=0)
     h = wl.T @ resid + resolved.v_mu * resolved.mu0
     return h, prec
 
 
-def gibbs_update_mu(state, data, resolved, rng, fix_delta_zero=False):
-    h, prec = mu_conditional_params(state, data, resolved, fix_delta_zero)
+def gibbs_update_mu(state, stats, resolved, rng, fix_delta_zero=False):
+    h, prec = mu_conditional_params(state, stats, resolved, fix_delta_zero)
     try:
         return _gaussian_draw(prec, h, rng.standard_normal(h.shape[0]))
     except np.linalg.LinAlgError as exc:
@@ -359,27 +394,26 @@ def _gaussian_draw(prec, h, z):
     return np.linalg.solve(prec, (h + rz)[..., np.newaxis])[..., 0]
 
 
-def omega2_conditional_params(state, y, resolved, b1, fix_delta_zero=False):
+def omega2_conditional_params(state, sum_sq, n, resolved, b1, fix_delta_zero=False):
     """Gamma shape and rate vectors for the precision-scale block.
 
-    The rate uses the centred rows y = (X - mu) L' at the current mean with
-    the skew offset removed, plus the pattern-Wishart term L_i Psi L_i' / 2;
-    with `fix_delta_zero` (the Gaussian baseline) the skew offset, the extra
-    half unit of shape and the rate term of the delta prior drop out as well.
+    sum_sq[i] is the sum over the n rows of the squared residual of coordinate
+    i, the centred row L_i (x - mu) at the current mean less its skew offset
+    delta_i u_i; the rate adds the pattern-Wishart term L_i Psi L_i' / 2. With
+    `fix_delta_zero` (the Gaussian baseline) there is no skew offset, and the
+    extra half unit of shape and the rate term of the delta prior drop out as well.
     """
-    n = y.shape[0]
-    resid = y if fix_delta_zero else y - state.u * state.delta
     rate = resolved.r_omega
     if resolved.regime == "wishart":
         rate = rate + 0.5 * np.einsum("ij,jk,ik->i", state.L, resolved.Psi, state.L)
-    rate = rate + 0.5 * (resid**2).sum(axis=0)
+    rate = rate + 0.5 * sum_sq
     if fix_delta_zero:
         return resolved.s_omega + 0.5 * n, rate
     return resolved.s_omega + 0.5 * (n + 1), rate + state.delta**2 / (2.0 * b1)
 
 
-def gibbs_update_omega2(state, y, resolved, b1, rng, fix_delta_zero=False):
-    shape, rate = omega2_conditional_params(state, y, resolved, b1, fix_delta_zero)
+def gibbs_update_omega2(state, sum_sq, n, resolved, b1, rng, fix_delta_zero=False):
+    shape, rate = omega2_conditional_params(state, sum_sq, n, resolved, b1, fix_delta_zero)
     draw = rng.gamma(shape=shape, scale=1.0 / rate)
     if np.any(draw <= 0) or not np.all(np.isfinite(draw)):
         raise NumericalFailure("omega2 block: draw left the positive domain")
@@ -421,7 +455,7 @@ def l_row_conditional_params(state, gram, cross, resolved, group):
     """Precision-weighted means h (G, m) and precisions (G, m, m) of a row group's free entries.
 
     Row i's free entries L[i, fwd] are N(prec^-1 h, prec^-1). With y0 = X - mu,
-    gram = y0' y0 and cross = u' y0: moments enter centred at the current
+    gram = y0' y0 (`DataStats.gram`) and cross = u' y0: moments enter centred at the current
     mean; the uncentred version does not leave the joint distribution
     invariant. No row's conditional reads L, so one gram and one cross serve
     every row. Of the matrix omega_i^2 gram + V_L + omega_i^2 Psi only the
@@ -440,15 +474,14 @@ def l_row_conditional_params(state, gram, cross, resolved, group):
     return h, prec
 
 
-def gibbs_update_L(state, y0, groups, resolved, rng, fix_delta_zero=False):
+def gibbs_update_L(state, gram, cross, groups, resolved, rng):
     """Draw every free entry of L from its row conditional, one group of rows at a time.
 
-    The draws equal those of a row-by-row update in row order with the same
-    generator: one standard-normal call yields the numbers of the per-row calls.
-    With `fix_delta_zero` the cross moment u' y0 is not formed.
+    gram = y0' y0 and cross = u' y0 (None when delta = 0) with y0 = X - mu, as
+    for `l_row_conditional_params`. The draws equal those of a row-by-row
+    update in row order with the same generator: one standard-normal call
+    yields the numbers of the per-row calls.
     """
-    gram = y0.T @ y0
-    cross = None if fix_delta_zero else state.u.T @ y0
     new_l = state.L.copy()
     z = rng.standard_normal(sum(g.slots.size for g in groups))
     for group in groups:
@@ -470,34 +503,43 @@ def gibbs_update_L(state, y0, groups, resolved, rng, fix_delta_zero=False):
     return new_l
 
 
-def gibbs_sweep(state, data, groups, resolved, b1, rng, fix_delta_zero=False):
+def gibbs_sweep(state, data, stats, groups, resolved, b1, rng, fix_delta_zero=False):
     """One full sweep in the fixed order u, delta, mu, omega^2, L rows.
 
-    `groups` are the row groups of L from `l_row_groups` and `resolved` is the
-    prior's table from `resolve_hyperparams`; both hold for the whole chain.
+    `stats` are the data's `DataStats`, `groups` the row groups of L from
+    `l_row_groups` and `resolved` the prior's table from `resolve_hyperparams`;
+    all three hold for the whole chain.
 
     Each shared statistic is formed once: mu and L stay put through the u and
-    delta blocks, so both read one copy of the centred rows (X - mu) L'. After
-    the mu block, X - mu is formed once more; it feeds the omega^2 block (as
-    centred rows) and every row of L (through its Gram matrix and its cross
-    moment with u).
+    delta blocks, so both read one copy of the centred rows (X - mu) L'. The mu
+    block reads n and the column sums, and every row of L reads the Gram matrix
+    (X - mu)'(X - mu) = r'r + n d d' (d = xbar - mu) from `stats`. The skew
+    sweep forms X - mu once more after the mu block, for the omega^2 residuals
+    and the cross moment u'(X - mu) of the L rows.
 
     The Gaussian baseline (`fix_delta_zero`) draws no u and forms none of the
-    u terms, since with delta = 0 they are all zero. Its u conditional is
-    HN(0, 1), which the truncated normal draws by the inverse CDF from one
-    uniform, one generator output, per entry; advancing the generator past
-    those n * k outputs leaves every later draw equal to the full sweep's.
+    u terms, since with delta = 0 they are all zero; its omega^2 block reads
+    `DataStats.sum_sq`, so it never touches the n x k data and costs O(k^3)
+    whatever n is. Its u conditional is HN(0, 1), which the truncated normal
+    draws by the inverse CDF from one uniform, one generator output, per entry;
+    advancing the generator past those n * k outputs leaves every later draw
+    equal to the full sweep's.
     """
     if fix_delta_zero:
-        rng.bit_generator.advance(data.size)
+        rng.bit_generator.advance(stats.n * state.mu.shape[0])
     else:
         y = (data - state.mu) @ state.L.T
         state.u = gibbs_update_u(state, y, rng)
         state.delta = gibbs_update_delta(state, y, b1, rng)
-    state.mu = gibbs_update_mu(state, data, resolved, rng, fix_delta_zero)
-    y0 = data - state.mu
-    state.omega2 = gibbs_update_omega2(state, y0 @ state.L.T, resolved, b1, rng, fix_delta_zero)
-    state.L = gibbs_update_L(state, y0, groups, resolved, rng, fix_delta_zero)
+    state.mu = gibbs_update_mu(state, stats, resolved, rng, fix_delta_zero)
+    if fix_delta_zero:
+        sum_sq, cross = stats.sum_sq(state.mu, state.L), None
+    else:
+        y0 = data - state.mu
+        sum_sq = ((y0 @ state.L.T - state.u * state.delta) ** 2).sum(axis=0)
+        cross = state.u.T @ y0
+    state.omega2 = gibbs_update_omega2(state, sum_sq, stats.n, resolved, b1, rng, fix_delta_zero)
+    state.L = gibbs_update_L(state, stats.gram(state.mu), cross, groups, resolved, rng)
     return state
 
 
@@ -570,7 +612,8 @@ class Trace:
     def load(cls, path):
         """Read and check a trace file; any defect raises ValueError.
 
-        Defects: a bad record (named by its line), no meta record or one without
+        Defects: a bad record (named by its line), no meta record, one whose
+        `schema` is missing or other than `TRACE_SCHEMA`, or one without
         `data_digest`, no draws, a draw field that is not numeric, a log
         likelihood that is not one finite number per draw, a meta `k` or
         `edge_order` other than that of its `graph`, and draw vectors whose
@@ -593,6 +636,9 @@ class Trace:
                     raise ValueError(f"line {lineno}: not a trace record ({exc!r})") from exc
         if meta is None:
             raise ValueError("trace file has no meta record")
+        schema = meta.get("schema")
+        if type(schema) is not int or schema != TRACE_SCHEMA:
+            raise ValueError(f"the meta record's schema is {schema!r}, not {TRACE_SCHEMA}")
         if "data_digest" not in meta:
             raise ValueError("the meta record has no data_digest")
         if not draws["loglik"]:
@@ -644,7 +690,17 @@ def _initial_state(data, graph, rng):
     return GibbsState(mu=mu, delta=np.zeros(k), omega2=omega2, L=L, u=u)
 
 
-def _observed_loglik(state, data):
+def _observed_loglik(state, data, stats, fix_delta_zero=False):
+    """Observed-data log likelihood of the state; the Gaussian baseline's from `stats` alone.
+
+    With delta = 0 each row's density is N(mu, (L' Omega L)^-1), whose log sums
+    over the rows to (n/2) (sum log omega^2 - k log 2 pi) - (1/2) sum_i omega_i^2 S_i
+    with S = `DataStats.sum_sq`.
+    """
+    if fix_delta_zero:
+        k = state.mu.shape[0]
+        quad = state.omega2 @ stats.sum_sq(state.mu, state.L)
+        return float(0.5 * stats.n * (np.log(state.omega2).sum() - k * np.log(2.0 * np.pi)) - 0.5 * quad)
     alpha, kappa2 = _model.alpha_kappa2(state.delta, state.omega2)
     return float(_model.log_density(state.mu, alpha, state.L, kappa2, data).sum())
 
@@ -681,6 +737,7 @@ def run_chain(data, graph, prior, iters, burn_in=None, thin=10, *, seed,
         )
 
     meta = {
+        "schema": TRACE_SCHEMA,
         "seed": int(seed),
         "iters": int(iters),
         "burn_in": int(burn_in),
@@ -701,18 +758,23 @@ def run_chain(data, graph, prior, iters, burn_in=None, thin=10, *, seed,
 
     resolved = resolve_hyperparams(prior, k)
     groups = l_row_groups(graph)
+    stats = DataStats.of(data)
     try:
-        for it in range(1, iters + 1):
-            gibbs_sweep(state, data, groups, resolved, prior.b1, rng, fix_delta_zero=fix_delta_zero)
-            if it > burn_in and (it - burn_in) % thin == 0:
-                s = (it - burn_in) // thin - 1
-                trace.mu[s] = state.mu
-                trace.delta[s] = state.delta
-                trace.omega2[s] = state.omega2
-                trace.L[s] = trace.edge_values(state.L)
-                trace.loglik[s] = _observed_loglik(state, data)
+        # a floating-point overflow, division by zero or invalid operation ends the chain
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            for it in range(1, iters + 1):
+                gibbs_sweep(state, data, stats, groups, resolved, prior.b1, rng, fix_delta_zero=fix_delta_zero)
+                if it > burn_in and (it - burn_in) % thin == 0:
+                    s = (it - burn_in) // thin - 1
+                    trace.mu[s] = state.mu
+                    trace.delta[s] = state.delta
+                    trace.omega2[s] = state.omega2
+                    trace.L[s] = trace.edge_values(state.L)
+                    trace.loglik[s] = _observed_loglik(state, data, stats, fix_delta_zero)
     except NumericalFailure as exc:
         raise NumericalFailure(f"sweep {it}, {exc}") from exc
+    except FloatingPointError as exc:
+        raise NumericalFailure(f"sweep {it}, floating-point {exc}") from exc
     return trace
 
 

@@ -16,6 +16,7 @@ from sgdg.datasets import has_carcass, load_carcass, carcass_graph, load_mathmar
 from sgdg.evidence import bayes_factor, estimate_log_marginal
 from sgdg.graph import Graph
 from sgdg.inference import (
+    DataStats,
     GibbsState,
     IndependentProperPrior,
     NoninformativePrior,
@@ -229,8 +230,15 @@ def test_criterion_07a_slice_ratio_identities():
         g = chain_graph(k) if rep % 2 else Graph(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
         for prior in priors_for(k, rng):
             worst = max(worst, slice_ratio_worst(rng, g, prior, int(rng.integers(3, 9))))
+    # the Gaussian baseline's conditionals, which read the data through `DataStats`
+    for rep in range(50):
+        k = int(rng.integers(2, 5))
+        g = chain_graph(k) if rep % 2 else Graph(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
+        for prior in priors_for(k, rng):
+            worst = max(worst, slice_ratio_worst(rng, g, prior, int(rng.integers(3, 9)), include_delta=False))
     assert worst < 1e-8
-    record("7a", f"all five conditionals match the joint at 50 states (max dev {worst:.2e})")
+    record("7a", f"all five conditionals match the joint at 50 states, the baseline's four at 50 more "
+                 f"(max dev {worst:.2e})")
 
 
 class TestCriterion07bGeweke:
@@ -284,7 +292,7 @@ class TestCriterion07bGeweke:
         resolved = resolve_hyperparams(prior, g.k)
         groups = l_row_groups(g)
         for r in range(self.R):
-            gibbs_sweep(state, x, groups, resolved, prior.b1, rng)
+            gibbs_sweep(state, x, DataStats.of(x), groups, resolved, prior.b1, rng)
             x = self._draw_data_given_u(rng, state.mu, state.delta, state.omega2, state.L, state.u)
             sc[r] = self._stats(state.mu, state.delta, state.omega2, state.L, g)
 

@@ -470,6 +470,25 @@ class TestFit:
         assert float(rows["omega2_1"]["mean"]) > 1e290
         assert all(np.isfinite(float(row["sd"])) and np.isfinite(float(row["ess"])) for row in rows.values())
 
+    @pytest.mark.parametrize("b3", ["1e305", "1e307"])
+    def test_overflowing_sweep_is_one_record(self, tmp_path, b3):
+        # omega^2 draws near the top of the float range overflow the products that the
+        # other blocks form from them; the chain ends there, before numpy can print a warning
+        sim = tmp_path / "sim"
+        assert run_cli("simulate", "--case", "A", "--delta", "2", "--seed", "1", "--out", sim) == 0
+        out = tmp_path / "o"
+        result = subprocess.run(
+            [sys.executable, "-m", "sgdg", "fit", "--data", sim / "data.csv", "--graph", sim / "graph.json",
+             "--prior", "proper", "--hyper", f"b3={b3}", "--iters", "200", "--seed", "1", "--out", out],
+            env={**os.environ, "PYTHONPATH": str(Path(sgdg.__file__).resolve().parents[1])},
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 3 and result.stderr.count("\n") == 1, result.stderr
+        record = json.loads(result.stderr)
+        assert record["error"] == "NumericalFailure"
+        assert re.match(r"sweep [0-9]+, floating-point overflow ", record["message"]), record["message"]
+        assert not out.exists()
+
     def _fitted(self, out, col):
         return np.loadtxt(out / f"fitted_{col}.csv", delimiter=",", skiprows=1, unpack=True)
 
@@ -594,7 +613,7 @@ class TestCompare:
 
     @pytest.mark.parametrize("defect", ["truncated", "empty", "missing", "no-digest", "no-draws", "nan-loglik", "text-loglik",
                                         "object-loglik", "short-mu", "short-L", "edge-order", "k-off-graph",
-                                        "k-above-cap"])
+                                        "k-above-cap", "no-schema", "schema-2"])
     def test_unreadable_trace_reported(self, sim_dir, tmp_path, capsys, defect):
         good = self._fit(sim_dir, tmp_path, "good", 45)
         bad = tmp_path / "bad.ndjson"
@@ -607,6 +626,13 @@ class TestCompare:
         elif defect == "no-digest":
             record = json.loads(meta)
             del record["data_digest"]
+            bad.write_text(json.dumps(record) + "\n" + first + "".join(rest))
+        elif defect in ("no-schema", "schema-2"):
+            record = json.loads(meta)
+            if defect == "no-schema":
+                del record["schema"]
+            else:
+                record["schema"] = 2
             bad.write_text(json.dumps(record) + "\n" + first + "".join(rest))
         elif defect == "no-draws":
             bad.write_text(meta)
@@ -640,6 +666,8 @@ class TestCompare:
             assert f"line {text.count(chr(10))}," in record["message"]
         if defect == "k-above-cap":
             assert f"exceeds the vertex cap of {MAX_VERTICES}" in record["message"]
+        if "schema" in defect:
+            assert record["message"].endswith(", not 1"), record["message"]
 
     def test_mix_weight_out_of_range_reported(self, sim_dir, tmp_path, capsys):
         t = self._fit(sim_dir, tmp_path, "mw", 47)

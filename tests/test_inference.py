@@ -13,6 +13,7 @@ from sgdg.csn import sample_truncated_normal
 from sgdg.datasets import load_mathmarks, mathmarks_graph
 from sgdg.graph import Graph, NotDecomposable
 from sgdg.inference import (
+    DataStats,
     DimensionMismatch,
     EmptyTrace,
     GibbsState,
@@ -43,7 +44,7 @@ from sgdg.inference import (
     u_conditional_params,
 )
 from sgdg.linalg import solve_unit_triangular
-from sgdg.model import ReparamParams, reparam_inverse, sample_sgdg, sgdg_log_density
+from sgdg.model import ReparamParams, log_density, reparam_inverse, sample_sgdg, sgdg_log_density
 
 from conftest import chain_graph, random_decomposable_graph
 
@@ -219,8 +220,9 @@ class TestResolveHyperparams:
         state = replace(random_state(rng, g, 6), omega2=np.array([2.0, 3.0, 4.0]), L=np.eye(3))
         y0 = rng.standard_normal((6, 3))
         flat = replace(r, Psi=np.zeros((3, 3)))
-        rate = omega2_conditional_params(state, y0, r, prior.b1)[1]
-        rate_flat = omega2_conditional_params(state, y0, flat, prior.b1)[1]
+        sum_sq = ((y0 - state.u * state.delta) ** 2).sum(axis=0)
+        rate = omega2_conditional_params(state, sum_sq, 6, r, prior.b1)[1]
+        rate_flat = omega2_conditional_params(state, sum_sq, 6, flat, prior.b1)[1]
         assert np.allclose(rate - rate_flat, 0.5)  # L_i Psi L_i' = 1 for L = I
         (group,) = l_row_groups(g)  # rows 0 and 1, one free entry each
         prec = l_row_conditional_params(state, y0.T @ y0, state.u.T @ y0, r, group)[1]
@@ -238,7 +240,8 @@ class TestResolveHyperparams:
             lpsil = np.einsum("ij,jk,ik->i", state.L, r.Psi, state.L)
             resid = y - state.u * state.delta
             rate = r.r_omega + 0.5 * lpsil + 0.5 * (resid**2).sum(axis=0) + state.delta**2 / (2.0 * prior.b1)
-            assert np.array_equal(omega2_conditional_params(state, y, r, prior.b1)[1], rate), prior.regime
+            sum_sq = (resid**2).sum(axis=0)
+            assert np.array_equal(omega2_conditional_params(state, sum_sq, 6, r, prior.b1)[1], rate), prior.regime
 
     def test_resolved_once_per_chain(self, rng, monkeypatch):
         import sgdg.inference
@@ -300,9 +303,10 @@ def three_call_draw(prec, h, z):
 def sweep_three_call(state, data, graph, resolved, b1, rng, fix_delta_zero):
     """The earlier sweep algorithm.
 
-    The mu mean goes through a triangular solve, and the rows of L are drawn in
-    row order, each with its own cross product u_i' y0[:, fwd] and the
-    three-call draw. The u, delta and omega^2 blocks are the library's.
+    The mu mean goes through a triangular solve, the omega^2 residuals and the
+    Gram matrix y0' y0 are formed on the n x k data, and the rows of L are drawn
+    in row order, each with its own cross product u_i' y0[:, fwd] and the
+    three-call draw. The u and delta blocks and the gamma draw are the library's.
     """
     n, k = data.shape
     y = (data - state.mu) @ state.L.T
@@ -315,8 +319,8 @@ def sweep_three_call(state, data, graph, resolved, b1, rng, fix_delta_zero):
     h = q_omega @ (data.sum(axis=0) - shift) + resolved.v_mu * resolved.mu0
     state.mu = three_call_draw(prec, h, rng.standard_normal(k))
     y0 = data - state.mu
-    state.omega2 = gibbs_update_omega2(state, y0 @ state.L.T, resolved, b1, rng,
-                                       fix_delta_zero=fix_delta_zero)
+    sum_sq = ((y0 @ state.L.T - state.u * state.delta) ** 2).sum(axis=0)
+    state.omega2 = gibbs_update_omega2(state, sum_sq, n, resolved, b1, rng, fix_delta_zero=fix_delta_zero)
     gram = y0.T @ y0
     new_l = state.L.copy()
     for i in range(graph.k):
@@ -352,7 +356,7 @@ class TestLRowGroups:
             y0 = rng.standard_normal((12, g.k)) * 1.3 + 0.4
             seed = int(rng.integers(2**32))
             stacked_rng, row_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            stacked = gibbs_update_L(state, y0, groups, resolved, stacked_rng)
+            stacked = gibbs_update_L(state, y0.T @ y0, state.u.T @ y0, groups, resolved, stacked_rng)
             reference = l_update_row_by_row(state, y0, g, resolved, row_rng)
             assert np.array_equal(stacked, reference), prior.regime
             assert stacked_rng.bit_generator.state == row_rng.bit_generator.state
@@ -366,7 +370,7 @@ class TestLRowGroups:
         y0[:, 2] = 0.0
         resolved = resolve_hyperparams(NoninformativePrior(b1=1.0), 4)
         with pytest.raises(inference.NumericalFailure, match="L block, row 2: ") as info:
-            gibbs_update_L(state, y0, l_row_groups(g), resolved, rng)
+            gibbs_update_L(state, y0.T @ y0, state.u.T @ y0, l_row_groups(g), resolved, rng)
         # row 2's precision is omega_2^2 times the gram of columns 3 and 4 of y0, which is singular
         smallest = np.linalg.eigvalsh(state.omega2[1] * (y0.T @ y0)[np.ix_([2, 3], [2, 3])])[0]
         assert str(info.value).endswith(f"(smallest eigenvalue {smallest:.6g})")
@@ -407,7 +411,8 @@ class TestGaussianDraw:
             data = rng.standard_normal((12, g.k)) * 1.3 + 0.4
             seed = int(rng.integers(2**32))
             new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            new = gibbs_sweep(deepcopy(start), data, groups, resolved, prior.b1, new_rng, fix_delta_zero)
+            new = gibbs_sweep(deepcopy(start), data, DataStats.of(data), groups, resolved, prior.b1, new_rng,
+                              fix_delta_zero)
             old = sweep_three_call(deepcopy(start), data, g, resolved, prior.b1, old_rng, fix_delta_zero)
             fields = self.FIELDS
             if fix_delta_zero:  # the baseline draws no u: it keeps the start state's
@@ -436,7 +441,7 @@ class TestGaussianDraw:
         y0[:, 2] = 0.0
         resolved = resolve_hyperparams(NoninformativePrior(b1=1.0), 3)
         with pytest.raises(NumericalFailure, match="L block, row 2: ") as info:
-            gibbs_update_L(state, y0, l_row_groups(g), resolved, rng)
+            gibbs_update_L(state, y0.T @ y0, state.u.T @ y0, l_row_groups(g), resolved, rng)
         assert str(info.value).endswith("(smallest eigenvalue 0)")  # a 1 x 1 precision is its own eigenvalue
 
     def test_indefinite_mu_precision_is_named(self, rng):
@@ -445,9 +450,9 @@ class TestGaussianDraw:
         state.omega2[1] = -0.5  # under the noninformative prior the precision is n L' diag(omega^2) L
         data = rng.standard_normal((12, 3))
         resolved = resolve_hyperparams(NoninformativePrior(b1=1.0), 3)
-        _, prec = mu_conditional_params(state, data, resolved)
+        _, prec = mu_conditional_params(state, DataStats.of(data), resolved)
         with pytest.raises(NumericalFailure, match="^mu block: ") as info:
-            gibbs_update_mu(state, data, resolved, rng)
+            gibbs_update_mu(state, DataStats.of(data), resolved, rng)
         assert str(info.value).endswith(f"(smallest eigenvalue {np.linalg.eigvalsh(prec)[0]:.6g})")
 
     def test_lapack_calls_per_sweep(self, rng, monkeypatch):
@@ -483,20 +488,23 @@ class TestConditionalCollapse:
         assert np.all(var == 1.0)
 
 
-def baseline_sweep_drawing_u(state, data, groups, resolved, b1, rng):
+def baseline_sweep_drawing_u(state, data, stats, groups, resolved, b1, rng):
     """The Gaussian baseline sweep that draws u and forms every u term, kept as the reference.
 
     With delta = 0 each u term is zero: delta o sum(u) in the mu block, the
-    offset u o delta in the omega^2 block and the cross moment u' y0 in the L
-    block. The mu and L updates form them on their skew path.
+    offset u o delta in the omega^2 residuals and the cross moment u' y0 in the
+    L block. The mu and L updates form them on their skew path. The residual sum
+    of squares sum (y - u delta)^2 is expanded about the library's baseline
+    `stats.sum_sq`, the sum of y^2, and the Gram matrix is the library's.
     """
     y = (data - state.mu) @ state.L.T
     state.u = gibbs_update_u(state, y, rng)
-    state.mu = gibbs_update_mu(state, data, resolved, rng)
+    state.mu = gibbs_update_mu(state, stats, resolved, rng)
     y0 = data - state.mu
-    y_offset = y0 @ state.L.T - state.u * state.delta
-    state.omega2 = gibbs_update_omega2(state, y_offset, resolved, b1, rng, fix_delta_zero=True)
-    state.L = gibbs_update_L(state, y0, groups, resolved, rng)
+    uy = (state.u * (y0 @ state.L.T)).sum(axis=0)
+    sum_sq = stats.sum_sq(state.mu, state.L) - 2.0 * state.delta * uy + state.delta**2 * (state.u**2).sum(axis=0)
+    state.omega2 = gibbs_update_omega2(state, sum_sq, stats.n, resolved, b1, rng, fix_delta_zero=True)
+    state.L = gibbs_update_L(state, stats.gram(state.mu), state.u.T @ y0, groups, resolved, rng)
     return state
 
 
@@ -528,14 +536,14 @@ class TestBaselineSweep:
         library_sweep = gibbs_sweep
         rngs = []
 
-        def library(state, data, groups, resolved, b1, rng, fix_delta_zero=False):
+        def library(state, data, stats, groups, resolved, b1, rng, fix_delta_zero=False):
             rngs.append(rng)
-            return library_sweep(state, data, groups, resolved, b1, rng, fix_delta_zero)
+            return library_sweep(state, data, stats, groups, resolved, b1, rng, fix_delta_zero)
 
-        def reference(state, data, groups, resolved, b1, rng, fix_delta_zero=False):
+        def reference(state, data, stats, groups, resolved, b1, rng, fix_delta_zero=False):
             assert fix_delta_zero
             rngs.append(rng)
-            return baseline_sweep_drawing_u(state, data, groups, resolved, b1, rng)
+            return baseline_sweep_drawing_u(state, data, stats, groups, resolved, b1, rng)
 
         for prior in priors_for(g.k, rng):
             traces, final_states = [], []
@@ -551,6 +559,30 @@ class TestBaselineSweep:
                 assert np.array_equal(getattr(new, f), getattr(ref, f)), f"{prior.regime} {f}"
             assert new.meta == ref.meta
             assert final_states[0] == final_states[1], prior.regime
+
+    @pytest.mark.parametrize("name", TestGaussianDraw.GRAPHS)
+    def test_reads_the_data_only_through_the_statistics(self, rng, name):
+        g = TestGaussianDraw.GRAPHS[name]
+        groups = l_row_groups(g)
+        for prior in priors_for(g.k, rng):
+            resolved = resolve_hyperparams(prior, g.k)
+            data = rng.standard_normal((12, g.k)) * 1.3 + 0.4
+            stats = DataStats.of(data)
+            start = random_state(rng, g, 12, zero_delta=True)
+            seed = int(rng.integers(2**32))
+            ends = []
+            for x in (data, np.full_like(data, np.nan)):
+                state, sweep_rng = deepcopy(start), np.random.default_rng(seed)
+                logliks = []
+                for _ in range(5):
+                    gibbs_sweep(state, x, stats, groups, resolved, prior.b1, sweep_rng, fix_delta_zero=True)
+                    logliks.append(_observed_loglik(state, x, stats, fix_delta_zero=True))
+                ends.append((state, logliks, sweep_rng.bit_generator.state))
+            (real, real_ll, real_rng), (blind, blind_ll, blind_rng) = ends
+            for f in TestGaussianDraw.FIELDS:
+                assert np.array_equal(getattr(blind, f), getattr(real, f)), f"{prior.regime} {f}"
+            assert blind_ll == real_ll and np.all(np.isfinite(real_ll)), prior.regime
+            assert blind_rng == real_rng
 
     def test_truncated_normal_calls_per_sweep(self, rng, monkeypatch):
         calls = []
@@ -569,8 +601,15 @@ class TestBaselineSweep:
 
 
 def slice_ratio_worst(rng, graph, prior, n, include_delta=True):
-    """Largest mismatch between conditional log ratios and joint log ratios."""
+    """Largest mismatch between conditional log ratios and joint log ratios.
+
+    The skew conditionals (include_delta) read the omega^2 residuals and the
+    Gram matrix y0' y0 of the L rows directly on the n x k data; the Gaussian
+    baseline's read them as the library's baseline sweep does, through
+    `DataStats.sum_sq` and `DataStats.gram`. The mu block reads `DataStats` in both.
+    """
     data = rng.standard_normal((n, graph.k)) * 1.3 + 0.4
+    stats = DataStats.of(data)
     state = random_state(rng, graph, n, zero_delta=not include_delta)
     resolved = resolve_hyperparams(prior, graph.k)
     y0 = data - state.mu
@@ -603,7 +642,7 @@ def slice_ratio_worst(rng, graph, prior, n, include_delta=True):
         worst = max(worst, abs(lhs - rhs))
 
     # mu block
-    h_m, prec_m = mu_conditional_params(state, data, resolved)
+    h_m, prec_m = mu_conditional_params(state, stats, resolved, fix_delta_zero=not include_delta)
     mean_m = np.linalg.solve(prec_m, h_m)
     a = mean_m + rng.standard_normal(graph.k)
     b = mean_m + rng.standard_normal(graph.k)
@@ -612,7 +651,8 @@ def slice_ratio_worst(rng, graph, prior, n, include_delta=True):
     worst = max(worst, abs(lhs - rhs))
 
     # omega2 coordinate
-    shape, rate = omega2_conditional_params(state, y, resolved, prior.b1, fix_delta_zero=not include_delta)
+    sum_sq = ((y - state.u * state.delta) ** 2).sum(axis=0) if include_delta else stats.sum_sq(state.mu, state.L)
+    shape, rate = omega2_conditional_params(state, sum_sq, n, resolved, prior.b1, fix_delta_zero=not include_delta)
     i = int(rng.integers(graph.k))
     a, b = rng.uniform(0.2, 3.0, size=2)
     lhs = (shape[i] - 1.0) * (np.log(a) - np.log(b)) - rate[i] * (a - b)
@@ -627,7 +667,8 @@ def slice_ratio_worst(rng, graph, prior, n, include_delta=True):
     if rows:
         grp, g = rows[int(rng.integers(len(rows)))]
         i, fwd = grp.rows[g], list(grp.fwd[g])
-        h_l, prec_l = l_row_conditional_params(state, y0.T @ y0, state.u.T @ y0, resolved, grp)
+        gram, cross = (y0.T @ y0, state.u.T @ y0) if include_delta else (stats.gram(state.mu), None)
+        h_l, prec_l = l_row_conditional_params(state, gram, cross, resolved, grp)
         h_l, prec_l = h_l[g], prec_l[g]
         mean_l = np.linalg.solve(prec_l, h_l)
         a = mean_l + rng.standard_normal(len(fwd))
@@ -682,7 +723,27 @@ class TestObservedLoglik:
                 data = rng.standard_normal((n, k)) * 1.3 + 0.4
                 r = ReparamParams(state.mu, state.delta, state.omega2, state.L, g)
                 ref = sgdg_log_density(reparam_inverse(r), data).sum()
-                assert _observed_loglik(state, data) == pytest.approx(ref, rel=1e-12)
+                assert _observed_loglik(state, data, DataStats.of(data)) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 88, 2000])
+    def test_baseline_closed_form_matches_log_density(self, rng, n):
+        g = band_graph(8, 2)  # k = 8; the noninformative prior needs n >= 4
+        data = rng.standard_normal((n, g.k)) * 1.3 + 0.4
+        stats = DataStats.of(data)
+        states = [random_state(rng, g, n, zero_delta=True) for _ in range(4)]
+        for prior in priors_for(g.k, rng):
+            if n < min_n_noninformative(g) and prior.regime == "noninfo":
+                continue  # the gate refuses the chain
+            trace = run_chain(data, g, prior, iters=12, burn_in=0, thin=3, seed=int(rng.integers(2**32)),
+                              fix_delta_zero=True)
+            for s in range(len(trace)):
+                state = GibbsState(trace.mu[s], trace.delta[s], trace.omega2[s], trace.l_matrix(trace.L[s]), None)
+                states.append(state)
+                ref = log_density(state.mu, state.delta, state.L, state.omega2, data).sum()
+                assert trace.loglik[s] == pytest.approx(ref, rel=1e-12, abs=0), prior.regime
+        for state in states:  # alpha = 0 and kappa^2 = omega^2 at delta = 0
+            ref = log_density(state.mu, state.delta, state.L, state.omega2, data).sum()
+            assert _observed_loglik(state, data, stats, fix_delta_zero=True) == pytest.approx(ref, rel=1e-12, abs=0)
 
 
 class TestRunChain:
@@ -765,6 +826,20 @@ class TestRunChain:
         expected_l[0, 1], expected_l[1, 2] = t.L[0]
         assert np.array_equal(back.l_matrix(back.L[0]), expected_l)
         assert np.array_equal(back.edge_values(expected_l), t.L[0])
+        assert back.meta["schema"] == t.meta["schema"] == 1
+
+    @pytest.mark.parametrize("schema", [None, 0, 2, 1.0, "1", True])
+    def test_missing_or_unknown_schema_refused(self, rng, tmp_path, schema):
+        data, g = self._simulated(rng)
+        t = run_chain(data, g, self._prior(), iters=20, burn_in=10, thin=5, seed=2)
+        if schema is None:
+            del t.meta["schema"]
+        else:
+            t.meta["schema"] = schema
+        path = tmp_path / "trace.ndjson"
+        t.save(path)
+        with pytest.raises(ValueError, match=f"^the meta record's schema is {schema!r}, not 1$"):
+            Trace.load(path)
 
     def test_failed_save_leaves_existing_trace(self, rng, tmp_path, monkeypatch):
         data, g = self._simulated(rng)
