@@ -7,59 +7,34 @@ test suite (`tests/oracles.py`), not part of the package.
 """
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 
-# beyond this standardized lower bound the inverse-CDF loses precision and
-# the exponential-proposal rejection sampler takes over
+# standardized lower bounds up to this take the inverse CDF in product form, the
+# cheaper one; a call with any bound past it takes the log form, since the product
+# form's u * Phi(-a) underflows to 0, and its draw to inf, from about a = 36
 TAIL_SWITCH = 4.0
 
 
 def sample_truncated_normal(mu, var, lower, rng):
     """Exact draws from N(mu, var) restricted to [lower, inf).
 
-    The result has the broadcast shape of mu, var and lower. Central
-    truncations use the complementary inverse CDF; standardized bounds above
-    TAIL_SWITCH use an exponential-proposal rejection sampler that stays
-    accurate arbitrarily far into the tail. When no bound is past the switch,
-    the inverse CDF runs on the whole array, with the same draws as the split
-    by bound.
+    The result has the broadcast shape of mu, var and lower. Every entry is
+    the inverse CDF of one uniform u in (0, 1], so a call takes exactly one
+    generator output per entry: -ndtri(u Phi(-a)) at standardized bounds a
+    up to TAIL_SWITCH, and -ndtri_exp(log u + log Phi(-a)) for the whole
+    call when any bound is past it.
     """
     mu = np.asarray(mu, dtype=float)
     var = np.asarray(var, dtype=float)
     lower = np.asarray(lower, dtype=float)
-    if np.any(var <= 0):
+    if not np.all(var > 0):  # NaN fails too
         raise ValueError("var must be positive")
     shape = np.broadcast_shapes(mu.shape, var.shape, lower.shape)
     sd = np.sqrt(var)
     a = (lower - mu) / sd
+    u = 1.0 - rng.uniform(size=shape)  # in (0, 1], avoids P=0
     if np.all(a <= TAIL_SWITCH):
-        u = 1.0 - rng.uniform(size=shape)  # in (0, 1], avoids P=0
         x = -ndtri(u * ndtr(-a))
     else:
-        flat_a = np.broadcast_to(a, shape).reshape(-1)
-        x = np.empty(flat_a.shape)
-        central = flat_a <= TAIL_SWITCH
-        tail_prob = ndtr(-flat_a[central])
-        u = 1.0 - rng.uniform(size=tail_prob.shape)
-        x[central] = -ndtri(u * tail_prob)
-        x[~central] = _tail_rejection(flat_a[~central], rng)
-        x = x.reshape(shape)
+        x = -ndtri_exp(np.log(u) + log_ndtr(-a))
     return mu + sd * x
-
-
-def _tail_rejection(a, rng):
-    """Standard normal draws conditioned on exceeding a (a > 0, vectorized)."""
-    alpha = 0.5 * (a + np.sqrt(a * a + 4.0))
-    out = np.empty_like(a)
-    pending = np.ones(a.shape, dtype=bool)
-    for _ in range(1000):
-        idx = np.nonzero(pending)[0]
-        if idx.size == 0:
-            return out
-        z = a[idx] + rng.exponential(scale=1.0 / alpha[idx])
-        accept = rng.uniform(size=idx.size) <= np.exp(-0.5 * np.square(z - alpha[idx]))
-        hit = idx[accept]
-        out[hit] = z[accept]
-        pending[hit] = False
-    raise RuntimeError("tail rejection sampler failed to terminate")
-

@@ -524,22 +524,33 @@ def gibbs_sweep(state, data, stats, groups, resolved, b1, rng, fix_delta_zero=Fa
     draws by the inverse CDF from one uniform, one generator output, per entry;
     advancing the generator past those n * k outputs leaves every later draw
     equal to the full sweep's.
+
+    A `FloatingPointError` (raised under `run_chain`'s `np.errstate`) becomes
+    a `NumericalFailure` that names the block.
     """
-    if fix_delta_zero:
-        rng.bit_generator.advance(stats.n * state.mu.shape[0])
-    else:
-        y = (data - state.mu) @ state.L.T
-        state.u = gibbs_update_u(state, y, rng)
-        state.delta = gibbs_update_delta(state, y, b1, rng)
-    state.mu = gibbs_update_mu(state, stats, resolved, rng, fix_delta_zero)
-    if fix_delta_zero:
-        sum_sq, cross = stats.sum_sq(state.mu, state.L), None
-    else:
-        y0 = data - state.mu
-        sum_sq = ((y0 @ state.L.T - state.u * state.delta) ** 2).sum(axis=0)
-        cross = state.u.T @ y0
-    state.omega2 = gibbs_update_omega2(state, sum_sq, stats.n, resolved, b1, rng, fix_delta_zero)
-    state.L = gibbs_update_L(state, stats.gram(state.mu), cross, groups, resolved, rng)
+    block = "u"
+    try:
+        if fix_delta_zero:
+            rng.bit_generator.advance(stats.n * state.mu.shape[0])
+        else:
+            y = (data - state.mu) @ state.L.T
+            state.u = gibbs_update_u(state, y, rng)
+            block = "delta"
+            state.delta = gibbs_update_delta(state, y, b1, rng)
+        block = "mu"
+        state.mu = gibbs_update_mu(state, stats, resolved, rng, fix_delta_zero)
+        block = "omega2"
+        if fix_delta_zero:
+            sum_sq, cross = stats.sum_sq(state.mu, state.L), None
+        else:
+            y0 = data - state.mu
+            sum_sq = ((y0 @ state.L.T - state.u * state.delta) ** 2).sum(axis=0)
+            cross = state.u.T @ y0
+        state.omega2 = gibbs_update_omega2(state, sum_sq, stats.n, resolved, b1, rng, fix_delta_zero)
+        block = "L"
+        state.L = gibbs_update_L(state, stats.gram(state.mu), cross, groups, resolved, rng)
+    except FloatingPointError as exc:
+        raise NumericalFailure(f"{block} block: floating-point {exc}") from exc
     return state
 
 
@@ -770,11 +781,12 @@ def run_chain(data, graph, prior, iters, burn_in=None, thin=10, *, seed,
                     trace.delta[s] = state.delta
                     trace.omega2[s] = state.omega2
                     trace.L[s] = trace.edge_values(state.L)
-                    trace.loglik[s] = _observed_loglik(state, data, stats, fix_delta_zero)
+                    try:
+                        trace.loglik[s] = _observed_loglik(state, data, stats, fix_delta_zero)
+                    except FloatingPointError as exc:
+                        raise NumericalFailure(f"log likelihood: floating-point {exc}") from exc
     except NumericalFailure as exc:
         raise NumericalFailure(f"sweep {it}, {exc}") from exc
-    except FloatingPointError as exc:
-        raise NumericalFailure(f"sweep {it}, floating-point {exc}") from exc
     return trace
 
 

@@ -29,11 +29,13 @@ MAX_ABS_ALPHA = np.sqrt(np.finfo(float).max)  # the largest |alpha| whose 1 + al
 
 
 def _check_factor(L, graph):
-    """Refuse an L that is not k x k unit upper triangular (ValueError) or that has an entry
-    above 1e-12 in magnitude off the graph's edges (InvalidDomain)."""
+    """Refuse an L that is not k x k unit upper triangular (ValueError), or that is not finite
+    or has an entry above 1e-12 in magnitude off the graph's edges (InvalidDomain)."""
     k = graph.k
     if L.shape != (k, k) or not np.array_equal(np.tril(L), np.eye(k)):
         raise ValueError("L must be a k x k unit upper-triangular matrix")
+    if not np.all(np.isfinite(L)):
+        raise InvalidDomain("L must be finite")
     off = np.abs(np.triu(L, 1)) > 1e-12
     off[tuple(np.array(list(graph.edges), dtype=int).reshape(-1, 2).T)] = False
     if off.any():
@@ -61,6 +63,8 @@ class SgdgParams:
         k = self.graph.k
         if mu.shape != (k,) or alpha.shape != (k,) or kappa2.shape != (k,):
             raise ValueError("parameter dimensions do not match the graph")
+        if not np.all(np.isfinite(mu)):
+            raise InvalidDomain("mu must be finite")
         _check_alpha(alpha)
         if not np.all(kappa2 > 0):
             i = int(np.argmin(kappa2 > 0))  # the first entry that is not positive
@@ -100,8 +104,8 @@ class ReparamParams:
         k = self.graph.k
         if mu.shape != (k,) or delta.shape != (k,) or omega2.shape != (k,):
             raise ValueError("parameter dimensions do not match the graph")
-        if not all(np.all(np.isfinite(a)) for a in (mu, delta, omega2, L)):
-            raise InvalidDomain("mu, delta, omega^2 and L must be finite")
+        if not all(np.all(np.isfinite(a)) for a in (mu, delta, omega2)):
+            raise InvalidDomain("mu, delta and omega^2 must be finite")
         if np.any(omega2 <= 0):
             raise InvalidDomain("omega^2 entries must be positive")
         _check_factor(L, self.graph)

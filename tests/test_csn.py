@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from scipy.special import log_ndtr, ndtr, ndtri
-from scipy.stats import chi2, multivariate_normal, norm
+from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
+from scipy.stats import chi2, kstest, multivariate_normal, norm
 
-from sgdg.csn import TAIL_SWITCH, _tail_rejection, sample_truncated_normal
+from sgdg.csn import TAIL_SWITCH, sample_truncated_normal
 
 from conftest import gauss_legendre_grid
 from oracles import (
@@ -66,6 +66,14 @@ class TestTruncatedNormal:
         assert x.min() >= lower
         assert abs(x.mean() - target) < 3 * sd / np.sqrt(n)
 
+    @pytest.mark.parametrize("a", [40.0, 1e3])
+    def test_far_tail_matches_exact_cdf(self, rng, a):
+        # past a = 36 the product form's u * Phi(-a) underflows and its draws are inf
+        n = 20_000
+        x = sample_truncated_normal(np.full(n, -a), 1.0, 0.0, rng) + a  # standardized draws
+        assert np.all(np.isfinite(x)) and x.min() >= a
+        assert kstest(x, lambda t: -np.expm1(log_ndtr(-t) - log_ndtr(-a))).pvalue > 1e-3
+
     def test_vectorized_mixed_regimes(self, rng):
         mu = np.array([-9.0, 0.0, 3.0, -5.5])
         x = sample_truncated_normal(np.broadcast_to(mu, (1000, 4)), 1.0, 0.0, rng)
@@ -80,22 +88,28 @@ class TestTruncatedNormal:
         with pytest.raises(ValueError):
             sample_truncated_normal(0.0, 0.0, 0.0, rng)
 
+    def test_nan_variance_refused(self, rng):
+        with pytest.raises(ValueError, match="var must be positive"):
+            sample_truncated_normal(np.zeros(3), np.array([1.0, np.nan, 1.0]), 0.0, rng)
 
-def truncated_normal_split_by_bound(mu, var, lower, rng):
-    """Reference sampler: the inverse CDF on the central bounds, picked out by a
-    mask, then tail rejection on the rest, on the broadcast arrays."""
+
+def truncated_normal_per_entry(mu, var, lower, rng):
+    """Reference sampler: one uniform per entry in C order, each inverted on its own;
+    by the product form when every bound is central, by the log form otherwise."""
     shape = np.broadcast_shapes(np.shape(mu), np.shape(var), np.shape(lower))
-    mu_b = np.broadcast_to(np.asarray(mu, dtype=float), shape)
-    sd_b = np.sqrt(np.broadcast_to(np.asarray(var, dtype=float), shape))
-    flat_a = ((np.broadcast_to(np.asarray(lower, dtype=float), shape) - mu_b) / sd_b).reshape(-1)
-    out = np.empty(flat_a.shape)
-    central = flat_a <= TAIL_SWITCH
-    if np.any(central):
-        tail_prob = ndtr(-flat_a[central])
-        out[central] = -ndtri((1.0 - rng.uniform(size=tail_prob.shape)) * tail_prob)
-    if np.any(~central):
-        out[~central] = _tail_rejection(flat_a[~central], rng)
-    return mu_b + sd_b * out.reshape(shape)
+    mu_b = np.broadcast_to(np.asarray(mu, dtype=float), shape).reshape(-1)
+    sd_b = np.sqrt(np.broadcast_to(np.asarray(var, dtype=float), shape)).reshape(-1)
+    a = (np.broadcast_to(np.asarray(lower, dtype=float), shape).reshape(-1) - mu_b) / sd_b
+    log_form = np.any(a > TAIL_SWITCH)
+    out = np.empty(a.shape)
+    for i in range(a.size):
+        u = 1.0 - rng.uniform()
+        if log_form:
+            z = -ndtri_exp(np.log(u) + log_ndtr(-a[i]))
+        else:
+            z = -ndtri(u * ndtr(-a[i]))
+        out[i] = mu_b[i] + sd_b[i] * z
+    return out.reshape(shape)
 
 
 class TestTruncatedNormalSameDraws:
@@ -105,6 +119,7 @@ class TestTruncatedNormalSameDraws:
         "central-sized": (np.full(300, 0.5), 2.0, 0.0),
         "mixed": (np.broadcast_to([-9.0, 0.0, 3.0, -5.5, -4.1], (200, 5)), 1.0, 0.0),
         "mixed-per-entry": (_r.normal(-2.0, 2.5, (60, 4)), _r.uniform(0.1, 1.0, 4), 0.0),
+        "mixed-far": (np.broadcast_to([-40.0, -1e3, 0.5, -2.0], (50, 4)), 1.0, 0.0),
     }
 
     @pytest.mark.parametrize("name", CASES)
@@ -113,7 +128,7 @@ class TestTruncatedNormalSameDraws:
         assert np.any((lower - np.asarray(mu)) / np.sqrt(var) > TAIL_SWITCH) == name.startswith("mixed")
         fast_rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
         x = sample_truncated_normal(mu, var, lower, fast_rng)
-        ref = truncated_normal_split_by_bound(mu, var, lower, ref_rng)
+        ref = truncated_normal_per_entry(mu, var, lower, ref_rng)
         assert np.array_equal(x, ref)
         assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from sgdg import inference
-from sgdg.csn import sample_truncated_normal
+from sgdg.csn import TAIL_SWITCH, sample_truncated_normal
 from sgdg.datasets import load_mathmarks, mathmarks_graph
 from sgdg.graph import Graph, NotDecomposable
 from sgdg.inference import (
@@ -513,10 +513,16 @@ class TestBaselineSweep:
 
     @pytest.mark.parametrize("n,k", [(1, 1), (12, 3), (88, 5), (2000, 40)])
     def test_advance_lands_where_the_half_normal_draw_does(self, rng, n, k):
+        # the u block takes one generator output per entry in every state: the baseline's
+        # half-normal ones and skew ones whose bounds lie past TAIL_SWITCH alike
         assert isinstance(np.random.default_rng(0).bit_generator, np.random.PCG64)
-        for _ in range(4):
-            state = random_state(rng, Graph(k), n, zero_delta=True)
+        for zero_delta in (True, True, False, False):
+            state = random_state(rng, Graph(k), n, zero_delta=zero_delta)
             y = rng.standard_normal((n, k)) * 1e3
+            if not zero_delta:
+                y[0, 0] = -1e3 * np.sign(state.delta[0])  # at least one bound far in the tail
+                mean, var = u_conditional_params(state, y)
+                assert np.any(-mean / np.sqrt(var) > TAIL_SWITCH)
             seed = int(rng.integers(2**32))
             drawn, advanced = np.random.default_rng(seed), np.random.default_rng(seed)
             drawn.standard_normal(3)  # start from a state other than the seed's
@@ -780,6 +786,15 @@ class TestRunChain:
         data, g = self._simulated(rng)
         t = run_chain(data, g, self._prior(), iters=200, burn_in=50, thin=3, seed=3, fix_delta_zero=True)
         assert np.all(t.delta == 0.0)
+
+    def test_floating_point_error_in_the_log_likelihood_named(self, rng, monkeypatch):
+        data, g = self._simulated(rng)
+        real = inference._observed_loglik
+        monkeypatch.setattr(inference, "_observed_loglik",
+                            lambda *args: real(*args) * np.float64(1e308) * np.float64(1e308))
+        with pytest.raises(NumericalFailure) as info:
+            run_chain(data, g, self._prior(), iters=20, burn_in=5, thin=5, seed=1)
+        assert str(info.value).startswith("sweep 10, log likelihood: floating-point overflow ")
 
     def test_propriety_refusal(self, rng):
         data, g = self._simulated(rng, n=2)

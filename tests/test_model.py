@@ -107,6 +107,21 @@ class TestParamsValidation:
         with pytest.raises(ValueError):
             SgdgParams(np.zeros(2), np.zeros(3), np.eye(3), np.ones(3), chain_graph(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_factor_refused(self, bad):
+        L = np.eye(2)
+        L[0, 1] = bad  # on the graph's edge
+        g = Graph(2, [(0, 1)])
+        for build in (lambda: SgdgParams(np.zeros(2), np.zeros(2), L, np.ones(2), g),
+                      lambda: ReparamParams(np.zeros(2), np.zeros(2), np.ones(2), L, g)):
+            with pytest.raises(InvalidDomain, match="L must be finite"):
+                build()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_mu_refused(self, bad):
+        with pytest.raises(InvalidDomain, match="mu must be finite"):
+            SgdgParams(np.array([bad, 0.0]), np.zeros(2), np.eye(2), np.ones(2), Graph(2, [(0, 1)]))
+
     def test_identity_ordering_helper(self):
         assert verify_ordering(chain_graph(4))
         assert not verify_ordering(Graph(3, [(0, 1), (0, 2)]))
