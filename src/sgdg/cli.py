@@ -10,6 +10,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -51,13 +52,18 @@ class InvalidParams(ValueError):
 
 
 class DataMismatch(ValueError):
-    """Raised when two traces were not fitted on identical data."""
+    """Raised when two traces were not fitted on identical data, graph and prior."""
+
+
+class OutputError(ValueError):
+    """Raised when an --out directory cannot be made or written."""
 
 
 _DOMAIN_ERRORS = (
     ParseError,
     InvalidParams,
     DataMismatch,
+    OutputError,
     ProprietyViolation,
     NotDecomposable,
     DimensionMismatch,
@@ -135,6 +141,27 @@ def _dump_json(obj, path=None):
         sys.stdout.write(text)
     else:
         Path(path).write_text(text)
+
+
+def _out_dir(path):
+    """--out as a Path, refused before any work if it or its nearest existing ancestor is not a directory."""
+    out = Path(path)
+    for p in (out, *out.parents):
+        if p.exists():
+            if not p.is_dir():
+                raise OutputError(f"--out {out}: {p} exists and is not a directory")
+            break
+    return out
+
+
+@contextmanager
+def _writing(out):
+    """Make the --out directory for the writes in the block; an OSError becomes OutputError."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        yield
+    except OSError as exc:
+        raise OutputError(f"--out {out}: {exc}") from exc
 
 
 def write_csv_rows(path, fieldnames, rows):
@@ -285,6 +312,7 @@ def read_truth(record):
 
 
 def cmd_simulate(args):
+    out = _out_dir(args.out)
     params = read_truth(_truth_record(args))
     g = params.graph
     n = args.n
@@ -295,11 +323,7 @@ def cmd_simulate(args):
         data = sample_sgdg(reparam_inverse(params), rng, n)
     if not np.all(np.isfinite(data)):
         raise InvalidParams("the truth's draws overflow to non-finite values")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     colnames = [f"x{i + 1}" for i in range(g.k)]
-    write_dataset(out / "data.csv", data, colnames)
-    g.save(out / "graph.json")
     truth = {
         "case": args.case,
         "n": int(n),
@@ -310,7 +334,10 @@ def cmd_simulate(args):
         "L": [[a + 1, b + 1, float(params.L[a, b])] for a, b in g.sorted_edges()],
         "graph": g.to_json_dict(),
     }
-    _dump_json(truth, out / "truth.json")
+    with _writing(out):
+        write_dataset(out / "data.csv", data, colnames)
+        g.save(out / "graph.json")
+        _dump_json(truth, out / "truth.json")
     print(f"wrote {n} x {g.k} dataset to {out / 'data.csv'}")
     return 0
 
@@ -348,6 +375,7 @@ def write_plot_data(out, trace, data, colnames):
 
 
 def cmd_fit(args):
+    out = _out_dir(args.out)
     data, colnames = read_dataset(args.data)
     g = load_graph(args.graph)
     hyper = parse_hyper(args.hyper)
@@ -363,22 +391,21 @@ def cmd_fit(args):
         fix_delta_zero=args.fix_delta_zero,
         colnames=colnames,
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    trace.save(out / "trace.ndjson")
-    rows = summarize(trace)
-    write_csv_rows(out / "summary.csv", list(rows[0]), [list(r.values()) for r in rows])
-    write_plot_data(out, trace, data, colnames)
-    _dump_json(
-        {
-            "command": "fit",
-            "data": str(args.data),
-            "graph": str(args.graph),
-            **{key: trace.meta[key] for key in FIT_RECORD_KEYS},
-            "retained_draws": len(trace),
-        },
-        out / "fit.json",
-    )
+    with _writing(out):
+        trace.save(out / "trace.ndjson")
+        rows = summarize(trace)
+        write_csv_rows(out / "summary.csv", list(rows[0]), [list(r.values()) for r in rows])
+        write_plot_data(out, trace, data, colnames)
+        _dump_json(
+            {
+                "command": "fit",
+                "data": str(args.data),
+                "graph": str(args.graph),
+                **{key: trace.meta[key] for key in FIT_RECORD_KEYS},
+                "retained_draws": len(trace),
+            },
+            out / "fit.json",
+        )
     print(f"retained {len(trace)} draws; outputs in {out}")
     return 0
 
@@ -391,12 +418,16 @@ def _load_trace(path):
 
 
 def cmd_compare(args):
+    """Log Bayes factor of two traces that differ, if at all, only in `fix_delta_zero` and the draws."""
+    out = None if args.out is None else _out_dir(args.out)
     if not 0.0 < args.mix_weight < 1.0:
         raise InvalidParams(f"--mix-weight must lie strictly between 0 and 1, got {args.mix_weight}")
     trace_a = _load_trace(args.trace_a)
     trace_b = _load_trace(args.trace_b)
-    if trace_a.meta["data_digest"] != trace_b.meta["data_digest"]:
-        raise DataMismatch("traces were not produced from identical data")
+    for key, what in (("data_digest", "on identical data"), ("graph", "on the same graph"),
+                      ("prior", "under the same prior")):
+        if trace_a.meta[key] != trace_b.meta[key]:
+            raise DataMismatch(f"traces were not fitted {what}")
     est_a = estimate_log_marginal(trace_a.loglik, mix_weight=args.mix_weight)
     est_b = estimate_log_marginal(trace_b.loglik, mix_weight=args.mix_weight)
     log_bf = est_a.log_marginal - est_b.log_marginal
@@ -409,10 +440,9 @@ def cmd_compare(args):
         "evidence_b": asdict(est_b),
         "log_bayes_factor_a_over_b": log_bf,
     }
-    if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        _dump_json(report, out / "compare.json")
+    if out is not None:
+        with _writing(out):
+            _dump_json(report, out / "compare.json")
     else:
         _dump_json(report)
     side = "A" if log_bf > 0 else "B" if log_bf < 0 else "neither"

@@ -229,17 +229,19 @@ def check_propriety(prior, data, g):
 
 @dataclass(frozen=True)
 class ResolvedHyperparams:
-    """Values (v_mu, mu0, s_omega, r_omega, V_L, Psi) of the active regime, fixed for a chain.
+    """Values (b1, v_mu, mu0, s_omega, r_omega, V_L, Psi) of the active regime, fixed for a chain.
 
-    V_L is the k x k prior precision shared by every row of L; the row
-    conditional uses its slice on the row's forward-neighbor support. Psi is
-    the pattern-Wishart matrix, zero in the other regimes: the conditionals
-    form its state terms themselves, L_i Psi L_i' / 2 in the omega_i^2 rate
-    (under the "wishart" `regime` only, as it is zero elsewhere) and
-    omega_i^2 Psi in the prior precision of row i of L.
+    b1 scales the prior of the skew loadings, delta_i | omega_i^2 ~
+    N(0, b1 / omega_i^2), in every regime. V_L is the k x k prior precision
+    shared by every row of L; the row conditional uses its slice on the row's
+    forward-neighbor support. Psi is the pattern-Wishart matrix, zero in the
+    other regimes: the conditionals form its state terms themselves,
+    L_i Psi L_i' / 2 in the omega_i^2 rate (under the "wishart" `regime` only,
+    as it is zero elsewhere) and omega_i^2 Psi in the prior precision of row i of L.
     """
 
     regime: str
+    b1: float
     v_mu: float
     mu0: np.ndarray
     s_omega: np.ndarray
@@ -252,7 +254,7 @@ def resolve_hyperparams(prior, k):
     """The regime's table: all zero (noninformative), with the proper and Wishart fields set."""
     zero = np.zeros((k, k))
     flat = ResolvedHyperparams(
-        regime=prior.regime, v_mu=0.0, mu0=np.zeros(k), s_omega=np.zeros(k), r_omega=np.zeros(k),
+        regime=prior.regime, b1=prior.b1, v_mu=0.0, mu0=np.zeros(k), s_omega=np.zeros(k), r_omega=np.zeros(k),
         V_L=zero, Psi=zero,
     )
     if prior.regime == "proper":
@@ -275,11 +277,7 @@ def resolve_hyperparams(prior, k):
 
 @dataclass
 class GibbsState:
-    """The sampler's state: the parameters and the n x k latent block u.
-
-    The Gaussian baseline (`fix_delta_zero`) never reads or redraws u, so
-    there u keeps its initial value.
-    """
+    """The sampler's state: the parameters and the n x k latent block u (unread by the baseline)."""
 
     mu: np.ndarray
     delta: np.ndarray
@@ -334,40 +332,37 @@ def gibbs_update_u(state, y, rng):
     return sample_truncated_normal(mean, var, 0.0, rng)
 
 
-def delta_conditional_params(state, y, b1):
+def delta_conditional_params(state, y, resolved):
     """Componentwise normal mean and variance for the skew loadings; y as for u."""
-    denom = (state.u**2).sum(axis=0) + 1.0 / b1
+    denom = (state.u**2).sum(axis=0) + 1.0 / resolved.b1
     mean = (state.u * y).sum(axis=0) / denom
     var = 1.0 / (state.omega2 * denom)
     return mean, var
 
 
-def gibbs_update_delta(state, y, b1, rng):
-    mean, var = delta_conditional_params(state, y, b1)
+def gibbs_update_delta(state, y, resolved, rng):
+    mean, var = delta_conditional_params(state, y, resolved)
     return mean + np.sqrt(var) * rng.standard_normal(mean.shape)
 
 
-def mu_conditional_params(state, stats, resolved, fix_delta_zero=False):
+def mu_conditional_params(state, stats, resolved, offset):
     """Precision-weighted mean h and precision matrix of the location block.
 
     The conditional is N(prec^-1 h, prec^-1); the draw solves for the mean.
-    h = (Omega L)' (L sum(x) - delta o sum(u)) + v_mu mu0 is the same vector as
-    L' Omega L (sum(x) - L^-1 (delta o sum(u))) + v_mu mu0, with no triangular solve.
-    n and sum(x) come from the chain's `DataStats`. With `fix_delta_zero` the u
-    term is left out.
+    h = (Omega L)' (L sum(x) - offset) + v_mu mu0, where the offset is the
+    skew term delta o u summed over the rows, is the same vector as
+    L' Omega L (sum(x) - L^-1 offset) + v_mu mu0, with no triangular solve.
+    n and sum(x) come from the chain's `DataStats`.
     """
     k = state.mu.shape[0]
     wl = state.omega2[:, np.newaxis] * state.L
     prec = stats.n * (state.L.T @ wl) + resolved.v_mu * np.eye(k)
-    resid = state.L @ stats.total
-    if not fix_delta_zero:
-        resid = resid - state.delta * state.u.sum(axis=0)
-    h = wl.T @ resid + resolved.v_mu * resolved.mu0
+    h = wl.T @ (state.L @ stats.total - offset) + resolved.v_mu * resolved.mu0
     return h, prec
 
 
-def gibbs_update_mu(state, stats, resolved, rng, fix_delta_zero=False):
-    h, prec = mu_conditional_params(state, stats, resolved, fix_delta_zero)
+def gibbs_update_mu(state, stats, resolved, offset, rng):
+    h, prec = mu_conditional_params(state, stats, resolved, offset)
     try:
         return _gaussian_draw(prec, h, rng.standard_normal(h.shape[0]))
     except np.linalg.LinAlgError as exc:
@@ -394,26 +389,21 @@ def _gaussian_draw(prec, h, z):
     return np.linalg.solve(prec, (h + rz)[..., np.newaxis])[..., 0]
 
 
-def omega2_conditional_params(state, sum_sq, n, resolved, b1, fix_delta_zero=False):
+def omega2_conditional_params(state, sum_sq, count, resolved):
     """Gamma shape and rate vectors for the precision-scale block.
 
-    sum_sq[i] is the sum over the n rows of the squared residual of coordinate
-    i, the centred row L_i (x - mu) at the current mean less its skew offset
-    delta_i u_i; the rate adds the pattern-Wishart term L_i Psi L_i' / 2. With
-    `fix_delta_zero` (the Gaussian baseline) there is no skew offset, and the
-    extra half unit of shape and the rate term of the delta prior drop out as well.
+    sum_sq[i] is a sum of `count` squared residuals of coordinate i, each
+    weighted by omega_i^2 in the joint: shape s_omega + count / 2 and rate
+    r_omega + sum_sq / 2, plus the pattern-Wishart term L_i Psi L_i' / 2.
     """
     rate = resolved.r_omega
     if resolved.regime == "wishart":
         rate = rate + 0.5 * np.einsum("ij,jk,ik->i", state.L, resolved.Psi, state.L)
-    rate = rate + 0.5 * sum_sq
-    if fix_delta_zero:
-        return resolved.s_omega + 0.5 * n, rate
-    return resolved.s_omega + 0.5 * (n + 1), rate + state.delta**2 / (2.0 * b1)
+    return resolved.s_omega + 0.5 * count, rate + 0.5 * sum_sq
 
 
-def gibbs_update_omega2(state, sum_sq, n, resolved, b1, rng, fix_delta_zero=False):
-    shape, rate = omega2_conditional_params(state, sum_sq, n, resolved, b1, fix_delta_zero)
+def gibbs_update_omega2(state, sum_sq, count, resolved, rng):
+    shape, rate = omega2_conditional_params(state, sum_sq, count, resolved)
     draw = rng.gamma(shape=shape, scale=1.0 / rate)
     if np.any(draw <= 0) or not np.all(np.isfinite(draw)):
         raise NumericalFailure("omega2 block: draw left the positive domain")
@@ -503,27 +493,24 @@ def gibbs_update_L(state, gram, cross, groups, resolved, rng):
     return new_l
 
 
-def gibbs_sweep(state, data, stats, groups, resolved, b1, rng, fix_delta_zero=False):
+def gibbs_sweep(state, data, stats, groups, resolved, rng, fix_delta_zero=False):
     """One full sweep in the fixed order u, delta, mu, omega^2, L rows.
 
     `stats` are the data's `DataStats`, `groups` the row groups of L from
     `l_row_groups` and `resolved` the prior's table from `resolve_hyperparams`;
-    all three hold for the whole chain.
+    all three hold for the whole chain. The blocks are formulas over the
+    inputs formed here, and only here does the model show:
 
-    Each shared statistic is formed once: mu and L stay put through the u and
-    delta blocks, so both read one copy of the centred rows (X - mu) L'. The mu
-    block reads n and the column sums, and every row of L reads the Gram matrix
-    (X - mu)'(X - mu) = r'r + n d d' (d = xbar - mu) from `stats`. The skew
-    sweep forms X - mu once more after the mu block, for the omega^2 residuals
-    and the cross moment u'(X - mu) of the L rows.
-
-    The Gaussian baseline (`fix_delta_zero`) draws no u and forms none of the
-    u terms, since with delta = 0 they are all zero; its omega^2 block reads
-    `DataStats.sum_sq`, so it never touches the n x k data and costs O(k^3)
-    whatever n is. Its u conditional is HN(0, 1), which the truncated normal
-    draws by the inverse CDF from one uniform, one generator output, per entry;
-    advancing the generator past those n * k outputs leaves every later draw
-    equal to the full sweep's.
+    - skew: the u and delta blocks share the centred rows (X - mu) L'. The mu
+      offset is delta o sum(u). The omega^2 block reads the n residuals
+      (X - mu) L' - u o delta and the delta prior's delta^2 / b1 as one more
+      squared residual. The L rows read the cross moment u'(X - mu).
+    - Gaussian baseline (`fix_delta_zero`): with delta = 0 every u term is
+      zero, so the offset is 0, the omega^2 block reads the n residuals
+      through `DataStats.sum_sq` and the L rows no cross moment. It never
+      touches the n x k data. Its u conditional is HN(0, 1), drawn from one
+      generator output per entry, so advancing past those n * k outputs
+      leaves every later draw equal to a sweep that draws u.
 
     A `FloatingPointError` (raised under `run_chain`'s `np.errstate`) becomes
     a `NumericalFailure` that names the block.
@@ -536,17 +523,18 @@ def gibbs_sweep(state, data, stats, groups, resolved, b1, rng, fix_delta_zero=Fa
             y = (data - state.mu) @ state.L.T
             state.u = gibbs_update_u(state, y, rng)
             block = "delta"
-            state.delta = gibbs_update_delta(state, y, b1, rng)
+            state.delta = gibbs_update_delta(state, y, resolved, rng)
         block = "mu"
-        state.mu = gibbs_update_mu(state, stats, resolved, rng, fix_delta_zero)
+        offset = 0.0 if fix_delta_zero else state.delta * state.u.sum(axis=0)
+        state.mu = gibbs_update_mu(state, stats, resolved, offset, rng)
         block = "omega2"
         if fix_delta_zero:
-            sum_sq, cross = stats.sum_sq(state.mu, state.L), None
+            sum_sq, count, cross = stats.sum_sq(state.mu, state.L), stats.n, None
         else:
             y0 = data - state.mu
-            sum_sq = ((y0 @ state.L.T - state.u * state.delta) ** 2).sum(axis=0)
-            cross = state.u.T @ y0
-        state.omega2 = gibbs_update_omega2(state, sum_sq, stats.n, resolved, b1, rng, fix_delta_zero)
+            sum_sq = ((y0 @ state.L.T - state.u * state.delta) ** 2).sum(axis=0) + state.delta**2 / resolved.b1
+            count, cross = stats.n + 1, state.u.T @ y0
+        state.omega2 = gibbs_update_omega2(state, sum_sq, count, resolved, rng)
         block = "L"
         state.L = gibbs_update_L(state, stats.gram(state.mu), cross, groups, resolved, rng)
     except FloatingPointError as exc:
@@ -625,7 +613,7 @@ class Trace:
 
         Defects: a bad record (named by its line), no meta record, one whose
         `schema` is missing or other than `TRACE_SCHEMA`, or one without
-        `data_digest`, no draws, a draw field that is not numeric, a log
+        `data_digest` or `prior`, no draws, a draw field that is not numeric, a log
         likelihood that is not one finite number per draw, a meta `k` or
         `edge_order` other than that of its `graph`, and draw vectors whose
         lengths are not meta `k` (`mu`, `delta`, `omega2`) or the edge count (`L`).
@@ -650,8 +638,9 @@ class Trace:
         schema = meta.get("schema")
         if type(schema) is not int or schema != TRACE_SCHEMA:
             raise ValueError(f"the meta record's schema is {schema!r}, not {TRACE_SCHEMA}")
-        if "data_digest" not in meta:
-            raise ValueError("the meta record has no data_digest")
+        for key in ("data_digest", "prior"):
+            if key not in meta:
+                raise ValueError(f"the meta record has no {key}")
         if not draws["loglik"]:
             raise ValueError("the trace has no draws")
         try:
@@ -774,7 +763,7 @@ def run_chain(data, graph, prior, iters, burn_in=None, thin=10, *, seed,
         # a floating-point overflow, division by zero or invalid operation ends the chain
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             for it in range(1, iters + 1):
-                gibbs_sweep(state, data, stats, groups, resolved, prior.b1, rng, fix_delta_zero=fix_delta_zero)
+                gibbs_sweep(state, data, stats, groups, resolved, rng, fix_delta_zero=fix_delta_zero)
                 if it > burn_in and (it - burn_in) % thin == 0:
                     s = (it - burn_in) // thin - 1
                     trace.mu[s] = state.mu

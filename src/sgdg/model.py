@@ -66,9 +66,10 @@ class SgdgParams:
         if not np.all(np.isfinite(mu)):
             raise InvalidDomain("mu must be finite")
         _check_alpha(alpha)
-        if not np.all(kappa2 > 0):
-            i = int(np.argmin(kappa2 > 0))  # the first entry that is not positive
-            raise InvalidDomain(f"kappa^2 = omega^2 / (1 + alpha^2) must be positive, "
+        valid = (kappa2 > 0) & (kappa2 < np.inf)
+        if not np.all(valid):
+            i = int(np.argmin(valid))  # the first entry that is not positive and finite
+            raise InvalidDomain(f"kappa^2 = omega^2 / (1 + alpha^2) must be positive and finite, "
                                 f"but entry {i + 1} is {float(kappa2[i])!r} (alpha {float(alpha[i])!r})")
         _check_factor(L, self.graph)
         object.__setattr__(self, "mu", mu)

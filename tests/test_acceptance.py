@@ -292,7 +292,7 @@ class TestCriterion07bGeweke:
         resolved = resolve_hyperparams(prior, g.k)
         groups = l_row_groups(g)
         for r in range(self.R):
-            gibbs_sweep(state, x, DataStats.of(x), groups, resolved, prior.b1, rng)
+            gibbs_sweep(state, x, DataStats.of(x), groups, resolved, rng)
             x = self._draw_data_given_u(rng, state.mu, state.delta, state.omega2, state.L, state.u)
             sc[r] = self._stats(state.mu, state.delta, state.omega2, state.L, g)
 

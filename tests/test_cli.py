@@ -211,6 +211,53 @@ class TestSimulate:
         assert not out.exists()
 
 
+class TestOutDir:
+    """An --out that cannot hold the outputs ends in one OutputError record, before any work."""
+
+    def test_fit_out_that_is_a_file_refused_before_sampling(self, sim_dir, tmp_path, capsys, monkeypatch):
+        sweeps = []
+        monkeypatch.setattr(inference, "gibbs_sweep", lambda *args, **kwargs: sweeps.append(1))
+        out = tmp_path / "f"
+        out.write_text("kept")
+        assert run_cli("fit", "--data", sim_dir / "data.csv", "--graph", sim_dir / "graph.json",
+                       "--prior", "noninfo", "--iters", 100, "--seed", 1, "--out", out) == 3
+        record = error_record(capsys)
+        assert record["error"] == "OutputError"
+        assert record["message"] == f"--out {out}: {out} exists and is not a directory"
+        assert sweeps == [] and out.read_text() == "kept"
+
+    def test_compare_out_that_is_a_file_refused(self, sim_dir, tmp_path, capsys):
+        fit = tmp_path / "fit"
+        assert run_cli("fit", "--data", sim_dir / "data.csv", "--graph", sim_dir / "graph.json",
+                       "--prior", "noninfo", "--iters", 100, "--seed", 1, "--out", fit) == 0
+        out = tmp_path / "f"
+        out.write_text("kept")
+        capsys.readouterr()
+        trace = fit / "trace.ndjson"
+        assert run_cli("compare", "--trace-a", trace, "--trace-b", trace, "--out", out) == 3
+        assert error_record(capsys)["error"] == "OutputError"
+        assert out.read_text() == "kept"
+
+    def test_simulate_out_under_a_file_refused(self, tmp_path, capsys):
+        parent = tmp_path / "f"
+        parent.write_text("kept")
+        assert run_cli("simulate", "--case", "A", "--delta", "2", "--seed", "1", "--out", parent / "x") == 3
+        record = error_record(capsys)
+        assert record["error"] == "OutputError"
+        assert record["message"] == f"--out {parent / 'x'}: {parent} exists and is not a directory"
+
+    def test_failed_write_is_one_record(self, sim_dir, tmp_path, capsys, monkeypatch):
+        def full_disk(self, path):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(Trace, "save", full_disk)
+        assert run_cli("fit", "--data", sim_dir / "data.csv", "--graph", sim_dir / "graph.json",
+                       "--prior", "noninfo", "--iters", 100, "--seed", 1, "--out", tmp_path / "o") == 3
+        record = error_record(capsys)
+        assert record["error"] == "OutputError"
+        assert record["message"] == f"--out {tmp_path / 'o'}: [Errno 28] No space left on device"
+
+
 @pytest.mark.parametrize("reader", ["graph", "truth", "trace"])
 def test_deeply_nested_json_refused(tmp_path, capsys, reader):
     # Python's JSON parser raises RecursionError, not ValueError, on 100,000 nested arrays
@@ -613,7 +660,24 @@ class TestCompare:
         assert run_cli("compare", "--trace-a", ta, "--trace-b", out_b / "trace.ndjson") == 3
         assert json.loads(capsys.readouterr().err)["error"] == "DataMismatch"
 
-    @pytest.mark.parametrize("defect", ["truncated", "empty", "missing", "no-digest", "no-draws", "nan-loglik", "text-loglik",
+    @pytest.mark.parametrize("prior_b, graph_b", [("proper", None), (None, Graph(3, [(0, 1)]))],
+                             ids=["prior", "graph"])
+    def test_traces_of_other_prior_or_graph_refused(self, sim_dir, tmp_path, capsys, prior_b, graph_b):
+        # a skew and a baseline fit of the same data compare only under one prior and one graph
+        ta = self._fit(sim_dir, tmp_path, "a", 51)
+        graph = sim_dir / "graph.json" if graph_b is None else write_graph(tmp_path / "g.json", graph_b)
+        out_b = tmp_path / "b"
+        assert run_cli("fit", "--data", sim_dir / "data.csv", "--graph", graph, "--prior", prior_b or "noninfo",
+                       "--iters", 300, "--seed", 3, "--fix-delta-zero", "--out", out_b) == 0
+        capsys.readouterr()
+        assert run_cli("compare", "--trace-a", ta, "--trace-b", out_b / "trace.ndjson") == 3
+        record = error_record(capsys)
+        assert record["error"] == "DataMismatch"
+        assert record["message"] == ("traces were not fitted under the same prior" if graph_b is None
+                                     else "traces were not fitted on the same graph")
+
+    @pytest.mark.parametrize("defect", ["truncated", "empty", "missing", "no-digest", "no-prior", "no-draws",
+                                        "nan-loglik", "text-loglik",
                                         "object-loglik", "short-mu", "short-L", "edge-order", "k-off-graph",
                                         "k-above-cap", "no-schema", "schema-2"])
     def test_unreadable_trace_reported(self, sim_dir, tmp_path, capsys, defect):
@@ -625,9 +689,9 @@ class TestCompare:
             bad.write_text(text[: len(text) - 40])
         elif defect == "empty":
             bad.write_text("")
-        elif defect == "no-digest":
+        elif defect in ("no-digest", "no-prior"):
             record = json.loads(meta)
-            del record["data_digest"]
+            del record["data_digest" if defect == "no-digest" else "prior"]
             bad.write_text(json.dumps(record) + "\n" + first + "".join(rest))
         elif defect in ("no-schema", "schema-2"):
             record = json.loads(meta)

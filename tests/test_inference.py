@@ -221,8 +221,8 @@ class TestResolveHyperparams:
         y0 = rng.standard_normal((6, 3))
         flat = replace(r, Psi=np.zeros((3, 3)))
         sum_sq = ((y0 - state.u * state.delta) ** 2).sum(axis=0)
-        rate = omega2_conditional_params(state, sum_sq, 6, r, prior.b1)[1]
-        rate_flat = omega2_conditional_params(state, sum_sq, 6, flat, prior.b1)[1]
+        rate = omega2_conditional_params(state, sum_sq, 6, r)[1]
+        rate_flat = omega2_conditional_params(state, sum_sq, 6, flat)[1]
         assert np.allclose(rate - rate_flat, 0.5)  # L_i Psi L_i' = 1 for L = I
         (group,) = l_row_groups(g)  # rows 0 and 1, one free entry each
         prec = l_row_conditional_params(state, y0.T @ y0, state.u.T @ y0, r, group)[1]
@@ -239,9 +239,9 @@ class TestResolveHyperparams:
             y = rng.standard_normal((6, 3))
             lpsil = np.einsum("ij,jk,ik->i", state.L, r.Psi, state.L)
             resid = y - state.u * state.delta
-            rate = r.r_omega + 0.5 * lpsil + 0.5 * (resid**2).sum(axis=0) + state.delta**2 / (2.0 * prior.b1)
-            sum_sq = (resid**2).sum(axis=0)
-            assert np.array_equal(omega2_conditional_params(state, sum_sq, 6, r, prior.b1)[1], rate), prior.regime
+            sum_sq = (resid**2).sum(axis=0) + state.delta**2 / prior.b1  # the delta prior is one more residual
+            rate = r.r_omega + 0.5 * lpsil + 0.5 * sum_sq
+            assert np.array_equal(omega2_conditional_params(state, sum_sq, 7, r)[1], rate), prior.regime
 
     def test_resolved_once_per_chain(self, rng, monkeypatch):
         import sgdg.inference
@@ -300,19 +300,21 @@ def three_call_draw(prec, h, z):
     return mean + np.linalg.solve(np.swapaxes(r, -1, -2), z[..., np.newaxis])[..., 0]
 
 
-def sweep_three_call(state, data, graph, resolved, b1, rng, fix_delta_zero):
+def sweep_three_call(state, data, graph, resolved, rng, fix_delta_zero):
     """The earlier sweep algorithm.
 
     The mu mean goes through a triangular solve, the omega^2 residuals and the
-    Gram matrix y0' y0 are formed on the n x k data, and the rows of L are drawn
-    in row order, each with its own cross product u_i' y0[:, fwd] and the
-    three-call draw. The u and delta blocks and the gamma draw are the library's.
+    Gram matrix y0' y0 are formed on the n x k data, the skew model's omega^2
+    conditional adds the delta prior's half unit of shape and rate term
+    delta^2 / (2 b1) to the data's, and the rows of L are drawn in row order,
+    each with its own cross product u_i' y0[:, fwd] and the three-call draw.
+    The u and delta blocks and the gamma draw are the library's.
     """
     n, k = data.shape
     y = (data - state.mu) @ state.L.T
     state.u = gibbs_update_u(state, y, rng)
     if not fix_delta_zero:
-        state.delta = gibbs_update_delta(state, y, b1, rng)
+        state.delta = gibbs_update_delta(state, y, resolved, rng)
     q_omega = state.L.T @ (state.omega2[:, np.newaxis] * state.L)
     prec = n * q_omega + resolved.v_mu * np.eye(k)
     shift = solve_unit_triangular(state.L, state.delta * state.u.sum(axis=0))
@@ -320,7 +322,10 @@ def sweep_three_call(state, data, graph, resolved, b1, rng, fix_delta_zero):
     state.mu = three_call_draw(prec, h, rng.standard_normal(k))
     y0 = data - state.mu
     sum_sq = ((y0 @ state.L.T - state.u * state.delta) ** 2).sum(axis=0)
-    state.omega2 = gibbs_update_omega2(state, sum_sq, n, resolved, b1, rng, fix_delta_zero=fix_delta_zero)
+    shape, rate = omega2_conditional_params(state, sum_sq, n, resolved)
+    if not fix_delta_zero:
+        shape, rate = shape + 0.5, rate + state.delta**2 / (2.0 * resolved.b1)
+    state.omega2 = rng.gamma(shape=shape, scale=1.0 / rate)
     gram = y0.T @ y0
     new_l = state.L.copy()
     for i in range(graph.k):
@@ -411,9 +416,8 @@ class TestGaussianDraw:
             data = rng.standard_normal((12, g.k)) * 1.3 + 0.4
             seed = int(rng.integers(2**32))
             new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            new = gibbs_sweep(deepcopy(start), data, DataStats.of(data), groups, resolved, prior.b1, new_rng,
-                              fix_delta_zero)
-            old = sweep_three_call(deepcopy(start), data, g, resolved, prior.b1, old_rng, fix_delta_zero)
+            new = gibbs_sweep(deepcopy(start), data, DataStats.of(data), groups, resolved, new_rng, fix_delta_zero)
+            old = sweep_three_call(deepcopy(start), data, g, resolved, old_rng, fix_delta_zero)
             fields = self.FIELDS
             if fix_delta_zero:  # the baseline draws no u: it keeps the start state's
                 assert np.array_equal(new.u, start.u), prior.regime
@@ -450,9 +454,9 @@ class TestGaussianDraw:
         state.omega2[1] = -0.5  # under the noninformative prior the precision is n L' diag(omega^2) L
         data = rng.standard_normal((12, 3))
         resolved = resolve_hyperparams(NoninformativePrior(b1=1.0), 3)
-        _, prec = mu_conditional_params(state, DataStats.of(data), resolved)
+        _, prec = mu_conditional_params(state, DataStats.of(data), resolved, 0.0)
         with pytest.raises(NumericalFailure, match="^mu block: ") as info:
-            gibbs_update_mu(state, DataStats.of(data), resolved, rng)
+            gibbs_update_mu(state, DataStats.of(data), resolved, 0.0, rng)
         assert str(info.value).endswith(f"(smallest eigenvalue {np.linalg.eigvalsh(prec)[0]:.6g})")
 
     def test_lapack_calls_per_sweep(self, rng, monkeypatch):
@@ -488,22 +492,22 @@ class TestConditionalCollapse:
         assert np.all(var == 1.0)
 
 
-def baseline_sweep_drawing_u(state, data, stats, groups, resolved, b1, rng):
+def baseline_sweep_drawing_u(state, data, stats, groups, resolved, rng):
     """The Gaussian baseline sweep that draws u and forms every u term, kept as the reference.
 
-    With delta = 0 each u term is zero: delta o sum(u) in the mu block, the
-    offset u o delta in the omega^2 residuals and the cross moment u' y0 in the
-    L block. The mu and L updates form them on their skew path. The residual sum
-    of squares sum (y - u delta)^2 is expanded about the library's baseline
-    `stats.sum_sq`, the sum of y^2, and the Gram matrix is the library's.
+    With delta = 0 each u term is zero: the offset delta o sum(u) of the mu
+    block, the offset u o delta in the omega^2 residuals and the cross moment
+    u' y0 in the L block. The residual sum of squares sum (y - u delta)^2 is
+    expanded about the library's baseline `stats.sum_sq`, the sum of y^2, and
+    the Gram matrix is the library's.
     """
     y = (data - state.mu) @ state.L.T
     state.u = gibbs_update_u(state, y, rng)
-    state.mu = gibbs_update_mu(state, stats, resolved, rng)
+    state.mu = gibbs_update_mu(state, stats, resolved, state.delta * state.u.sum(axis=0), rng)
     y0 = data - state.mu
     uy = (state.u * (y0 @ state.L.T)).sum(axis=0)
     sum_sq = stats.sum_sq(state.mu, state.L) - 2.0 * state.delta * uy + state.delta**2 * (state.u**2).sum(axis=0)
-    state.omega2 = gibbs_update_omega2(state, sum_sq, stats.n, resolved, b1, rng, fix_delta_zero=True)
+    state.omega2 = gibbs_update_omega2(state, sum_sq, stats.n, resolved, rng)
     state.L = gibbs_update_L(state, stats.gram(state.mu), state.u.T @ y0, groups, resolved, rng)
     return state
 
@@ -542,14 +546,14 @@ class TestBaselineSweep:
         library_sweep = gibbs_sweep
         rngs = []
 
-        def library(state, data, stats, groups, resolved, b1, rng, fix_delta_zero=False):
+        def library(state, data, stats, groups, resolved, rng, fix_delta_zero=False):
             rngs.append(rng)
-            return library_sweep(state, data, stats, groups, resolved, b1, rng, fix_delta_zero)
+            return library_sweep(state, data, stats, groups, resolved, rng, fix_delta_zero)
 
-        def reference(state, data, stats, groups, resolved, b1, rng, fix_delta_zero=False):
+        def reference(state, data, stats, groups, resolved, rng, fix_delta_zero=False):
             assert fix_delta_zero
             rngs.append(rng)
-            return baseline_sweep_drawing_u(state, data, stats, groups, resolved, b1, rng)
+            return baseline_sweep_drawing_u(state, data, stats, groups, resolved, rng)
 
         for prior in priors_for(g.k, rng):
             traces, final_states = [], []
@@ -581,7 +585,7 @@ class TestBaselineSweep:
                 state, sweep_rng = deepcopy(start), np.random.default_rng(seed)
                 logliks = []
                 for _ in range(5):
-                    gibbs_sweep(state, x, stats, groups, resolved, prior.b1, sweep_rng, fix_delta_zero=True)
+                    gibbs_sweep(state, x, stats, groups, resolved, sweep_rng, fix_delta_zero=True)
                     logliks.append(_observed_loglik(state, x, stats, fix_delta_zero=True))
                 ends.append((state, logliks, sweep_rng.bit_generator.state))
             (real, real_ll, real_rng), (blind, blind_ll, blind_rng) = ends
@@ -606,13 +610,58 @@ class TestBaselineSweep:
                 assert len(calls) == 40 * per_sweep, (fix_delta_zero, prior.regime)
 
 
+def gaussian_slice_gap(rng, h, prec, joint_at):
+    """|conditional log ratio - joint log ratio| of N(prec^-1 h, prec^-1) at two points about its mean."""
+    mean = np.linalg.solve(prec, h)
+    a = mean + rng.standard_normal(mean.shape[0])
+    b = mean + rng.standard_normal(mean.shape[0])
+    lhs = -0.5 * ((a - mean) @ prec @ (a - mean) - (b - mean) @ prec @ (b - mean))
+    return abs(lhs - (joint_at(a) - joint_at(b)))
+
+
+def mu_slice_gap(rng, state, stats, resolved, offset, joint_with):
+    h, prec = mu_conditional_params(state, stats, resolved, offset)
+    return gaussian_slice_gap(rng, h, prec, lambda v: joint_with(mu=v))
+
+
+def omega2_slice_gap(rng, state, sum_sq, count, resolved, joint_with):
+    """The gap in one coordinate of omega^2, picked at random."""
+    shape, rate = omega2_conditional_params(state, sum_sq, count, resolved)
+    i = int(rng.integers(state.omega2.shape[0]))
+    a, b = rng.uniform(0.2, 3.0, size=2)
+    lhs = (shape[i] - 1.0) * (np.log(a) - np.log(b)) - rate[i] * (a - b)
+    oa, ob = state.omega2.copy(), state.omega2.copy()
+    oa[i], ob[i] = a, b
+    return abs(lhs - (joint_with(omega2=oa) - joint_with(omega2=ob)))
+
+
+def l_row_slice_gap(rng, state, gram, cross, groups, resolved, joint_with):
+    """The gap in one row of L with free entries, picked at random in row order, or 0 if there is none."""
+    rows = sorted(((grp, g) for grp in groups for g in range(len(grp.rows))),
+                  key=lambda pair: pair[0].rows[pair[1]])
+    if not rows:
+        return 0.0
+    grp, g = rows[int(rng.integers(len(rows)))]
+    i, fwd = grp.rows[g], list(grp.fwd[g])
+    h_l, prec_l = l_row_conditional_params(state, gram, cross, resolved, grp)
+
+    def joint_at(values):
+        L = state.L.copy()
+        L[i, fwd] = values
+        return joint_with(L=L)
+
+    return gaussian_slice_gap(rng, h_l[g], prec_l[g], joint_at)
+
+
 def slice_ratio_worst(rng, graph, prior, n, include_delta=True):
     """Largest mismatch between conditional log ratios and joint log ratios.
 
-    The skew conditionals (include_delta) read the omega^2 residuals and the
-    Gram matrix y0' y0 of the L rows directly on the n x k data; the Gaussian
-    baseline's read them as the library's baseline sweep does, through
-    `DataStats.sum_sq` and `DataStats.gram`. The mu block reads `DataStats` in both.
+    The skew conditionals (include_delta) read the omega^2 residuals, with the
+    delta prior's delta^2 / b1 as one more squared residual, and the Gram
+    matrix y0' y0 of the L rows directly on the n x k data; the Gaussian baseline's read them as
+    the library's baseline sweep does, through `DataStats.sum_sq` and
+    `DataStats.gram`, with mu offset 0 and no cross moment. The mu block reads
+    `DataStats` in both.
     """
     data = rng.standard_normal((n, graph.k)) * 1.3 + 0.4
     stats = DataStats.of(data)
@@ -638,7 +687,7 @@ def slice_ratio_worst(rng, graph, prior, n, include_delta=True):
 
     # delta coordinate
     if include_delta:
-        mean_d, var_d = delta_conditional_params(state, y, prior.b1)
+        mean_d, var_d = delta_conditional_params(state, y, resolved)
         i = int(rng.integers(graph.k))
         a, b = rng.standard_normal(2)
         lhs = -0.5 * ((a - mean_d[i]) ** 2 - (b - mean_d[i]) ** 2) / var_d[i]
@@ -647,45 +696,18 @@ def slice_ratio_worst(rng, graph, prior, n, include_delta=True):
         rhs = joint_with(delta=da) - joint_with(delta=db)
         worst = max(worst, abs(lhs - rhs))
 
-    # mu block
-    h_m, prec_m = mu_conditional_params(state, stats, resolved, fix_delta_zero=not include_delta)
-    mean_m = np.linalg.solve(prec_m, h_m)
-    a = mean_m + rng.standard_normal(graph.k)
-    b = mean_m + rng.standard_normal(graph.k)
-    lhs = -0.5 * ((a - mean_m) @ prec_m @ (a - mean_m) - (b - mean_m) @ prec_m @ (b - mean_m))
-    rhs = joint_with(mu=a) - joint_with(mu=b)
-    worst = max(worst, abs(lhs - rhs))
-
-    # omega2 coordinate
-    sum_sq = ((y - state.u * state.delta) ** 2).sum(axis=0) if include_delta else stats.sum_sq(state.mu, state.L)
-    shape, rate = omega2_conditional_params(state, sum_sq, n, resolved, prior.b1, fix_delta_zero=not include_delta)
-    i = int(rng.integers(graph.k))
-    a, b = rng.uniform(0.2, 3.0, size=2)
-    lhs = (shape[i] - 1.0) * (np.log(a) - np.log(b)) - rate[i] * (a - b)
-    oa, ob = state.omega2.copy(), state.omega2.copy()
-    oa[i], ob[i] = a, b
-    rhs = joint_with(omega2=oa) - joint_with(omega2=ob)
-    worst = max(worst, abs(lhs - rhs))
-
-    # one row of L, from its row group; the rows in row order
-    rows = sorted(((grp, g) for grp in l_row_groups(graph) for g in range(len(grp.rows))),
-                  key=lambda pair: pair[0].rows[pair[1]])
-    if rows:
-        grp, g = rows[int(rng.integers(len(rows)))]
-        i, fwd = grp.rows[g], list(grp.fwd[g])
-        gram, cross = (y0.T @ y0, state.u.T @ y0) if include_delta else (stats.gram(state.mu), None)
-        h_l, prec_l = l_row_conditional_params(state, gram, cross, resolved, grp)
-        h_l, prec_l = h_l[g], prec_l[g]
-        mean_l = np.linalg.solve(prec_l, h_l)
-        a = mean_l + rng.standard_normal(len(fwd))
-        b = mean_l + rng.standard_normal(len(fwd))
-        lhs = -0.5 * ((a - mean_l) @ prec_l @ (a - mean_l) - (b - mean_l) @ prec_l @ (b - mean_l))
-        la, lb = state.L.copy(), state.L.copy()
-        la[i, fwd], lb[i, fwd] = a, b
-        rhs = joint_with(L=la) - joint_with(L=lb)
-        worst = max(worst, abs(lhs - rhs))
-
+    if include_delta:
+        offset = state.delta * state.u.sum(axis=0)
+        sum_sq = ((y - state.u * state.delta) ** 2).sum(axis=0) + state.delta**2 / prior.b1
+        count, gram, cross = n + 1, y0.T @ y0, state.u.T @ y0
+    else:
+        offset, sum_sq, count = 0.0, stats.sum_sq(state.mu, state.L), n
+        gram, cross = stats.gram(state.mu), None
+    worst = max(worst, mu_slice_gap(rng, state, stats, resolved, offset, joint_with))
+    worst = max(worst, omega2_slice_gap(rng, state, sum_sq, count, resolved, joint_with))
+    worst = max(worst, l_row_slice_gap(rng, state, gram, cross, l_row_groups(graph), resolved, joint_with))
     return worst
+
 
 class TestSliceRatios:
     """Every full conditional must match the joint's slice ratios exactly."""
@@ -709,6 +731,39 @@ class TestSliceRatios:
             g = chain_graph(k)
             for prior in priors_for(k, rng):
                 worst = max(worst, slice_ratio_worst(rng, g, prior, 6, include_delta=False))
+        assert worst < self.TOL
+
+    @pytest.mark.parametrize("fix_delta_zero", [False, True], ids=["skew", "baseline"])
+    def test_conditionals_of_the_inputs_a_sweep_forms(self, rng, monkeypatch, fix_delta_zero):
+        # only the sweep knows the model: it forms the mu offset, the omega^2 residuals and
+        # their count, and the L rows' moments. The conditionals built from the inputs that a
+        # real sweep passes to the mu, omega^2 and L blocks must match the joint of its state.
+        gaps = {"gibbs_update_mu": mu_slice_gap, "gibbs_update_omega2": omega2_slice_gap,
+                "gibbs_update_L": l_row_slice_gap}
+        seen = []
+        for name in gaps:
+            def capture(state, *args, _name=name, _real=getattr(inference, name)):
+                seen.append((_name, deepcopy(state), args[:-1]))  # all but the generator
+                return _real(state, *args)
+
+            monkeypatch.setattr(inference, name, capture)
+        worst = 0.0
+        for rep in range(10):
+            k = int(rng.integers(2, 5))
+            g = chain_graph(k) if rep % 2 else Graph(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
+            n = int(rng.integers(3, 9))
+            data = rng.standard_normal((n, k)) * 1.3 + 0.4
+            for prior in priors_for(k, rng):
+                seen.clear()
+                state = random_state(rng, g, n, zero_delta=fix_delta_zero)
+                gibbs_sweep(state, data, DataStats.of(data), l_row_groups(g), resolve_hyperparams(prior, k), rng,
+                            fix_delta_zero)
+                assert [name for name, _, _ in seen] == list(gaps)
+                for name, at_call, args in seen:
+                    def joint_with(at_call=at_call, **kw):
+                        return log_joint(replace(at_call, **kw), data, g, prior, include_delta=not fix_delta_zero)
+
+                    worst = max(worst, gaps[name](rng, at_call, *args, joint_with))
         assert worst < self.TOL
 
     def test_scalar_model_textbook_augmentation(self, rng):

@@ -122,6 +122,13 @@ class TestParamsValidation:
         with pytest.raises(InvalidDomain, match="mu must be finite"):
             SgdgParams(np.array([bad, 0.0]), np.zeros(2), np.eye(2), np.ones(2), Graph(2, [(0, 1)]))
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 0.0, -1.0])
+    def test_kappa2_not_positive_and_finite_refused(self, bad):
+        # an infinite kappa^2 would meet 0 * inf in the quadratic form of the log density
+        with pytest.raises(InvalidDomain, match=r"^kappa\^2 = omega\^2 / \(1 \+ alpha\^2\) must be positive and "
+                                                r"finite, but entry 1 is "):
+            SgdgParams(np.zeros(2), np.zeros(2), np.eye(2), np.array([bad, 1.0]), Graph(2, [(0, 1)]))
+
     def test_identity_ordering_helper(self):
         assert verify_ordering(chain_graph(4))
         assert not verify_ordering(Graph(3, [(0, 1), (0, 2)]))
