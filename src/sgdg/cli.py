@@ -486,7 +486,10 @@ def build_parser():
     p_fit.add_argument("--thin", type=int, default=10)
     p_fit.add_argument("--seed", type=int, required=True)
     p_fit.add_argument("--fix-delta-zero", action="store_true", dest="fix_delta_zero",
-                       help="pin the skew loadings at zero (Gaussian graphical baseline)")
+                       help="pin the skew loadings at zero (Gaussian graphical baseline); under the "
+                            "noninfo and wishart priors its posterior is drawn exactly, without a chain, "
+                            "so --iters, --burnin and --thin fix only the number of draws, "
+                            "(iters - burnin) // thin")
     p_fit.add_argument("--out", required=True)
     p_fit.set_defaults(func=cmd_fit)
 

@@ -29,6 +29,7 @@ from .graph import Graph, NotDecomposable, verify_ordering
 from .linalg import modified_cholesky
 
 SWEEP_ORDER = ("u", "delta", "mu", "omega2", "L")
+FLAT_MU_REGIMES = ("noninfo", "wishart")  # the Gaussian baseline's posterior is conjugate under these
 TRACE_SCHEMA = 1  # the version of the trace file format that `run_chain` writes
 
 
@@ -37,9 +38,10 @@ class ProprietyViolation(ValueError):
 
 
 class NumericalFailure(RuntimeError):
-    """Raised when a Gibbs block's conditional leaves its domain.
+    """Raised when a Gibbs block's conditional, or an exact draw, leaves its domain.
 
-    The message names the sweep, the block and, in the L block, the row.
+    The message names the sweep, the block and, in the L block, the row; or
+    the exact draw and its row.
     """
 
 
@@ -464,6 +466,29 @@ def l_row_conditional_params(state, gram, cross, resolved, group):
     return h, prec
 
 
+def _raise_first_failing_row(where, group, draw, precision, exc):
+    """Error path only: raise a NumericalFailure naming the first row of `group` whose own draw fails.
+
+    `draw(one)` repeats the failed work for a one-row group and `precision(one)`
+    is that row's (1, m, m) precision. A singular or indefinite precision and
+    a floating-point error each name the row; if no row fails alone, `exc` is
+    raised again.
+    """
+    for g, row in enumerate(group.rows):
+        one = LRowGroup(group.rows[g : g + 1], group.fwd[g : g + 1],
+                        tuple(ix[g : g + 1] for ix in group.block), group.slots[g : g + 1])
+        try:
+            draw(one)
+        except np.linalg.LinAlgError:
+            raise NumericalFailure(
+                f"{where}, row {row + 1}: conditional precision is not positive definite "
+                f"(smallest eigenvalue {np.linalg.eigvalsh(precision(one)[0])[0]:.6g})"
+            ) from exc
+        except FloatingPointError as row_exc:
+            raise NumericalFailure(f"{where}, row {row + 1}: floating-point {row_exc}") from exc
+    raise exc
+
+
 def gibbs_update_L(state, gram, cross, groups, resolved, rng):
     """Draw every free entry of L from its row conditional, one group of rows at a time.
 
@@ -474,23 +499,96 @@ def gibbs_update_L(state, gram, cross, groups, resolved, rng):
     """
     new_l = state.L.copy()
     z = rng.standard_normal(sum(g.slots.size for g in groups))
-    for group in groups:
+
+    def draw(group):
         h, prec = l_row_conditional_params(state, gram, cross, resolved, group)
-        zg = z[group.slots]
+        return _gaussian_draw(prec, h, z[group.slots])
+
+    for group in groups:
         try:
-            new_l[group.rows[:, np.newaxis], group.fwd] = _gaussian_draw(prec, h, zg)
-        except np.linalg.LinAlgError as exc:
-            # error path only: name the first row whose own draw fails
-            for g, row in enumerate(group.rows):
-                try:
-                    _gaussian_draw(prec[g], h[g], zg[g])
-                except np.linalg.LinAlgError:
-                    raise NumericalFailure(
-                        f"L block, row {row + 1}: conditional precision is not positive definite "
-                        f"(smallest eigenvalue {np.linalg.eigvalsh(prec[g])[0]:.6g})"
-                    ) from exc
-            raise
+            new_l[group.rows[:, np.newaxis], group.fwd] = draw(group)
+        except (np.linalg.LinAlgError, FloatingPointError) as exc:
+            _raise_first_failing_row(
+                "L block", group, draw, lambda one: l_row_conditional_params(state, gram, cross, resolved, one)[1],
+                exc)
     return new_l
+
+
+def flat_mu_baseline_draws(stats, groups, resolved, draws, rng):
+    """`draws` i.i.d. draws from the Gaussian baseline's posterior under a flat prior on mu.
+
+    Returns the draws of mu and omega^2 (draws, k), of the free entries of L
+    in the order of the groups' slots, which is the graph's sorted edges, and
+    their log likelihoods (draws,). `stats`, `groups` and `resolved` are as
+    for `gibbs_sweep`; `resolved` must be that of "noninfo" or "wishart".
+
+    With nu = L mu, a map of unit Jacobian for a fixed L, row i of L (x - mu)
+    is a regression of x_i on its m forward neighbours x_f, with intercept
+    nu_i, coefficients -L_i,f and precision omega_i^2, to which both flat-mu
+    priors are conjugate (Roverato 2000; Dawid & Lauritzen 1993). With
+    A = scatter + Psi, the rows are independent a posteriori:
+
+        omega_i^2 ~ G(s_omega_i + (n - 1 - m) / 2, rss_i / 2), rss_i = A_ii - A_if A_ff^-1 A_fi,
+        L_i,f | omega_i^2 ~ N(-A_ff^-1 A_fi, (omega_i^2 A_ff)^-1),
+        nu_i | L_i, omega_i^2 ~ N(L_i xbar, 1 / (n omega_i^2)),
+
+    and mu = L^-1 nu by back substitution. The rows are drawn one group of
+    equal forward degree at a time, vectorised over the draws. rss_i is
+    formed at the fitted row l = (1, -A_ff^-1 A_fi) as ||r l'||^2 + l Psi l',
+    a sum of squares that keeps its accuracy when x_i is nearly collinear with
+    x_f. The log likelihood is `_observed_loglik`'s closed form, with
+    L_i (xbar - mu) = L_i xbar - nu_i and ||r L_i'||^2 expanded about the
+    fitted row. A failure names its row.
+    """
+    n, k = stats.n, stats.xbar.shape[0]
+    A = stats.scatter + resolved.Psi
+    degree = np.zeros(k)
+    for group in groups:
+        degree[group.rows] = group.fwd.shape[1]
+    gamma = rng.standard_gamma(resolved.s_omega + 0.5 * (n - 1 - degree), size=(draws, k))
+    z = rng.standard_normal((draws, sum(g.slots.size for g in groups)))
+    e = rng.standard_normal((draws, k))
+
+    def draw(group):
+        """omega^2, L_i,f, nu and the log-likelihood term of each row of the group, per draw."""
+        rows, fwd, block = group.rows, group.fwd, group.block
+        s = A[block]
+        prec, zeta = s[..., :-1], s[..., -1]
+        fit = _gaussian_draw(prec, -zeta, np.zeros_like(zeta))  # -A_ff^-1 A_fi
+        r_fwd = stats.r[:, fwd]
+        resid = stats.r[:, rows] + np.einsum("pgm,gm->pg", r_fwd, fit)  # r l' at the fitted row
+        fit_sq = (resid**2).sum(axis=0)
+        psi = resolved.Psi[block]
+        rss = (fit_sq + resolved.Psi[rows, rows] + 2.0 * (fit * psi[..., -1]).sum(axis=-1)
+               + np.einsum("gm,gmn,gn->g", fit, psi[..., :-1], fit))
+        omega2 = gamma[:, rows] * (2.0 / rss)
+        coef = _gaussian_draw(prec, -zeta, z[:, group.slots] / np.sqrt(omega2)[..., np.newaxis])
+        nu_resid = e[:, rows] / np.sqrt(n * omega2)
+        dev = coef - fit
+        sum_sq = (fit_sq + 2.0 * (dev * np.einsum("pgm,pg->gm", r_fwd, resid)).sum(axis=-1)
+                  + np.einsum("dgm,gmn,dgn->dg", dev, stats.scatter[block][..., :-1], dev) + n * nu_resid**2)
+        nu = stats.xbar[rows] + (coef * stats.xbar[fwd]).sum(axis=-1) + nu_resid
+        return omega2, coef, nu, 0.5 * n * np.log(omega2) - 0.5 * omega2 * sum_sq
+
+    cols0 = np.flatnonzero(degree == 0)[:, np.newaxis]  # the rows with no free entry, as a group of degree 0
+    no_fwd = LRowGroup(cols0[:, 0], cols0[:, :0], (cols0[:, :0, np.newaxis], cols0[:, np.newaxis, :]), cols0[:, :0])
+    mu, omega2 = np.empty((draws, k)), np.empty((draws, k))
+    L, loglik = np.empty(z.shape), np.full(draws, -0.5 * n * k * np.log(2.0 * np.pi))
+    for group in (no_fwd, *groups):
+        try:
+            omega2[:, group.rows], L[:, group.slots], mu[:, group.rows], term = draw(group)
+        except (np.linalg.LinAlgError, FloatingPointError) as exc:
+            _raise_first_failing_row("exact draw", group, draw, lambda one: A[one.block][..., :-1], exc)
+        loglik += term.sum(axis=-1)
+    # mu = L^-1 nu: back substitution in descending row order, so a row's forward neighbours are final
+    free = {row: (slots, fwd) for group in groups for row, slots, fwd in zip(group.rows, group.slots, group.fwd)}
+    try:
+        for row in sorted(free, reverse=True):
+            slots, fwd = free[row]
+            mu[:, row] -= (L[:, slots] * mu[:, fwd]).sum(axis=-1)
+    except FloatingPointError as exc:
+        raise NumericalFailure(f"exact draw, row {row + 1}: floating-point {exc}") from exc
+    return mu, omega2, L, loglik
 
 
 def gibbs_sweep(state, data, stats, groups, resolved, rng, fix_delta_zero=False):
@@ -505,15 +603,16 @@ def gibbs_sweep(state, data, stats, groups, resolved, rng, fix_delta_zero=False)
       offset is delta o sum(u). The omega^2 block reads the n residuals
       (X - mu) L' - u o delta and the delta prior's delta^2 / b1 as one more
       squared residual. The L rows read the cross moment u'(X - mu).
-    - Gaussian baseline (`fix_delta_zero`): with delta = 0 every u term is
-      zero, so the offset is 0, the omega^2 block reads the n residuals
+    - Gaussian baseline (`fix_delta_zero`; `run_chain` sweeps it under
+      "proper" only, as it draws exactly under the flat-mu priors): with
+      delta = 0 every u term is zero, so the offset is 0, the omega^2 block reads the n residuals
       through `DataStats.sum_sq` and the L rows no cross moment. It never
       touches the n x k data. Its u conditional is HN(0, 1), drawn from one
       generator output per entry, so advancing past those n * k outputs
       leaves every later draw equal to a sweep that draws u.
 
     A `FloatingPointError` (raised under `run_chain`'s `np.errstate`) becomes
-    a `NumericalFailure` that names the block.
+    a `NumericalFailure` that names the block and, in the L block, the row.
     """
     block = "u"
     try:
@@ -712,7 +811,10 @@ def run_chain(data, graph, prior, iters, burn_in=None, thin=10, *, seed,
     Requires the graph labels to form a perfect elimination ordering and the
     propriety gate of the active prior regime to pass. Fully deterministic
     for a fixed seed. `fix_delta_zero` pins the skew loadings at zero, which
-    turns the model into the Gaussian graphical baseline.
+    turns the model into the Gaussian graphical baseline. Under the flat-mu
+    priors (`FLAT_MU_REGIMES`) the baseline's posterior is conjugate, so no
+    chain runs: the trace holds (iters - burn_in) // thin i.i.d. draws from
+    `flat_mu_baseline_draws`. Under "proper" the baseline runs the chain.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
@@ -759,9 +861,14 @@ def run_chain(data, graph, prior, iters, burn_in=None, thin=10, *, seed,
     resolved = resolve_hyperparams(prior, k)
     groups = l_row_groups(graph)
     stats = DataStats.of(data)
-    try:
-        # a floating-point overflow, division by zero or invalid operation ends the chain
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
+    # a floating-point overflow, division by zero or invalid operation ends the chain
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        if fix_delta_zero and prior.regime in FLAT_MU_REGIMES:
+            trace.mu[:], trace.omega2[:], trace.L[:], trace.loglik[:] = flat_mu_baseline_draws(
+                stats, groups, resolved, keep, rng)
+            trace.delta[:] = 0.0
+            return trace
+        try:
             for it in range(1, iters + 1):
                 gibbs_sweep(state, data, stats, groups, resolved, rng, fix_delta_zero=fix_delta_zero)
                 if it > burn_in and (it - burn_in) % thin == 0:
@@ -774,8 +881,8 @@ def run_chain(data, graph, prior, iters, burn_in=None, thin=10, *, seed,
                         trace.loglik[s] = _observed_loglik(state, data, stats, fix_delta_zero)
                     except FloatingPointError as exc:
                         raise NumericalFailure(f"log likelihood: floating-point {exc}") from exc
-    except NumericalFailure as exc:
-        raise NumericalFailure(f"sweep {it}, {exc}") from exc
+        except NumericalFailure as exc:
+            raise NumericalFailure(f"sweep {it}, {exc}") from exc
     return trace
 
 
@@ -821,9 +928,10 @@ def summarize(trace):
     """Posterior mean, SD, central quantiles and ESS per scalar parameter."""
     if len(trace) == 0:
         raise EmptyTrace("trace contains no retained draws")
+    columns = _param_columns(trace)
+    quantiles = np.quantile(np.column_stack([x for _, x in columns]), [0.025, 0.5, 0.975], axis=0)
     rows = []
-    for name, x in _param_columns(trace):
-        q = np.quantile(x, [0.025, 0.5, 0.975])
+    for (name, x), q in zip(columns, quantiles.T):
         scaled, e = _scaled_by_power_of_two(x)
         rows.append(
             {

@@ -17,12 +17,17 @@ raise rather than silently approximate.
 `separates`, `assemble_precision`, `verify_pattern` and `reparam_forward`
 state the paper's definitions directly; the package needs none of them, and
 the tests check its factorization, sampler and parameter maps against them.
+
+`flat_mu_log_evidence` and `flat_mu_log_posterior` are the closed forms of
+the Gaussian baseline under the flat-mu priors: its exact log evidence and
+the density of the posterior that `inference.flat_mu_baseline_draws` draws
+from, written out row by row with dense solves and no library code.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr
+from scipy.special import gammaln, log_ndtr
 
 from sgdg.linalg import solve_unit_triangular
 from sgdg.model import ReparamParams, covariance_matrix, mean_vector, sample_sgdg, sgdg_log_density
@@ -280,3 +285,66 @@ def reparam_forward(p):
     delta = p.alpha / (kappa * root)
     omega2 = p.kappa2 * (1.0 + p.alpha**2)
     return ReparamParams(p.mu, delta, omega2, p.L, p.graph)
+
+
+def _flat_mu_rows(data, graph, prior):
+    """Per row i of the Gaussian baseline under a flat-mu prior: (f, A_ff, A_fi, rss, shape).
+
+    f is the forward neighbours of i, A = S + Psi with S the centred scatter
+    of the data (Psi = 0 under "noninfo"), rss = A_ii - A_if A_ff^-1 A_fi and
+    shape = s_i + (n - 1 - m) / 2 with s_i = psi_i / 2 (0 under "noninfo").
+    """
+    n, k = data.shape
+    centred = data - data.mean(axis=0)
+    A = centred.T @ centred
+    s = np.zeros(k)
+    if prior.regime == "wishart":
+        A, s = A + prior.Psi, prior.psi / 2.0
+    rows = []
+    for i in range(k):
+        f = graph.forward_neighbors(i)
+        a_ff, a_fi = A[np.ix_(f, f)], A[f, i]
+        rss = A[i, i] - a_fi @ np.linalg.solve(a_ff, a_fi) if f else A[i, i]
+        rows.append((f, a_ff, a_fi, rss, s[i] + 0.5 * (n - 1 - len(f))))
+    return rows
+
+
+def flat_mu_log_evidence(data, graph, prior):
+    """Exact log marginal likelihood of the Gaussian baseline under "noninfo" or "wishart".
+
+    The convention: Lebesgue measure on mu and on the free entries of L, and
+    the prior's stated density on omega^2, unnormalised: prod_i omega_i^-2
+    ("noninfo"), or prod_i (omega_i^2)^(psi_i/2 - 1) exp(-omega_i^2 L_i Psi L_i' / 2)
+    ("wishart"). Integrating nu_i = L_i mu, then L_i,f, then omega_i^2 out of
+    row i gives
+    -(n - 1 - m)/2 log 2 pi - log(n)/2 - log det(A_ff)/2 + log Gamma(a) - a log(rss/2).
+    """
+    n = data.shape[0]
+    total = 0.0
+    for f, a_ff, _, rss, shape in _flat_mu_rows(data, graph, prior):
+        logdet = np.linalg.slogdet(a_ff)[1] if f else 0.0
+        total += (-0.5 * (n - 1 - len(f)) * np.log(2.0 * np.pi) - 0.5 * np.log(n) - 0.5 * logdet
+                  + gammaln(shape) - shape * np.log(0.5 * rss))
+    return total
+
+
+def flat_mu_log_posterior(mu, omega2, L, data, graph, prior):
+    """Log posterior density of the Gaussian baseline at (mu, omega^2, L) under "noninfo" or "wishart".
+
+    The product over the rows of the densities of omega_i^2 ~ G(a, rss/2),
+    L_i,f | omega_i^2 ~ N(-A_ff^-1 A_fi, (omega_i^2 A_ff)^-1) and
+    nu_i = L_i mu ~ N(L_i xbar, 1/(n omega_i^2)); the map from mu to nu has unit
+    Jacobian, so this is also the density in (mu, omega^2, L).
+    """
+    n = data.shape[0]
+    xbar = data.mean(axis=0)
+    total = 0.0
+    for i, (f, a_ff, a_fi, rss, shape) in enumerate(_flat_mu_rows(data, graph, prior)):
+        w, rate = omega2[i], 0.5 * rss
+        total += shape * np.log(rate) - gammaln(shape) + (shape - 1.0) * np.log(w) - rate * w
+        if f:
+            dev = L[i, f] + np.linalg.solve(a_ff, a_fi)
+            total += (0.5 * len(f) * np.log(w / (2.0 * np.pi)) + 0.5 * np.linalg.slogdet(a_ff)[1]
+                      - 0.5 * w * dev @ a_ff @ dev)
+        total += 0.5 * np.log(n * w / (2.0 * np.pi)) - 0.5 * n * w * (L[i] @ (mu - xbar)) ** 2
+    return total

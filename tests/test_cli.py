@@ -378,6 +378,21 @@ class TestFit:
         assert re.match(r"sweep [0-9]+, mu block: .*\(smallest eigenvalue \S+\)$",
                         record["message"]), record["message"]
 
+    def test_failed_exact_draw_is_one_record(self, tmp_path, capsys):
+        # the baseline under a flat-mu prior draws exactly; column 3 on a scale of 1e-160
+        # has a residual sum of squares near 1e-318, so its omega^2 overflows
+        x = np.random.default_rng(0).standard_normal((50, 3))
+        x[:, 2] *= 1e-160
+        write_dataset(tmp_path / "tiny.csv", x, ["a", "b", "c"])
+        graph = write_graph(tmp_path / "g.json", Graph(3, [(0, 1), (1, 2)]))
+        out = tmp_path / "o"
+        assert run_cli("fit", "--data", tmp_path / "tiny.csv", "--graph", graph, "--prior", "noninfo",
+                       "--iters", 200, "--seed", 1, "--fix-delta-zero", "--out", out) == 3
+        record = error_record(capsys)
+        assert record["error"] == "NumericalFailure"
+        assert record["message"].startswith("exact draw, row 3: floating-point overflow "), record["message"]
+        assert not out.exists()
+
     def test_constant_columns_refused_under_noninfo(self, tmp_path, capsys):
         # the noninformative prior's posterior needs data in general position
         data = tmp_path / "flat.csv"

@@ -7,10 +7,12 @@ from scipy.stats import multivariate_normal, norm
 
 from sgdg import evidence
 from sgdg.evidence import EvidenceEstimate, NotConverged, bayes_factor, estimate_log_marginal
-from sgdg.inference import IndependentProperPrior, run_chain
-from sgdg.model import ReparamParams, reparam_inverse, sample_sgdg
+from sgdg.graph import Graph
+from sgdg.inference import IndependentProperPrior, NoninformativePrior, PatternWishartPrior, run_chain
+from sgdg.model import ReparamParams, log_density, reparam_inverse, sample_sgdg
 
-from conftest import chain_graph
+from conftest import chain_graph, gauss_legendre_grid
+from oracles import flat_mu_log_evidence, flat_mu_log_posterior
 
 
 class TestEstimateLogMarginal:
@@ -95,3 +97,58 @@ class TestBayesFactor:
         t_gauss = run_chain(data, g, prior, iters=6000, burn_in=1500, thin=3, seed=6, fix_delta_zero=True)
         log_bf = bayes_factor(t_skew, t_gauss)
         assert log_bf < 2.0
+
+
+def flat_mu_priors(k, rng):
+    """The two priors with a flat prior on mu, the Gaussian baseline's conjugate regimes."""
+    psi = np.arange(k, dtype=float)[::-1] + 1.0 + rng.uniform(0.5, 2.0, size=k)  # psi_i > forward degree
+    return [NoninformativePrior(b1=1.0), PatternWishartPrior(b1=1.0, Psi=np.eye(k) + 0.2, psi=psi)]
+
+
+class TestFlatMuLogEvidence:
+    """The Gaussian baseline's closed-form log evidence (`oracles.flat_mu_log_evidence`)."""
+
+    def test_equals_quadrature_at_k1(self, rng):
+        # k = 1: the integral over mu and t = log omega^2 (domega^2 = omega^2 dt) on a
+        # Gauss-Legendre grid wide enough for the Student-t tails of mu
+        g = Graph(1)
+        x = rng.standard_normal(40) * 1.7 + 3.0
+        n, xbar, scatter = x.size, x.mean(), ((x - x.mean()) ** 2).sum()
+        sd_mu = np.sqrt(scatter / (n * (n - 1)))
+        for prior in (NoninformativePrior(b1=1.0), PatternWishartPrior(b1=1.0, Psi=[[1.5]], psi=[2.5])):
+            mus, w_mu = gauss_legendre_grid(xbar - 25 * sd_mu, xbar + 25 * sd_mu, 400)
+            t_mode = np.log((n - 1) / scatter)
+            ts, w_t = gauss_legendre_grid(t_mode - 6.0, t_mode + 3.0, 400)
+            m, t = np.meshgrid(mus, ts, indexing="ij")
+            omega2 = np.exp(t)
+            log_f = 0.5 * n * (t - np.log(2.0 * np.pi)) - 0.5 * omega2 * (scatter + n * (xbar - m) ** 2)
+            if prior.regime == "noninfo":
+                log_prior = -t
+            else:
+                log_prior = (prior.psi[0] / 2.0 - 1.0) * t - 0.5 * omega2 * prior.Psi[0, 0]
+            log_w = np.log(w_mu)[:, np.newaxis] + np.log(w_t)[np.newaxis, :]
+            quadrature = logsumexp(log_f + log_prior + t + log_w)
+            assert flat_mu_log_evidence(x[:, np.newaxis], g, prior) == pytest.approx(quadrature, rel=0, abs=1e-10)
+
+    @pytest.mark.parametrize("k,width,n", [(5, 2, 30), (40, 3, 200)])
+    def test_basic_marginal_likelihood_identity(self, rng, k, width, n):
+        # log m = log f(x | theta) + log pi(theta) - log pi(theta | x) at any theta
+        g = Graph(k, [(i, j) for i in range(k) for j in range(i + 1, min(k, i + width + 1))])
+        data = rng.standard_normal((n, k)) * 1.3 + 0.4
+        for prior in flat_mu_priors(k, rng):
+            for _ in range(3):
+                mu = data.mean(axis=0) + 0.2 * rng.standard_normal(k)
+                omega2 = rng.uniform(0.3, 1.0, k)
+                L = np.eye(k)
+                for i, j in g.edges:
+                    L[i, j] = 0.3 * rng.standard_normal()
+                log_f = log_density(mu, np.zeros(k), L, omega2, data).sum()
+                if prior.regime == "noninfo":
+                    log_prior = -np.log(omega2).sum()
+                else:
+                    log_prior = (((prior.psi / 2.0 - 1.0) * np.log(omega2)).sum()
+                                 - 0.5 * omega2 @ np.einsum("ij,jk,ik->i", L, prior.Psi, L))
+                log_post = flat_mu_log_posterior(mu, omega2, L, data, g, prior)
+                scale = abs(log_f) + abs(log_prior) + abs(log_post)
+                assert flat_mu_log_evidence(data, g, prior) == pytest.approx(
+                    log_f + log_prior - log_post, rel=0, abs=1e-12 * scale), prior.regime

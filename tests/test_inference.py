@@ -3,6 +3,7 @@ import re
 import warnings
 from copy import deepcopy
 from dataclasses import replace
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,6 +14,7 @@ from sgdg.csn import TAIL_SWITCH, sample_truncated_normal
 from sgdg.datasets import load_mathmarks, mathmarks_graph
 from sgdg.graph import Graph, NotDecomposable
 from sgdg.inference import (
+    FLAT_MU_REGIMES,
     DataStats,
     DimensionMismatch,
     EmptyTrace,
@@ -27,6 +29,7 @@ from sgdg.inference import (
     _observed_loglik,
     check_propriety,
     delta_conditional_params,
+    flat_mu_baseline_draws,
     gibbs_sweep,
     gibbs_update_delta,
     gibbs_update_L,
@@ -380,6 +383,22 @@ class TestLRowGroups:
         smallest = np.linalg.eigvalsh(state.omega2[1] * (y0.T @ y0)[np.ix_([2, 3], [2, 3])])[0]
         assert str(info.value).endswith(f"(smallest eigenvalue {smallest:.6g})")
 
+    def test_floating_point_error_names_the_row(self, rng, monkeypatch):
+        # an omega^2 near the top of the float range for row 2 overflows that row's
+        # precision omega_2^2 (X - mu)'(X - mu); rows 1 to 3 form one group of degree 1
+        real = inference.gibbs_update_omega2
+
+        def huge_for_row_2(*args):
+            draw = real(*args)
+            draw[1] = 1e308
+            return draw
+
+        monkeypatch.setattr(inference, "gibbs_update_omega2", huge_for_row_2)
+        data = rng.standard_normal((30, 4)) * 3.0
+        with pytest.raises(NumericalFailure) as info:
+            run_chain(data, chain_graph(4), NoninformativePrior(b1=1.0), iters=10, thin=1, seed=1)
+        assert str(info.value).startswith("sweep 1, L block, row 2: floating-point overflow "), str(info.value)
+
     def test_graph_lookups_once_per_chain(self, rng, monkeypatch):
         calls = []
         lookup = Graph.forward_neighbors
@@ -555,7 +574,9 @@ class TestBaselineSweep:
             rngs.append(rng)
             return baseline_sweep_drawing_u(state, data, stats, groups, resolved, rng)
 
-        for prior in priors_for(g.k, rng):
+        # run_chain runs the baseline chain under "proper" only; the flat-mu priors draw exactly
+        # (`test_sweeps_equal_the_sweeps_drawing_u` runs their sweeps)
+        for prior in priors_for(g.k, rng)[:1]:
             traces, final_states = [], []
             for sweep in (library, reference):
                 rngs.clear()
@@ -569,6 +590,25 @@ class TestBaselineSweep:
                 assert np.array_equal(getattr(new, f), getattr(ref, f)), f"{prior.regime} {f}"
             assert new.meta == ref.meta
             assert final_states[0] == final_states[1], prior.regime
+
+    @pytest.mark.parametrize("name", CHAINS)
+    def test_sweeps_equal_the_sweeps_drawing_u(self, rng, name):
+        data, g = self.CHAINS[name](rng)
+        stats, groups = DataStats.of(data), l_row_groups(g)
+        for prior in priors_for(g.k, rng):
+            resolved = resolve_hyperparams(prior, g.k)
+            runs = []
+            for sweep in (partial(gibbs_sweep, fix_delta_zero=True), baseline_sweep_drawing_u):
+                sweep_rng = np.random.default_rng(11)
+                state = inference._initial_state(data, g, sweep_rng)
+                states = []
+                for _ in range(300):
+                    sweep(state, data, stats, groups, resolved, sweep_rng)
+                    states.append(np.concatenate([state.mu, state.omega2, state.L.ravel()]))
+                runs.append((np.array(states), sweep_rng.bit_generator.state))
+            (new, new_rng), (ref, ref_rng) = runs
+            assert np.array_equal(new, ref), prior.regime
+            assert new_rng == ref_rng, prior.regime
 
     @pytest.mark.parametrize("name", TestGaussianDraw.GRAPHS)
     def test_reads_the_data_only_through_the_statistics(self, rng, name):
@@ -955,6 +995,17 @@ class TestSummarize:
             "mu_1", "mu_2", "delta_1", "delta_2", "omega2_1", "omega2_2", "L_1_2"
         }
 
+    def test_quantiles_equal_the_per_column_quantiles(self, rng):
+        # one np.quantile call over every column gives each column's own quantiles, bit for bit
+        g = band_graph(6, 2)
+        edges = len(g.edges)
+        meta = {"k": 6, "edge_order": [[a + 1, b + 1] for a, b in g.sorted_edges()], "graph": g.to_json_dict()}
+        for draws in (1, 2, 7, 400):
+            draw = lambda width: rng.standard_normal((draws, width)) * np.exp(rng.uniform(-30, 30, width))
+            t = Trace(draw(6), np.round(draw(6)), draw(6), draw(edges), np.zeros(draws), meta)
+            for row, (name, x) in zip(summarize(t), inference._param_columns(t)):
+                assert [row["q2.5"], row["q50"], row["q97.5"]] == np.quantile(x, [0.025, 0.5, 0.975]).tolist(), name
+
     def test_empty_trace_raises(self):
         g = chain_graph(2)
         meta = {"k": 2, "edge_order": [[1, 2]], "graph": g.to_json_dict()}
@@ -962,3 +1013,115 @@ class TestSummarize:
         t = Trace(empty, empty, empty, np.empty((0, 1)), np.empty(0), meta)
         with pytest.raises(EmptyTrace):
             summarize(t)
+
+
+def banded_gaussian_data(rng, k=40, width=3, n=30):
+    """n draws of a Gaussian on a banded chordal graph with a random factor; returns (data, graph)."""
+    g = band_graph(k, width)
+    L = np.eye(k)
+    for i, j in g.edges:
+        L[i, j] = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 0.4)
+    params = ReparamParams(rng.uniform(-5.0, 5.0, k), np.zeros(k), rng.uniform(0.5, 2.0, k), L, g)
+    return sample_sgdg(reparam_inverse(params), rng, n), g
+
+
+def simulation_case_c(rng, n=200):
+    """n draws of the paper's simulation case C: the 3-vertex chain with delta = (3, -2, -4)."""
+    g = chain_graph(3)
+    L = np.eye(3)
+    L[0, 1], L[1, 2] = -0.5, 0.5
+    params = ReparamParams(np.full(3, 5.0), np.array([3.0, -2.0, -4.0]), np.ones(3), L, g)
+    return sample_sgdg(reparam_inverse(params), rng, n), g
+
+
+def sweep_z_scores(data, g, prior, draws, seed):
+    """z-scores of the change that one library baseline sweep makes to exact draws.
+
+    `draws` exact draws come from `run_chain` and each is swept once by
+    `gibbs_sweep`. A sweep leaves the posterior invariant, so for every scalar
+    parameter the paired differences f(after) - f(before) have mean zero, for
+    f the parameter and its square about the exact draws' mean. Returns the
+    z-score of each mean difference: the first moments, then the second.
+    """
+    trace = run_chain(data, g, prior, iters=draws, burn_in=0, thin=1, seed=seed, fix_delta_zero=True)
+    stats, groups, resolved = DataStats.of(data), l_row_groups(g), resolve_hyperparams(prior, g.k)
+    sweep_rng = np.random.default_rng(seed + 1)
+    before = np.hstack([trace.mu, trace.omega2, trace.L])
+    after = np.empty_like(before)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        for s in range(draws):
+            state = GibbsState(trace.mu[s].copy(), np.zeros(g.k), trace.omega2[s].copy(),
+                               trace.l_matrix(trace.L[s]), None)
+            gibbs_sweep(state, data, stats, groups, resolved, sweep_rng, fix_delta_zero=True)
+            after[s] = np.concatenate([state.mu, state.omega2, trace.edge_values(state.L)])
+    centre = before.mean(axis=0)
+    diffs = np.hstack([after - before, (after - centre) ** 2 - (before - centre) ** 2])
+    return diffs.mean(axis=0) / (diffs.std(axis=0, ddof=1) / np.sqrt(draws))
+
+
+class TestFlatMuBaseline:
+    """The Gaussian baseline's exact draws under the flat-mu priors."""
+
+    def test_run_chain_draws_exactly_under_the_flat_mu_priors(self, rng, monkeypatch):
+        sweeps = []
+        real = inference.gibbs_sweep
+        monkeypatch.setattr(inference, "gibbs_sweep", lambda *args, **kwargs: sweeps.append(1) or real(*args, **kwargs))
+        data, g = simulation_case_c(rng, n=50)
+        for prior in priors_for(g.k, rng):
+            sweeps.clear()
+            trace = run_chain(data, g, prior, iters=70, burn_in=10, thin=3, seed=4, fix_delta_zero=True)
+            assert len(trace) == 20 and np.all(trace.delta == 0.0)
+            if prior.regime not in FLAT_MU_REGIMES:
+                assert len(sweeps) == 70  # the proper prior is not conjugate: the chain runs
+                continue
+            assert sweeps == []
+            draw_rng = np.random.default_rng(4)
+            inference._initial_state(data, g, draw_rng)  # the start state takes the generator's first outputs
+            mu, omega2, L, loglik = flat_mu_baseline_draws(DataStats.of(data), l_row_groups(g),
+                                                           resolve_hyperparams(prior, g.k), 20, draw_rng)
+            for got, want in ((trace.mu, mu), (trace.omega2, omega2), (trace.L, L), (trace.loglik, loglik)):
+                assert np.array_equal(got, want), prior.regime
+
+    @pytest.mark.parametrize("name", TestGaussianDraw.GRAPHS)
+    def test_loglik_is_the_closed_form_at_each_draw(self, rng, name):
+        g = TestGaussianDraw.GRAPHS[name]
+        data = rng.standard_normal((12, g.k)) * 1.3 + 0.4
+        stats = DataStats.of(data)
+        for prior in priors_for(g.k, rng)[1:]:  # the flat-mu priors
+            trace = run_chain(data, g, prior, iters=40, burn_in=0, thin=1, seed=int(rng.integers(2**32)),
+                              fix_delta_zero=True)
+            assert np.all(trace.omega2 > 0) and np.all(np.isfinite(trace.L))
+            for s in range(len(trace)):
+                state = GibbsState(trace.mu[s], trace.delta[s], trace.omega2[s], trace.l_matrix(trace.L[s]), None)
+                closed_form = _observed_loglik(state, data, stats, fix_delta_zero=True)
+                assert trace.loglik[s] == pytest.approx(closed_form, rel=1e-12, abs=0), prior.regime
+
+    INPUTS = {
+        "k3-n200": (simulation_case_c, 20_000),
+        "k40-n30": (banded_gaussian_data, 2000),
+    }
+
+    @pytest.mark.parametrize("regime", FLAT_MU_REGIMES)
+    @pytest.mark.parametrize("name", INPUTS)
+    def test_exact_draws_keep_their_distribution_through_a_sweep(self, rng, name, regime):
+        # a mean z^2 more than 5 of its standard deviations sqrt(2 / P) above 1 fails, as does
+        # any |z| above 5. Three mutants of the exact draw fail: a gamma shape off by one half
+        # and a nu variance of 1/n in every case, A without Psi in the k = 40 "wishart" case
+        # (Psi is zero under "noninfo"). The unmutated draws passed on other data seeds too.
+        make, draws = self.INPUTS[name]
+        data, g = make(rng)
+        prior = next(p for p in priors_for(g.k, rng) if p.regime == regime)
+        z = sweep_z_scores(data, g, prior, draws, seed=7)
+        assert np.abs(z).max() < 5.0
+        assert (z**2).mean() < 1.0 + 5.0 * np.sqrt(2.0 / z.size)
+
+    def test_failing_row_is_named(self, rng):
+        # column 2 on a scale of 1e-160: its residual sum of squares on column 3 is about
+        # 1e-318, so omega_2^2 overflows; rows 1 to 3 form one group of degree 1
+        data = rng.standard_normal((50, 4))
+        data[:, 1] *= 1e-160
+        g = chain_graph(4)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            with pytest.raises(NumericalFailure, match="^exact draw, row 2: floating-point overflow "):
+                flat_mu_baseline_draws(DataStats.of(data), l_row_groups(g),
+                                       resolve_hyperparams(NoninformativePrior(b1=1.0), 4), 10, rng)
