@@ -27,13 +27,13 @@ def sample_truncated_normal(mu, var, lower, rng):
     mu = np.asarray(mu, dtype=float)
     var = np.asarray(var, dtype=float)
     lower = np.asarray(lower, dtype=float)
-    if not np.all(var > 0):  # NaN fails too
+    if not (var > 0).all():  # NaN fails too
         raise ValueError("var must be positive")
     shape = np.broadcast_shapes(mu.shape, var.shape, lower.shape)
     sd = np.sqrt(var)
     a = (lower - mu) / sd
     u = 1.0 - rng.uniform(size=shape)  # in (0, 1], avoids P=0
-    if np.all(a <= TAIL_SWITCH):
+    if (a <= TAIL_SWITCH).all():
         x = -ndtri(u * ndtr(-a))
     else:
         x = -ndtri_exp(np.log(u) + log_ndtr(-a))

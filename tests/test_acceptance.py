@@ -237,7 +237,7 @@ def test_criterion_07a_slice_ratio_identities():
         for prior in priors_for(k, rng):
             worst = max(worst, slice_ratio_worst(rng, g, prior, int(rng.integers(3, 9)), include_delta=False))
     assert worst < 1e-8
-    record("7a", f"all five conditionals match the joint at 50 states, the baseline's four at 50 more "
+    record("7a", f"the u, (mu, delta), omega2 and L laws match the joint at 50 states, the baseline's at 50 more "
                  f"(max dev {worst:.2e})")
 
 

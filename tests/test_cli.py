@@ -350,17 +350,21 @@ class TestFit:
 
     @pytest.mark.parametrize("prior", ["proper", "wishart", "noninfo"])
     def test_overflowing_covariance_refused(self, tmp_path, capsys, prior):
+        # the skew fit and the baseline alike: the flat-mu baselines draw exactly and build no
+        # start state, so the refusal comes from the data's statistics
         rng = np.random.default_rng(0)
         x = rng.standard_normal((100, 3))
         x[:, 1] = 1e307 * (1.0 + 0.1 * rng.standard_normal(100))
         write_dataset(tmp_path / "huge.csv", x, ["a", "b", "c"])
         graph = write_graph(tmp_path / "g.json", Graph(3, [(0, 1), (1, 2)]))
         out = tmp_path / "o"
-        assert run_cli("fit", "--data", tmp_path / "huge.csv", "--graph", graph, "--prior", prior,
-                       "--iters", 50, "--seed", 1, "--out", out) == 3
-        record = error_record(capsys)
-        assert record["error"] == "NumericalFailure" and record["message"].startswith("start state: ")
-        assert not out.exists()
+        for baseline in ([], ["--fix-delta-zero"]):
+            assert run_cli("fit", "--data", tmp_path / "huge.csv", "--graph", graph, "--prior", prior,
+                           "--iters", 50, "--seed", 1, *baseline, "--out", out) == 3
+            record = error_record(capsys)
+            assert record["error"] == "NumericalFailure", baseline
+            assert record["message"] == "data: the scatter matrix of the data is not finite", baseline
+            assert not out.exists()
 
     def test_degenerate_chain_reported(self, tmp_path, capsys):
         # the noninformative gate refuses two columns of range one ulp before sampling;
@@ -548,9 +552,9 @@ class TestFit:
         assert result.returncode == 3 and result.stderr.count("\n") == 1, result.stderr
         record = json.loads(result.stderr)
         assert record["error"] == "NumericalFailure"
-        # the overflow is in the products of the delta block's conditional
-        sweep = {"1e305": 5, "1e307": 2}[b3]
-        assert record["message"].startswith(f"sweep {sweep}, delta block: floating-point overflow "), record["message"]
+        # the overflow is in the products of the L block's conditional
+        sweep, block = {"1e305": (12, "L block, row 2"), "1e307": (2, "L block, row 1")}[b3]
+        assert record["message"].startswith(f"sweep {sweep}, {block}: floating-point overflow "), record["message"]
         assert not out.exists()
 
     def _fitted(self, out, col):

@@ -28,7 +28,6 @@ from sgdg.inference import (
     _gaussian_draw,
     _observed_loglik,
     check_propriety,
-    delta_conditional_params,
     flat_mu_baseline_draws,
     gibbs_sweep,
     gibbs_update_delta,
@@ -304,25 +303,36 @@ def three_call_draw(prec, h, z):
 
 
 def sweep_three_call(state, data, graph, resolved, rng, fix_delta_zero):
-    """The earlier sweep algorithm.
+    """The sweep algorithm in the earlier arithmetic.
 
-    The mu mean goes through a triangular solve, the omega^2 residuals and the
-    Gram matrix y0' y0 are formed on the n x k data, the skew model's omega^2
-    conditional adds the delta prior's half unit of shape and rate term
-    delta^2 / (2 b1) to the data's, and the rows of L are drawn in row order,
-    each with its own cross product u_i' y0[:, fwd] and the three-call draw.
-    The u and delta blocks and the gamma draw are the library's.
+    The skew model's sum t is formed as sum(u o L x) on the data, the mu mean
+    goes through a triangular solve and delta's mean is the earlier delta
+    conditional, sum(u o (X - mu) L') / q, at the new mu. The omega^2
+    residuals and the Gram matrix y0' y0 are formed on the n x k data, the
+    skew model's omega^2 conditional adds the delta prior's half unit of shape
+    and rate term delta^2 / (2 b1) to the data's, and the rows of L are drawn
+    in row order, each with its own cross product u_i' y0[:, fwd] and the
+    three-call draw. The u block and the gamma draw are the library's.
     """
     n, k = data.shape
     y = (data - state.mu) @ state.L.T
     state.u = gibbs_update_u(state, y, rng)
+    w = state.omega2
+    q_omega = state.L.T @ (w[:, np.newaxis] * state.L)
+    total = data.sum(axis=0)
+    if fix_delta_zero:
+        prec, h = n * q_omega, q_omega @ total
+        z = rng.standard_normal(k)
+    else:
+        s = state.u.sum(axis=0)
+        q = (state.u**2).sum(axis=0) + 1.0 / resolved.b1
+        t = (state.u * (data @ state.L.T)).sum(axis=0)
+        prec = state.L.T @ ((w * (n - s**2 / q))[:, np.newaxis] * state.L)
+        h = q_omega @ (total - solve_unit_triangular(state.L, s * t / q))
+        z = rng.standard_normal(2 * k)
+    state.mu = three_call_draw(prec + resolved.v_mu * np.eye(k), h + resolved.v_mu * resolved.mu0, z[:k])
     if not fix_delta_zero:
-        state.delta = gibbs_update_delta(state, y, resolved, rng)
-    q_omega = state.L.T @ (state.omega2[:, np.newaxis] * state.L)
-    prec = n * q_omega + resolved.v_mu * np.eye(k)
-    shift = solve_unit_triangular(state.L, state.delta * state.u.sum(axis=0))
-    h = q_omega @ (data.sum(axis=0) - shift) + resolved.v_mu * resolved.mu0
-    state.mu = three_call_draw(prec, h, rng.standard_normal(k))
+        state.delta = (state.u * ((data - state.mu) @ state.L.T)).sum(axis=0) / q + z[k:] / np.sqrt(w * q)
     y0 = data - state.mu
     sum_sq = ((y0 @ state.L.T - state.u * state.delta) ** 2).sum(axis=0)
     shape, rate = omega2_conditional_params(state, sum_sq, n, resolved)
@@ -473,9 +483,9 @@ class TestGaussianDraw:
         state.omega2[1] = -0.5  # under the noninformative prior the precision is n L' diag(omega^2) L
         data = rng.standard_normal((12, 3))
         resolved = resolve_hyperparams(NoninformativePrior(b1=1.0), 3)
-        _, prec = mu_conditional_params(state, DataStats.of(data), resolved, 0.0)
+        _, prec = mu_conditional_params(state, DataStats.of(data), resolved, None)
         with pytest.raises(NumericalFailure, match="^mu block: ") as info:
-            gibbs_update_mu(state, DataStats.of(data), resolved, 0.0, rng)
+            gibbs_update_mu(state, DataStats.of(data), resolved, None, rng)
         assert str(info.value).endswith(f"(smallest eigenvalue {np.linalg.eigvalsh(prec)[0]:.6g})")
 
     def test_lapack_calls_per_sweep(self, rng, monkeypatch):
@@ -514,15 +524,15 @@ class TestConditionalCollapse:
 def baseline_sweep_drawing_u(state, data, stats, groups, resolved, rng):
     """The Gaussian baseline sweep that draws u and forms every u term, kept as the reference.
 
-    With delta = 0 each u term is zero: the offset delta o sum(u) of the mu
-    block, the offset u o delta in the omega^2 residuals and the cross moment
-    u' y0 in the L block. The residual sum of squares sum (y - u delta)^2 is
-    expanded about the library's baseline `stats.sum_sq`, the sum of y^2, and
-    the Gram matrix is the library's.
+    With delta = 0 each u term is zero: the offset u o delta in the omega^2
+    residuals and the cross moment u' y0 in the L block. The residual sum of
+    squares sum (y - u delta)^2 is expanded about the library's baseline
+    `stats.sum_sq`, the sum of y^2, and the Gram matrix is the library's. The
+    mu block is the library's baseline block, which takes no u sums.
     """
     y = (data - state.mu) @ state.L.T
     state.u = gibbs_update_u(state, y, rng)
-    state.mu = gibbs_update_mu(state, stats, resolved, state.delta * state.u.sum(axis=0), rng)
+    state.mu = gibbs_update_mu(state, stats, resolved, None, rng)
     y0 = data - state.mu
     uy = (state.u * (y0 @ state.L.T)).sum(axis=0)
     sum_sq = stats.sum_sq(state.mu, state.L) - 2.0 * state.delta * uy + state.delta**2 * (state.u**2).sum(axis=0)
@@ -659,9 +669,47 @@ def gaussian_slice_gap(rng, h, prec, joint_at):
     return abs(lhs - (joint_at(a) - joint_at(b)))
 
 
-def mu_slice_gap(rng, state, stats, resolved, offset, joint_with):
-    h, prec = mu_conditional_params(state, stats, resolved, offset)
-    return gaussian_slice_gap(rng, h, prec, lambda v: joint_with(mu=v))
+class FixedNormals:
+    """A stand-in generator whose standard normals are the given numbers."""
+
+    def __init__(self, z):
+        self.z = z
+
+    def standard_normal(self, size):
+        assert size == self.z.size
+        return self.z.copy()
+
+
+def mu_slice_gap(rng, state, stats, resolved, latent, joint_with):
+    """The gap of mu's law with delta integrated out.
+
+    delta's conditional precision omega^2 o q does not depend on mu, so
+    integrating delta out of the joint leaves, up to a constant, the joint at
+    delta's conditional mean (t - s o L mu) / q: the law is checked against
+    that profile. A latent of None (delta = 0) checks mu | delta against the joint.
+    """
+    h, prec = mu_conditional_params(state, stats, resolved, latent)
+    if latent is None:
+        return gaussian_slice_gap(rng, h, prec, lambda v: joint_with(mu=v))
+    s, q, t = latent
+    return gaussian_slice_gap(rng, h, prec, lambda v: joint_with(mu=v, delta=(t - s * (state.L @ v)) / q))
+
+
+def delta_slice_gap(rng, state, latent, joint_with):
+    """The gap of delta | mu at the state's mu, in one coordinate picked at random.
+
+    The law is read off the block's draws from fixed normals, which give its
+    mean and its mean plus one scale.
+    """
+    k = state.mu.shape[0]
+    mean = gibbs_update_delta(state, latent, FixedNormals(np.zeros(k)))
+    sd = gibbs_update_delta(state, latent, FixedNormals(np.ones(k))) - mean
+    i = int(rng.integers(k))
+    a, b = mean[i] + sd[i] * rng.standard_normal(2)
+    lhs = -0.5 * ((a - mean[i]) ** 2 - (b - mean[i]) ** 2) / sd[i] ** 2
+    da, db = mean.copy(), mean.copy()
+    da[i], db[i] = a, b
+    return abs(lhs - (joint_with(mu=state.mu, delta=da) - joint_with(mu=state.mu, delta=db)))
 
 
 def omega2_slice_gap(rng, state, sum_sq, count, resolved, joint_with):
@@ -696,11 +744,12 @@ def l_row_slice_gap(rng, state, gram, cross, groups, resolved, joint_with):
 def slice_ratio_worst(rng, graph, prior, n, include_delta=True):
     """Largest mismatch between conditional log ratios and joint log ratios.
 
-    The skew conditionals (include_delta) read the omega^2 residuals, with the
-    delta prior's delta^2 / b1 as one more squared residual, and the Gram
-    matrix y0' y0 of the L rows directly on the n x k data; the Gaussian baseline's read them as
+    The skew conditionals (include_delta) read the mu block's sums s, q and
+    t = sum(u o L x), the omega^2 residuals, with the delta prior's
+    delta^2 / b1 as one more squared residual, and the Gram matrix y0' y0 of
+    the L rows directly on the n x k data; the Gaussian baseline's read them as
     the library's baseline sweep does, through `DataStats.sum_sq` and
-    `DataStats.gram`, with mu offset 0 and no cross moment. The mu block reads
+    `DataStats.gram`, with no u sums and no cross moment. The mu block reads
     `DataStats` in both.
     """
     data = rng.standard_normal((n, graph.k)) * 1.3 + 0.4
@@ -725,25 +774,18 @@ def slice_ratio_worst(rng, graph, prior, n, include_delta=True):
     rhs = joint_with(u=ua) - joint_with(u=ub)
     worst = max(worst, abs(lhs - rhs))
 
-    # delta coordinate
     if include_delta:
-        mean_d, var_d = delta_conditional_params(state, y, resolved)
-        i = int(rng.integers(graph.k))
-        a, b = rng.standard_normal(2)
-        lhs = -0.5 * ((a - mean_d[i]) ** 2 - (b - mean_d[i]) ** 2) / var_d[i]
-        da, db = state.delta.copy(), state.delta.copy()
-        da[i], db[i] = a, b
-        rhs = joint_with(delta=da) - joint_with(delta=db)
-        worst = max(worst, abs(lhs - rhs))
-
-    if include_delta:
-        offset = state.delta * state.u.sum(axis=0)
+        u = state.u
+        latent = (u.sum(axis=0), (u**2).sum(axis=0) + 1.0 / prior.b1, (u * (data @ state.L.T)).sum(axis=0))
         sum_sq = ((y - state.u * state.delta) ** 2).sum(axis=0) + state.delta**2 / prior.b1
         count, gram, cross = n + 1, y0.T @ y0, state.u.T @ y0
     else:
-        offset, sum_sq, count = 0.0, stats.sum_sq(state.mu, state.L), n
+        latent, sum_sq, count = None, stats.sum_sq(state.mu, state.L), n
         gram, cross = stats.gram(state.mu), None
-    worst = max(worst, mu_slice_gap(rng, state, stats, resolved, offset, joint_with))
+    worst = max(worst, mu_slice_gap(rng, state, stats, resolved, latent, joint_with))
+    if include_delta:  # delta | mu at a mu other than the state's
+        worst = max(worst, delta_slice_gap(rng, replace(state, mu=state.mu + rng.standard_normal(graph.k)), latent,
+                                           joint_with))
     worst = max(worst, omega2_slice_gap(rng, state, sum_sq, count, resolved, joint_with))
     worst = max(worst, l_row_slice_gap(rng, state, gram, cross, l_row_groups(graph), resolved, joint_with))
     return worst
@@ -775,11 +817,11 @@ class TestSliceRatios:
 
     @pytest.mark.parametrize("fix_delta_zero", [False, True], ids=["skew", "baseline"])
     def test_conditionals_of_the_inputs_a_sweep_forms(self, rng, monkeypatch, fix_delta_zero):
-        # only the sweep knows the model: it forms the mu offset, the omega^2 residuals and
-        # their count, and the L rows' moments. The conditionals built from the inputs that a
-        # real sweep passes to the mu, omega^2 and L blocks must match the joint of its state.
-        gaps = {"gibbs_update_mu": mu_slice_gap, "gibbs_update_omega2": omega2_slice_gap,
-                "gibbs_update_L": l_row_slice_gap}
+        # only the sweep knows the model: it forms the mu block's u sums, the omega^2 residuals
+        # and their count, and the L rows' moments. The laws built from the inputs that a real
+        # sweep passes to the (mu, delta), omega^2 and L blocks must match the joint of its state.
+        gaps = {"gibbs_update_mu": mu_slice_gap, "gibbs_update_delta": delta_slice_gap,
+                "gibbs_update_omega2": omega2_slice_gap, "gibbs_update_L": l_row_slice_gap}
         seen = []
         for name in gaps:
             def capture(state, *args, _name=name, _real=getattr(inference, name)):
@@ -798,7 +840,8 @@ class TestSliceRatios:
                 state = random_state(rng, g, n, zero_delta=fix_delta_zero)
                 gibbs_sweep(state, data, DataStats.of(data), l_row_groups(g), resolve_hyperparams(prior, k), rng,
                             fix_delta_zero)
-                assert [name for name, _, _ in seen] == list(gaps)
+                assert [name for name, _, _ in seen] == [name for name in gaps
+                                                         if not (fix_delta_zero and name == "gibbs_update_delta")]
                 for name, at_call, args in seen:
                     def joint_with(at_call=at_call, **kw):
                         return log_joint(replace(at_call, **kw), data, g, prior, include_delta=not fix_delta_zero)
@@ -807,7 +850,7 @@ class TestSliceRatios:
         assert worst < self.TOL
 
     def test_scalar_model_textbook_augmentation(self, rng):
-        # k = 1: all five conditionals reduce to the scalar skew-normal scheme
+        # k = 1: all four blocks reduce to the scalar skew-normal scheme
         g = Graph(1)
         prior = IndependentProperPrior(b1=1.0, mu0=np.zeros(1), b2=1.0, b3=2.0, b4=2.0, b5=1.0)
         worst = max(slice_ratio_worst(rng, g, prior, 12) for _ in range(20))
@@ -874,7 +917,7 @@ class TestRunChain:
         t = run_chain(data, g, self._prior(), iters=250, burn_in=50, thin=4, seed=1)
         assert len(t) == 50
         assert t.mu.shape == (50, 3) and t.L.shape == (50, 2)
-        assert t.meta["sweep_order"] == ["u", "delta", "mu", "omega2", "L"]
+        assert t.meta["sweep_order"] == ["u", "mu", "omega2", "L"]
         assert t.meta["edge_order"] == [[1, 2], [2, 3]]
 
     def test_fix_delta_zero_keeps_delta_at_zero(self, rng):
@@ -1063,20 +1106,22 @@ class TestFlatMuBaseline:
     """The Gaussian baseline's exact draws under the flat-mu priors."""
 
     def test_run_chain_draws_exactly_under_the_flat_mu_priors(self, rng, monkeypatch):
-        sweeps = []
-        real = inference.gibbs_sweep
-        monkeypatch.setattr(inference, "gibbs_sweep", lambda *args, **kwargs: sweeps.append(1) or real(*args, **kwargs))
+        sweeps, starts = [], []
+        for name, calls in (("gibbs_sweep", sweeps), ("_initial_state", starts)):
+            real = getattr(inference, name)
+            monkeypatch.setattr(inference, name, lambda *args, _real=real, _calls=calls, **kwargs:
+                                _calls.append(1) or _real(*args, **kwargs))
         data, g = simulation_case_c(rng, n=50)
         for prior in priors_for(g.k, rng):
             sweeps.clear()
+            starts.clear()
             trace = run_chain(data, g, prior, iters=70, burn_in=10, thin=3, seed=4, fix_delta_zero=True)
             assert len(trace) == 20 and np.all(trace.delta == 0.0)
             if prior.regime not in FLAT_MU_REGIMES:
-                assert len(sweeps) == 70  # the proper prior is not conjugate: the chain runs
+                assert len(sweeps) == 70 and len(starts) == 1  # the proper prior is not conjugate: the chain runs
                 continue
-            assert sweeps == []
+            assert sweeps == [] and starts == []  # no chain, so no start state
             draw_rng = np.random.default_rng(4)
-            inference._initial_state(data, g, draw_rng)  # the start state takes the generator's first outputs
             mu, omega2, L, loglik = flat_mu_baseline_draws(DataStats.of(data), l_row_groups(g),
                                                            resolve_hyperparams(prior, g.k), 20, draw_rng)
             for got, want in ((trace.mu, mu), (trace.omega2, omega2), (trace.L, L), (trace.loglik, loglik)):
