@@ -107,9 +107,12 @@ def read_dataset(path):
                     continue
                 if len(row) != len(header):
                     raise ParseError(f"{path}:{lineno}: expected {len(header)} fields")
-                if any(field.strip() == "" for field in row):
-                    raise ParseError(f"{path}:{lineno}: missing value")
-                rows.append([float(v) for v in row])
+                try:
+                    rows.append([float(v) for v in row])
+                except ValueError:  # a blank field anywhere in the row is reported first
+                    if any(field.strip() == "" for field in row):
+                        raise ParseError(f"{path}:{lineno}: missing value") from None
+                    raise
     except (OSError, ValueError, csv.Error) as exc:
         if isinstance(exc, ParseError):
             raise

@@ -31,6 +31,7 @@ from .linalg import modified_cholesky
 SWEEP_ORDER = ("u", "mu", "omega2", "L")  # the "mu" block draws (mu, delta)
 FLAT_MU_REGIMES = ("noninfo", "wishart")  # the Gaussian baseline's posterior is conjugate under these
 TRACE_SCHEMA = 1  # the version of the trace file format that `run_chain` writes
+SAVE_BLOCK_VALUES = 1 << 16  # `Trace.save` formats the draws this many values at a time
 
 
 class ProprietyViolation(ValueError):
@@ -691,6 +692,29 @@ class Trace:
         """The free entries of a dense L, in edge order."""
         return L[self._edge_index]
 
+    def _draw_lines(self):
+        """The draw records, each the line `json.dumps(record, sort_keys=True)` writes.
+
+        json.dumps of a record of `%s` slots gives one template, which each row of
+        the draws, stacked in the same sorted field order, fills. For a finite
+        float `%s` writes `float.__repr__`, as json does; a row that holds a
+        non-finite value is filled with json's tokens (`NaN`, `Infinity`). Rows
+        are stacked and formatted about `SAVE_BLOCK_VALUES` values at a time, so
+        memory does not grow with the trace's length.
+        """
+        names = sorted(self.DRAW_FIELDS)
+        arrays = [getattr(self, name) for name in names]
+        slots = {name: "%s" if a.ndim == 1 else ["%s"] * a.shape[1] for name, a in zip(names, arrays)}
+        template = json.dumps({"type": "draw", **slots}, sort_keys=True).replace('"%s"', "%s") + "\n"
+        block = max(1, SAVE_BLOCK_VALUES // template.count("%s"))
+        for start in range(0, len(self), block):
+            stacked = np.column_stack([a[start : start + block] for a in arrays])
+            rows = stacked.tolist()
+            for s in np.flatnonzero(~np.isfinite(stacked).all(axis=1)):
+                rows[s] = [json.dumps(v) for v in rows[s]]
+            for row in rows:
+                yield template % tuple(row)
+
     def save(self, path):
         """Write the trace atomically: a save that fails leaves any file at `path` as it was.
 
@@ -704,9 +728,7 @@ class Trace:
             with fh:
                 header = {"type": "meta", **self.meta}
                 fh.write(json.dumps(header, sort_keys=True) + "\n")
-                for s in range(len(self)):
-                    rec = {name: getattr(self, name)[s].tolist() for name in self.DRAW_FIELDS}
-                    fh.write(json.dumps({"type": "draw", **rec}, sort_keys=True) + "\n")
+                fh.writelines(self._draw_lines())
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, path)
@@ -900,7 +922,7 @@ def run_chain(data, graph, prior, iters, burn_in=None, thin=10, *, seed,
 
 
 def effective_sample_size(x):
-    """Initial-positive-sequence estimate of the effective sample size."""
+    """Initial-positive-sequence estimate of the effective sample size (Geyer 1992)."""
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
     if n < 4:
@@ -910,11 +932,14 @@ def effective_sample_size(x):
     if var == 0:
         return float(n)
     xc = x - x.mean()
-    acf = np.correlate(xc, xc, mode="full")[n - 1 :] / (var * n)
+
+    def acf(t):  # only the lags the sequence reads: O(n T) for one that stops at lag T
+        return np.dot(xc[: n - t], xc[t:]) / (var * n)
+
     total = 0.0
     t = 1
     while t + 1 < n:
-        pair = acf[t] + acf[t + 1]
+        pair = acf(t) + acf(t + 1)
         if pair <= 0:
             break
         total += pair

@@ -22,8 +22,13 @@ the tests check its factorization, sampler and parameter maps against them.
 the Gaussian baseline under the flat-mu priors: its exact log evidence and
 the density of the posterior that `inference.flat_mu_baseline_draws` draws
 from, written out row by row with dense solves and no library code.
+
+`trace_text` and `effective_sample_size` are the trace writer and the ESS as
+first written: one `json.dumps` per record, and every lag of the
+autocorrelation from `np.correlate`.
 """
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -348,3 +353,36 @@ def flat_mu_log_posterior(mu, omega2, L, data, graph, prior):
                       - 0.5 * w * dev @ a_ff @ dev)
         total += 0.5 * np.log(n * w / (2.0 * np.pi)) - 0.5 * n * w * (L[i] @ (mu - xbar)) ** 2
     return total
+
+
+def trace_text(trace):
+    """The text of a trace file: the meta record, then `json.dumps(record, sort_keys=True)` per draw."""
+    lines = [json.dumps({"type": "meta", **trace.meta}, sort_keys=True)]
+    for s in range(len(trace)):
+        rec = {name: getattr(trace, name)[s].tolist() for name in ("mu", "delta", "omega2", "L", "loglik")}
+        lines.append(json.dumps({"type": "draw", **rec}, sort_keys=True))
+    return "".join(line + "\n" for line in lines)
+
+
+def effective_sample_size(x):
+    """Geyer's initial-positive-sequence ESS from the autocorrelation at all 2n - 1 lags."""
+    x = np.asarray(x, dtype=float)
+    n = x.shape[0]
+    if n < 4:
+        return float(n)
+    e = np.frexp(np.abs(x).max(axis=0))[1]
+    x = np.ldexp(x, -e)
+    var = x.var()
+    if var == 0:
+        return float(n)
+    xc = x - x.mean()
+    acf = np.correlate(xc, xc, mode="full")[n - 1 :] / (var * n)
+    total = 0.0
+    t = 1
+    while t + 1 < n:
+        pair = acf[t] + acf[t + 1]
+        if pair <= 0:
+            break
+        total += pair
+        t += 2
+    return float(min(n, n / (1.0 + 2.0 * total)))

@@ -322,6 +322,20 @@ class TestFit:
                        "--iters", 100, "--seed", 1, "--out", tmp_path / "o") == 3
         assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
 
+    @pytest.mark.parametrize("row, message", [
+        ("3.0,", ":3: missing value"),
+        ("3.0, x", ": could not convert string to float: ' x'"),
+        ("x, ", ":3: missing value"),
+        (" ,x", ":3: missing value"),
+    ], ids=["blank", "non-numeric", "non-numeric-then-blank", "blank-then-non-numeric"])
+    def test_bad_field_message(self, tmp_path, capsys, row, message):
+        data = tmp_path / "bad.csv"
+        data.write_text(f"a,b\n1.0,2.0\n{row}\n")
+        graph = write_graph(tmp_path / "g.json", Graph(2, [(0, 1)]))
+        assert run_cli("fit", "--data", data, "--graph", graph, "--prior", "proper",
+                       "--iters", 100, "--seed", 1, "--out", tmp_path / "o") == 3
+        assert error_record(capsys) == {"error": "ParseError", "message": f"{data}{message}"}
+
     def test_overlong_csv_field_refused(self, tmp_path, capsys):
         # longer than the csv module's field size limit (131072 characters)
         data = tmp_path / "long.csv"

@@ -1,13 +1,13 @@
-import json
+import errno
 import re
 import warnings
 from copy import deepcopy
 from dataclasses import replace
 from functools import partial
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from sgdg import inference
 from sgdg.csn import TAIL_SWITCH, sample_truncated_normal
@@ -28,6 +28,7 @@ from sgdg.inference import (
     _gaussian_draw,
     _observed_loglik,
     check_propriety,
+    effective_sample_size,
     flat_mu_baseline_draws,
     gibbs_sweep,
     gibbs_update_delta,
@@ -48,6 +49,7 @@ from sgdg.inference import (
 from sgdg.linalg import solve_unit_triangular
 from sgdg.model import ReparamParams, log_density, reparam_inverse, sample_sgdg, sgdg_log_density
 
+import oracles
 from conftest import chain_graph, random_decomposable_graph
 
 
@@ -1001,20 +1003,85 @@ class TestRunChain:
         earlier.save(path)
         before = path.read_bytes()
         t = run_chain(data, g, self._prior(), iters=200, burn_in=100, thin=5, seed=2)
-        records = []
+        budget = len(oracles.trace_text(t)) // 2
+        opened = []
 
-        def dumps_failing_halfway(obj, **kwargs):
-            if len(records) == len(t) // 2:
-                raise RuntimeError("serialisation failed")
-            records.append(obj)
-            return json.dumps(obj, **kwargs)
+        class FullDisk:
+            """A file that takes `budget` characters, then fails as a full disk does."""
 
-        monkeypatch.setattr(inference, "json", SimpleNamespace(dumps=dumps_failing_halfway))
-        with pytest.raises(RuntimeError, match="serialisation failed"):
+            def __init__(self, fh):
+                self.fh, self.written = fh, 0
+
+            def write(self, text):
+                room = budget - self.written
+                self.fh.write(text[:room])
+                self.written += min(len(text), room)
+                if len(text) > room:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+
+            def writelines(self, lines):
+                for line in lines:
+                    self.write(line)
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.fh.__exit__(*exc)
+
+        def open_full_disk(file, mode):
+            opened.append(FullDisk(open(file, mode)))
+            return opened[-1]
+
+        monkeypatch.setattr(inference, "open", open_full_disk, raising=False)
+        with pytest.raises(OSError, match="No space left on device"):
             t.save(path)
-        assert len(records) == len(t) // 2
+        assert opened[0].written == budget
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["trace.ndjson"]
+
+    def test_failed_fsync_leaves_existing_trace(self, rng, tmp_path, monkeypatch):
+        data, g = self._simulated(rng)
+        path = tmp_path / "trace.ndjson"
+        run_chain(data, g, self._prior(), iters=200, burn_in=100, thin=5, seed=1).save(path)
+        before = path.read_bytes()
+        t = run_chain(data, g, self._prior(), iters=200, burn_in=100, thin=5, seed=2)
+
+        def failing_fsync(fd):
+            raise OSError(errno.EIO, "Input/output error")
+
+        monkeypatch.setattr(inference.os, "fsync", failing_fsync)
+        with pytest.raises(OSError, match="Input/output error"):
+            t.save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["trace.ndjson"]
+
+    @pytest.mark.parametrize("prior_index", [0, 1, 2], ids=["proper", "wishart", "noninfo"])
+    @pytest.mark.parametrize("fix_delta_zero", [False, True], ids=["skew", "baseline"])
+    def test_save_writes_one_json_dumps_line_per_record(self, rng, tmp_path, prior_index, fix_delta_zero):
+        data, g = self._simulated(rng)
+        prior = priors_for(3, rng)[prior_index]
+        t = run_chain(data, g, prior, iters=120, burn_in=20, thin=2, seed=5, fix_delta_zero=fix_delta_zero)
+        t.save(tmp_path / "trace.ndjson")
+        assert (tmp_path / "trace.ndjson").read_text() == oracles.trace_text(t)
+
+    # 12 values are three rows of four here, so non-finite rows fall in every block
+    @pytest.mark.parametrize("block_values", [inference.SAVE_BLOCK_VALUES, 12, 1])
+    def test_save_writes_json_tokens_for_extreme_and_non_finite_values(self, tmp_path, monkeypatch, block_values):
+        monkeypatch.setattr(inference, "SAVE_BLOCK_VALUES", block_values)
+        big = 1.7976931348623157e308
+        values = np.array([-0.0, 5e-324, big, -big, np.nan, np.inf, -np.inf, 1.0, 0.1])
+        meta = {"k": 1, "edge_order": [], "graph": {"k": 1, "edges": []}}
+        column = values[:, None]
+        for mu, omega2 in ((column, column[::-1]), (column[::-1], column)):
+            t = Trace(mu, -column, omega2, np.empty((len(values), 0)), np.linspace(-1.0, 1.0, len(values)), meta)
+            t.save(tmp_path / "trace.ndjson")
+            text = (tmp_path / "trace.ndjson").read_text()
+            assert text == oracles.trace_text(t)
+            assert '"L": []' in text and "NaN" in text and "-Infinity" in text and "5e-324" in text
 
     def test_quick_posterior_recovery(self, rng):
         # coarse sanity run; the acceptance suite runs the real recovery study
@@ -1024,6 +1091,38 @@ class TestRunChain:
             post_mean = est.mean(axis=0)
             post_sd = est.std(axis=0)
             assert np.all(np.abs(post_mean - truth) < 4 * post_sd)
+
+
+def ar1(rho, n, seed):
+    """n steps of x_t = rho x_{t-1} + z_t with standard normal z, from x_0 = z_0."""
+    return lfilter([1.0], [1.0, -rho], np.random.default_rng(seed).standard_normal(n))
+
+
+class TestEffectiveSampleSize:
+    LENGTHS = [*range(1, 12), 17, 64, 101, 1000, 5000]
+
+    @pytest.mark.parametrize("rho", [-0.9, 0.0, 0.5, 0.99])
+    def test_equals_the_all_lag_oracle_on_ar1(self, rho):
+        for n in self.LENGTHS:
+            x = ar1(rho, n, seed=n)
+            for scale in (1.0, 1e-300, 1e300):
+                assert effective_sample_size(x * scale) == oracles.effective_sample_size(x * scale), (n, scale)
+
+    def test_equals_the_all_lag_oracle_on_constant_and_trend(self):
+        for n in self.LENGTHS:
+            trend = np.arange(n, dtype=float)  # its sequence runs to lag 0.37 n, the longest here
+            for x in (np.full(n, 2.5), trend, trend * 1e-300, trend * 1e300):
+                assert effective_sample_size(x) == oracles.effective_sample_size(x), n
+        assert effective_sample_size(np.full(100, 2.5)) == 100.0
+
+    def test_ar1_near_its_asymptotic_value(self):
+        # ESS of AR(1) tends to n (1 - rho) / (1 + rho). At n = 20000 and rho = 0.9
+        # the ratio to it had SD about 0.1 across 200 seeds (range 0.64 to 1.19),
+        # and 0.87 to 1.17 with mean 0.99 over these 20 seeds.
+        n, rho = 20000, 0.9
+        ratios = [effective_sample_size(ar1(rho, n, seed)) / (n * (1 - rho) / (1 + rho)) for seed in range(20)]
+        assert all(abs(r - 1.0) < 0.25 for r in ratios), ratios
+        assert abs(np.mean(ratios) - 1.0) < 0.05
 
 
 class TestSummarize:
