@@ -55,7 +55,7 @@ class EmptyTrace(ValueError):
 
 
 class InvalidChainSettings(ValueError):
-    """Raised when iters, burn_in and thin do not leave a chain with retained draws."""
+    """Raised when iters, burn_in and thin retain no draws or more than memory holds, or seed is negative."""
 
 
 # ---------------------------------------------------------------------------
@@ -866,6 +866,8 @@ def run_chain(data, graph, prior, iters, burn_in=None, thin=10, *, seed,
             f"iters {iters}, burn_in {burn_in} and thin {thin} retain no draws; "
             "they need thin >= 1 and 0 <= burn_in <= iters - thin"
         )
+    if seed < 0:
+        raise InvalidChainSettings(f"seed {seed} is negative; it needs seed >= 0")
 
     meta = {
         "schema": TRACE_SCHEMA,
@@ -884,8 +886,11 @@ def run_chain(data, graph, prior, iters, burn_in=None, thin=10, *, seed,
         "data_digest": data_digest(data),
     }
     keep = (iters - burn_in) // thin
-    trace = Trace(np.empty((keep, k)), np.empty((keep, k)), np.empty((keep, k)),
-                  np.empty((keep, len(graph.edges))), np.empty(keep), meta)
+    try:
+        trace = Trace(np.empty((keep, k)), np.empty((keep, k)), np.empty((keep, k)),
+                      np.empty((keep, len(graph.edges))), np.empty(keep), meta)
+    except (MemoryError, ValueError) as exc:  # numpy refuses an array it cannot allocate
+        raise InvalidChainSettings(f"{keep} retained draws of {k} vertices do not fit in memory") from exc
 
     resolved = resolve_hyperparams(prior, k)
     groups = l_row_groups(graph)

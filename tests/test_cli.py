@@ -14,14 +14,8 @@ import pytest
 from scipy.stats import norm
 
 import sgdg
-from sgdg import inference
-from sgdg.cli import (
-    _DOMAIN_ERRORS,
-    _posterior_mean_params,
-    main,
-    read_dataset,
-    write_dataset,
-)
+from sgdg import cli, inference
+from sgdg.cli import _posterior_mean_params, main, read_dataset, write_dataset
 from sgdg.graph import MAX_VERTICES, Graph
 from sgdg.inference import Trace
 
@@ -80,6 +74,24 @@ class TestCheckGraph:
         report = json.loads(capsys.readouterr().out)
         assert report["decomposable"] and report["min_n_noninformative"] == 2
 
+    @pytest.mark.parametrize("edges, scope", [([(0, 1), (1, 2), (2, 3)], "current labels"),
+                                              ([(0, 1), (0, 2), (0, 3)], "relabeled graph")],
+                             ids=["labels-are-an-ordering", "relabeled"])
+    def test_text_report_states_the_json_report(self, tmp_path, capsys, edges, scope):
+        path = write_graph(tmp_path / "g.json", Graph(4, edges))
+        assert run_cli("check-graph", "--graph", path, "--json") == 0
+        report = json.loads(capsys.readouterr().out)
+        assert run_cli("check-graph", "--graph", path) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"vertices: {report['k']}  edges: {report['n_edges']}",
+            "decomposable: yes",
+            f"labels already form an elimination ordering: {report['labels_are_elimination_ordering']}",
+            f"one perfect elimination ordering (1-based): {report['elimination_ordering']}",
+            f"forward neighbor counts ({scope}): {report['forward_neighbor_counts']}",
+            f"minimum n under the noninformative prior: {report['min_n_noninformative']}",
+        ]
+        assert report["labels_are_elimination_ordering"] is (scope == "current labels")
+
     def test_unparseable_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -96,9 +108,25 @@ class TestSimulate:
         assert truth["delta"] == [2.0, 2.0, 2.0]
         assert truth["L"] == [[1, 2, -0.5], [2, 3, -0.5]]
 
-    def test_case_a_requires_delta(self, tmp_path, capsys):
-        assert run_cli("simulate", "--case", "A", "--seed", "1", "--out", tmp_path / "x") == 3
-        assert json.loads(capsys.readouterr().err)["error"] == "InvalidParams"
+    @pytest.mark.parametrize("argv, message", [
+        (("--case", "A", "--seed", 1), "case A needs --delta"),
+        (("--case", "B", "--seed", 1), "case B needs --l-value"),
+        (("--case", "custom", "--seed", 1), "case custom needs --truth"),
+        (("--case", "C", "--n", 0, "--seed", 1), "--n must be positive"),
+        (("--case", "C", "--seed", -1), "--seed must be non-negative, got -1"),
+        # more than a 64-bit process can map, so the allocation fails at once; past numpy's
+        # largest array size, numpy refuses the shape with a ValueError instead
+        (("--case", "C", "--n", 10**15, "--seed", 1), f"--n {10**15}: {10**15} draws of 3 values do not fit"),
+        (("--case", "C", "--n", 10**20, "--seed", 1), f"--n {10**20}: {10**20} draws of 3 values do not fit"),
+    ], ids=["A-without-delta", "B-without-l-value", "custom-without-truth", "n-zero", "negative-seed",
+            "n-unallocatable", "n-past-numpy-limit"])
+    def test_bad_settings_refused(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "x"
+        assert run_cli("simulate", *argv, "--out", out) == 3
+        record = error_record(capsys)
+        assert record["error"] == "InvalidParams"
+        assert record["message"].startswith(message), record["message"]
+        assert not out.exists()
 
     def test_alpha_whose_square_overflows_refused(self, tmp_path, capsys):
         # alpha = delta sqrt(omega^2) = 1e200: 1 + alpha^2 overflows, so kappa^2 would round to 0
@@ -482,18 +510,24 @@ class TestFit:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "iters,burnin,thin",
-        [(10, 20, 10), (100, 20, 0), (5, 0, 10)],
-        ids=["burnin-past-iters", "thin-zero", "no-retained-draws"],
+        "iters,burnin,thin,seed,message",
+        [(10, 20, 10, 1, "retain no draws"), (100, 20, 0, 1, "retain no draws"), (5, 0, 10, 1, "retain no draws"),
+         (100, 20, 10, -1, "seed -1 is negative"),
+         # more than a 64-bit process can map, so the allocation fails at once; past numpy's
+         # largest array size, numpy refuses the shape with a ValueError instead
+         (10**15, 0, 1, 1, f"{10**15} retained draws of 3 vertices do not fit in memory"),
+         (10**20, 0, 1, 1, f"{10**20} retained draws of 3 vertices do not fit in memory")],
+        ids=["burnin-past-iters", "thin-zero", "no-retained-draws", "negative-seed", "draws-unallocatable",
+             "draws-past-numpy-limit"],
     )
-    def test_bad_chain_settings_reported(self, sim_dir, tmp_path, capsys, iters, burnin, thin):
+    def test_bad_chain_settings_reported(self, sim_dir, tmp_path, capsys, iters, burnin, thin, seed, message):
         out = tmp_path / "o"
         assert run_cli("fit", "--data", sim_dir / "data.csv", "--graph", sim_dir / "graph.json",
                        "--prior", "noninfo", "--iters", iters, "--burnin", burnin, "--thin", thin,
-                       "--seed", 1, "--out", out) == 3
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "Traceback" not in err
-        assert json.loads(err)["error"] == "InvalidChainSettings"
+                       "--seed", seed, "--out", out) == 3
+        record = error_record(capsys)
+        assert record["error"] == "InvalidChainSettings"
+        assert message in record["message"], record["message"]
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -501,11 +535,11 @@ class TestFit:
         [("noninfo", "b1=0"), ("proper", "b2=abc"), ("proper", "b5=-1"), ("wishart", "Psi={tmp}/psi.json"),
          ("proper", "B2=5"), ("proper", "b6=1"), ("proper", "psi=3"), ("noninfo", "b2=5"), ("wishart", "b2=5"),
          ("noninfo", "b1=nan"), ("proper", "mu0=1,nan,2"), ("wishart", "psi=3,nan,3"),
-         ("proper", "b2=1e-320"), ("proper", "b5=1e-320")],
+         ("proper", "b2=1e-320"), ("proper", "b5=1e-320"), ("proper", "mu0=1,2")],
         ids=["noninfo-b1-zero", "proper-b2-text", "proper-b5-negative", "wishart-psi-not-a-matrix",
              "proper-B2-typo", "proper-b6-unknown", "proper-psi-unread", "noninfo-b2-unread",
              "wishart-b2-unread", "noninfo-b1-nan", "proper-mu0-nan", "wishart-psi-nan",
-             "proper-b2-reciprocal-overflows", "proper-b5-reciprocal-overflows"],
+             "proper-b2-reciprocal-overflows", "proper-b5-reciprocal-overflows", "proper-mu0-two-of-three"],
     )
     def test_bad_hyper_reported(self, sim_dir, tmp_path, capsys, prior, hyper):
         (tmp_path / "psi.json").write_text("{}")
@@ -640,16 +674,28 @@ class TestFit:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
-def test_domain_errors_cover_every_error_class():
-    # a class left out of the allowlist would end in a traceback, not exit 3 with a record
+def test_every_error_class_of_the_package_ends_as_one_record(tmp_path, capsys, monkeypatch):
+    # main reports an error by the module of its class, so a class added anywhere in the
+    # package is reported without being listed; any other exception keeps its traceback
     names = [m.name for m in pkgutil.walk_packages(sgdg.__path__, "sgdg.") if m.name != "sgdg.__main__"]
     defined = {
         obj for mod in map(importlib.import_module, names) for obj in vars(mod).values()
         if isinstance(obj, type) and issubclass(obj, Exception) and obj.__module__ == mod.__name__
     }
-    # EmptyTrace is library-only: run_chain never returns an empty trace, and compare
-    # refuses one as ParseError
-    assert {cls for cls in defined if cls not in _DOMAIN_ERRORS} == {inference.EmptyTrace}
+    assert {"ParseError", "NotDecomposable", "NumericalFailure", "EmptyTrace"} <= {cls.__name__ for cls in defined}
+
+    def check_graph_raising(cls):
+        def load_graph(path):
+            raise cls(f"{cls.__name__} raised in a command")
+
+        monkeypatch.setattr(cli, "load_graph", load_graph)
+        return run_cli("check-graph", "--graph", tmp_path / "g.json")
+
+    for cls in sorted(defined, key=lambda c: c.__name__):
+        assert check_graph_raising(cls) == 3
+        assert error_record(capsys) == {"error": cls.__name__, "message": f"{cls.__name__} raised in a command"}
+    with pytest.raises(TypeError, match="TypeError raised in a command"):
+        check_graph_raising(TypeError)
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
@@ -776,8 +822,12 @@ class TestCompare:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert json.loads(err)["error"] == "InvalidParams"
 
-    def test_rerun_is_byte_identical(self, sim_dir, tmp_path):
+    def test_rerun_is_byte_identical(self, sim_dir, tmp_path, capsys):
         t = self._fit(sim_dir, tmp_path, "det", 43)
         for tag in ("c1", "c2"):
             assert run_cli("compare", "--trace-a", t, "--trace-b", t, "--out", tmp_path / tag) == 0
-        assert (tmp_path / "c1" / "compare.json").read_bytes() == (tmp_path / "c2" / "compare.json").read_bytes()
+        report = (tmp_path / "c1" / "compare.json").read_text()
+        assert (tmp_path / "c2" / "compare.json").read_text() == report
+        capsys.readouterr()
+        assert run_cli("compare", "--trace-a", t, "--trace-b", t) == 0  # without --out, the report goes to stdout
+        assert capsys.readouterr().out == report + "log Bayes factor (A over B) = 0.0000 (favors neither)\n"

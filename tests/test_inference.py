@@ -1,5 +1,6 @@
 import errno
 import re
+import traceback
 import warnings
 from copy import deepcopy
 from dataclasses import replace
@@ -936,6 +937,36 @@ class TestRunChain:
             run_chain(data, g, self._prior(), iters=20, burn_in=5, thin=5, seed=1)
         assert str(info.value).startswith("sweep 10, log likelihood: floating-point overflow ")
 
+    @pytest.mark.parametrize("block", ["u", "mu", "omega2"])
+    def test_floating_point_error_names_the_block(self, rng, block):
+        g = chain_graph(3)
+        data = rng.standard_normal((12, 3))
+        state = random_state(rng, g, 12, zero_delta=True)
+        if block == "u":
+            state.delta[1] = 1e200  # omega_2^2 delta_2^2 in the truncated-normal variance overflows
+        elif block == "mu":
+            state.omega2[1] = 1e308  # so does the precision L' diag(omega^2 o (n - s o s / q)) L
+        else:
+            # the baseline on one row of zeros: mu is drawn within about 1e-154 of it, so the
+            # omega^2 rates (L (xbar - mu))^2 / 2 fall below 1e-308 and their reciprocals overflow
+            data = np.zeros((1, 3))
+            state = GibbsState(np.zeros(3), np.zeros(3), np.full(3, 1e308), np.eye(3), None)
+        resolved = resolve_hyperparams(NoninformativePrior(b1=1.0), 3)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            with pytest.raises(NumericalFailure) as info:
+                gibbs_sweep(state, data, DataStats.of(data), l_row_groups(g), resolved, rng,
+                            fix_delta_zero=block == "omega2")
+        assert re.match(rf"{block} block: floating-point overflow encountered in \w+$", str(info.value)), info.value
+
+    def test_omega2_draw_outside_its_domain_named(self, rng):
+        # L_i Psi L_i' overflows to inf for a row with a free entry, without a floating-point
+        # error (einsum raises none), so the gamma scale 1 / rate is 0 and so is the draw
+        data = rng.standard_normal((30, 3))
+        prior = PatternWishartPrior(b1=1.0, Psi=np.finfo(float).max * np.eye(3), psi=np.array([2.0, 2.0, 1.0]))
+        with pytest.raises(NumericalFailure) as info:
+            run_chain(data, chain_graph(3), prior, iters=10, thin=1, seed=1)
+        assert str(info.value) == "sweep 1, omega2 block: draw left the positive domain"
+
     def test_propriety_refusal(self, rng):
         data, g = self._simulated(rng, n=2)
         with pytest.raises(ProprietyViolation):
@@ -1258,6 +1289,20 @@ class TestFlatMuBaseline:
         z = sweep_z_scores(data, g, prior, draws, seed=7)
         assert np.abs(z).max() < 5.0
         assert (z**2).mean() < 1.0 + 5.0 * np.sqrt(2.0 / z.size)
+
+    def test_failing_back_substitution_is_named(self):
+        # one row of zeros on a 30-vertex chain, with Psi = 1e-100 I and gamma shapes of 0.01:
+        # the omega^2 draws go down to 1e-40 and far below, and mu_i = nu_i - L_i,i+1 mu_i+1
+        # grows by a factor of about 1 / sqrt(omega_i^2) a row, until a product overflows
+        k = 30
+        prior = PatternWishartPrior(b1=1.0, Psi=1e-100 * np.eye(k), psi=np.array([1.02] * (k - 1) + [0.02]))
+        with pytest.raises(NumericalFailure) as info:
+            run_chain(np.zeros((1, k)), chain_graph(k), prior, iters=1, burn_in=0, thin=1, seed=2,
+                      fix_delta_zero=True)
+        assert re.match(r"exact draw, row [0-9]+: floating-point overflow encountered in multiply$",
+                        str(info.value)), info.value
+        # raised by the back substitution, not by a row's draw
+        assert traceback.extract_tb(info.value.__cause__.__traceback__)[-1].name == "flat_mu_baseline_draws"
 
     def test_failing_row_is_named(self, rng):
         # column 2 on a scale of 1e-160: its residual sum of squares on column 3 is about
