@@ -338,9 +338,11 @@ def write_plot_data(out, trace, data, colnames):
     grids = []
     for name, col in zip(colnames, data.T):
         lo, hi = col.min(), col.max()
-        pad = 0.15 * (hi - lo)
-        if not np.all(np.diff(np.linspace(lo - pad, hi + pad, PLOT_BINS + 1)) > 0):
-            pad = 0.15  # a constant or near-constant column: its range holds no finite-sized bins
+        # a constant or near-constant column's range holds no finite-sized bins: pad it by 0.15,
+        # or, where that is below the float spacing, by 0.15 times the column's magnitude
+        for pad in (0.15 * (hi - lo), 0.15, 0.15 * max(1.0, abs(lo), abs(hi))):
+            if np.all(np.diff(np.linspace(lo - pad, hi + pad, PLOT_BINS + 1)) > 0):
+                break
         counts, edges = np.histogram(col, bins=PLOT_BINS, range=(lo - pad, hi + pad))
         dens = counts / (counts.sum() * np.diff(edges))
         write_csv_rows(

@@ -29,7 +29,7 @@ def sample_truncated_normal(mu, var, lower, rng):
     lower = np.asarray(lower, dtype=float)
     if not (var > 0).all():  # NaN fails too
         raise ValueError("var must be positive")
-    shape = np.broadcast_shapes(mu.shape, var.shape, lower.shape)
+    shape = np.broadcast(mu, var, lower).shape
     sd = np.sqrt(var)
     a = (lower - mu) / sd
     u = 1.0 - rng.uniform(size=shape)  # in (0, 1], avoids P=0

@@ -22,6 +22,7 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+from numpy.linalg import _umath_linalg  # the LAPACK gufuncs behind np.linalg.cholesky and np.linalg.solve
 
 from . import model as _model
 from .csn import sample_truncated_normal
@@ -236,11 +237,12 @@ class ResolvedHyperparams:
 
     b1 scales the prior of the skew loadings, delta_i | omega_i^2 ~
     N(0, b1 / omega_i^2), in every regime. V_L is the k x k prior precision
-    shared by every row of L; the row conditional uses its slice on the row's
-    forward-neighbor support. Psi is the pattern-Wishart matrix, zero in the
-    other regimes: the conditionals form its state terms themselves,
-    L_i Psi L_i' / 2 in the omega_i^2 rate (under the "wishart" `regime` only,
-    as it is zero elsewhere) and omega_i^2 Psi in the prior precision of row i of L.
+    shared by every row of L; `l_row_groups` takes its slices on the rows'
+    forward-neighbor supports once per chain, as it takes Psi's. Psi is the
+    pattern-Wishart matrix, zero in the other regimes: the conditionals form
+    its state terms themselves, L_i Psi L_i' / 2 in the omega_i^2 rate (under
+    the "wishart" `regime` only, as it is zero elsewhere) and omega_i^2 Psi in
+    the prior precision of row i of L.
     """
 
     regime: str
@@ -385,16 +387,29 @@ def _gaussian_draw(prec, h, z):
     prec^-1: one Cholesky factorization and one solve. 1 x 1 precisions p take
     the closed form h / p + z / sqrt(p). Stacked LAPACK calls, and r z summed
     along the last axis, give each matrix the result of a call of its own.
-    A singular or indefinite precision raises np.linalg.LinAlgError.
+
+    The factorization and the solve call the LAPACK gufuncs that
+    np.linalg.cholesky and np.linalg.solve wrap, `cholesky_lo` and `solve1`,
+    which give the same bits without the wrappers' per-call argument checks and
+    errstate set-up. A singular or indefinite precision raises
+    np.linalg.LinAlgError wherever numpy's invalid-value flag raises: under
+    `run_chain`'s errstate, or where RuntimeWarning is an error. Under a state
+    that only warns or ignores it, a failing matrix's draw is NaN.
     """
     if prec.shape[-1] == 1:
         p = prec[..., 0]
         if not (p > 0).all():
             raise np.linalg.LinAlgError("1 x 1 precision is not positive")
         return h / p + z / np.sqrt(p)
-    r = np.linalg.cholesky(prec)
-    rz = (r * z[..., np.newaxis, :]).sum(axis=-1)
-    return np.linalg.solve(prec, (h + rz)[..., np.newaxis])[..., 0]
+    try:
+        r = _umath_linalg.cholesky_lo(prec)
+    except (FloatingPointError, RuntimeWarning) as exc:  # LAPACK's failure sets the invalid flag
+        raise np.linalg.LinAlgError("precision is not positive definite") from exc
+    b = h + (r * z[..., np.newaxis, :]).sum(axis=-1)
+    try:
+        return _umath_linalg.solve1(prec, b)
+    except (FloatingPointError, RuntimeWarning) as exc:
+        raise np.linalg.LinAlgError("precision is singular") from exc
 
 
 def omega2_conditional_params(state, sum_sq, count, resolved):
@@ -411,9 +426,13 @@ def omega2_conditional_params(state, sum_sq, count, resolved):
 
 
 def gibbs_update_omega2(state, sum_sq, count, resolved, rng):
+    """Draw omega^2: standard_gamma(shape) * (1 / rate), numpy's own arithmetic for gamma(shape, 1 / rate)."""
     shape, rate = omega2_conditional_params(state, sum_sq, count, resolved)
-    draw = rng.gamma(shape=shape, scale=1.0 / rate)
+    draw = rng.standard_gamma(shape) * (1.0 / rate)
     if not ((draw > 0).all() and np.isfinite(draw).all()):
+        if resolved.regime == "wishart" and not np.isfinite(rate).all():  # einsum overflows without an error
+            rows = (np.flatnonzero(~np.isfinite(rate)) + 1).tolist()
+            raise NumericalFailure(f"omega2 block: floating-point overflow in L_i Psi L_i' of row(s) {rows}")
         raise NumericalFailure("omega2 block: draw left the positive domain")
     return draw
 
@@ -426,17 +445,21 @@ class LRowGroup:
     neighbours. `block` indexes, for every row at once, the (m, m + 1) slice
     of a k x k matrix on the rows fwd[g] and the columns fwd[g] + [rows[g]]:
     the row's precision and zeta. `slots` places each free entry's standard
-    normal in the one draw per sweep, which is taken in row order.
+    normal in the one draw per sweep, which is taken in row order. `prior` is
+    the regime's prior matrix on `block`: V_L under "proper", Psi under
+    "wishart" and None under "noninfo", which has none.
     """
 
     rows: np.ndarray  # (G,)
     fwd: np.ndarray  # (G, m)
     block: tuple  # two index arrays broadcasting to (G, m, m + 1)
     slots: np.ndarray  # (G, m)
+    prior: np.ndarray  # (G, m, m + 1) or None
 
 
-def l_row_groups(graph):
-    """The rows of L with free entries, grouped by forward degree (ascending)."""
+def l_row_groups(graph, resolved):
+    """The rows of L with free entries, grouped by forward degree (ascending), with `resolved`'s prior slices."""
+    prior = {"proper": resolved.V_L, "wishart": resolved.Psi}.get(resolved.regime)
     fwd = [graph.forward_neighbors(i) for i in range(graph.k)]
     starts = np.cumsum([0] + [len(f) for f in fwd])
     groups = []
@@ -445,7 +468,7 @@ def l_row_groups(graph):
         cols = np.array([fwd[i] + [i] for i in rows])  # (G, m + 1): fwd, then the row
         block = (cols[:, :-1, np.newaxis], cols[:, np.newaxis, :])
         slots = starts[rows][:, np.newaxis] + np.arange(m)
-        groups.append(LRowGroup(rows, cols[:, :-1], block, slots))
+        groups.append(LRowGroup(rows, cols[:, :-1], block, slots, None if prior is None else prior[block]))
     return tuple(groups)
 
 
@@ -458,12 +481,17 @@ def l_row_conditional_params(state, gram, cross, resolved, group):
     invariant. No row's conditional reads L, so one gram and one cross serve
     every row. Of the matrix omega_i^2 gram + V_L + omega_i^2 Psi only the
     rows `fwd` and the columns `fwd` and i are formed: the precision and zeta.
-    A cross of None stands for delta = 0, which leaves h = -zeta.
+    The group's `prior` slice is the one prior term the regime has (V_L under
+    "proper", Psi under "wishart"). A cross of None stands for delta = 0,
+    which leaves h = -zeta.
     """
     w = state.omega2[group.rows]
     wb = w[:, np.newaxis, np.newaxis]
-    block = group.block
-    s = wb * gram[block] + resolved.V_L[block] + wb * resolved.Psi[block]
+    s = wb * gram[group.block]
+    if resolved.regime == "proper":
+        s += group.prior
+    elif resolved.regime == "wishart":
+        s += wb * group.prior
     prec, zeta = s[..., :-1], s[..., -1]
     if cross is None:
         return -zeta, prec
@@ -481,8 +509,8 @@ def _raise_first_failing_row(where, group, draw, precision, exc):
     raised again.
     """
     for g, row in enumerate(group.rows):
-        one = LRowGroup(group.rows[g : g + 1], group.fwd[g : g + 1],
-                        tuple(ix[g : g + 1] for ix in group.block), group.slots[g : g + 1])
+        one = LRowGroup(group.rows[g : g + 1], group.fwd[g : g + 1], tuple(ix[g : g + 1] for ix in group.block),
+                        group.slots[g : g + 1], None if group.prior is None else group.prior[g : g + 1])
         try:
             draw(one)
         except np.linalg.LinAlgError:
@@ -577,7 +605,8 @@ def flat_mu_baseline_draws(stats, groups, resolved, draws, rng):
         return omega2, coef, nu, 0.5 * n * np.log(omega2) - 0.5 * omega2 * sum_sq
 
     cols0 = np.flatnonzero(degree == 0)[:, np.newaxis]  # the rows with no free entry, as a group of degree 0
-    no_fwd = LRowGroup(cols0[:, 0], cols0[:, :0], (cols0[:, :0, np.newaxis], cols0[:, np.newaxis, :]), cols0[:, :0])
+    no_fwd = LRowGroup(cols0[:, 0], cols0[:, :0], (cols0[:, :0, np.newaxis], cols0[:, np.newaxis, :]),
+                       cols0[:, :0], None)
     mu, omega2 = np.empty((draws, k)), np.empty((draws, k))
     L, loglik = np.empty(z.shape), np.full(draws, -0.5 * n * k * np.log(2.0 * np.pi))
     for group in (no_fwd, *groups):
@@ -893,7 +922,7 @@ def run_chain(data, graph, prior, iters, burn_in=None, thin=10, *, seed,
         raise InvalidChainSettings(f"{keep} retained draws of {k} vertices do not fit in memory") from exc
 
     resolved = resolve_hyperparams(prior, k)
-    groups = l_row_groups(graph)
+    groups = l_row_groups(graph, resolved)
     rng = np.random.default_rng(seed)
     exact = fix_delta_zero and prior.regime in FLAT_MU_REGIMES
     state = None if exact else _initial_state(data, graph, rng)  # only a chain has a start state

@@ -290,7 +290,7 @@ class TestCriterion07bGeweke:
         x = self._draw_data_given_u(rng, mu, delta, omega2, L, u)
         state = GibbsState(mu=mu, delta=delta, omega2=omega2, L=L, u=u)
         resolved = resolve_hyperparams(prior, g.k)
-        groups = l_row_groups(g)
+        groups = l_row_groups(g, resolved)
         for r in range(self.R):
             gibbs_sweep(state, x, DataStats.of(x), groups, resolved, rng)
             x = self._draw_data_given_u(rng, state.mu, state.delta, state.omega2, state.L, state.u)

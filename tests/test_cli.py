@@ -491,6 +491,25 @@ class TestFit:
                 values = np.loadtxt(out / f"{kind}_{col}.csv", delimiter=",", skiprows=1)
                 assert values.shape[0] > 0 and np.all(np.isfinite(values)), f"{kind}_{col}"
 
+    @pytest.mark.parametrize("column", [[1e20] * 4, [1.7e18 + 256 * j for j in range(4)]],
+                             ids=["constant-1e20", "timestamp-like"])
+    def test_plot_data_of_a_column_narrower_than_the_float_spacing(self, tmp_path, column):
+        # at 1e20 and 1.7e18 a pad of 0.15 is below the float spacing (16384 and 256), so the
+        # padded range holds no 20 finite-sized bins; the pad grows with the column's magnitude
+        data = tmp_path / "wide.csv"
+        data.write_text("a,b,c\n" + "".join(f"{float(i)!r},{column[i % 4]!r},{float(i * 7 % 11)!r}\n"
+                                            for i in range(50)))
+        graph = write_graph(tmp_path / "g.json", Graph(3, [(0, 1), (1, 2)]))
+        out = tmp_path / "o"
+        assert run_cli("fit", "--data", data, "--graph", graph, "--prior", "proper",
+                       "--iters", 200, "--seed", 1, "--out", out) == 0
+        assert (out / "fit.json").exists()
+        hist = np.loadtxt(out / "hist_b.csv", delimiter=",", skiprows=1)
+        assert hist.shape == (cli.PLOT_BINS, 4) and np.all(np.isfinite(hist))
+        assert np.all(hist[:, 1] > hist[:, 0]) and hist[:, 2].sum() == 50
+        fitted = np.loadtxt(out / "fitted_b.csv", delimiter=",", skiprows=1)
+        assert fitted.shape[0] > 0 and np.all(np.isfinite(fitted))
+
     @pytest.mark.parametrize(
         "header",
         ["a/b,c", "x,x", "a,", ".,c", "..,c", "a\\b,c", "a\0b,c"],
@@ -580,7 +599,8 @@ class TestFit:
                            "--prior", "proper", "--hyper", "b3=1e300",
                            "--iters", 200, "--seed", 1, "--out", out) == 0
         assert capsys.readouterr().err == ""
-        rows = {row["param"]: row for row in csv.DictReader((out / "summary.csv").open())}
+        with (out / "summary.csv").open() as fh:
+            rows = {row["param"]: row for row in csv.DictReader(fh)}
         assert float(rows["omega2_1"]["mean"]) > 1e290
         assert all(np.isfinite(float(row["sd"])) and np.isfinite(float(row["ess"])) for row in rows.values())
 

@@ -5,6 +5,7 @@ import warnings
 from copy import deepcopy
 from dataclasses import replace
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -229,9 +230,10 @@ class TestResolveHyperparams:
         rate = omega2_conditional_params(state, sum_sq, 6, r)[1]
         rate_flat = omega2_conditional_params(state, sum_sq, 6, flat)[1]
         assert np.allclose(rate - rate_flat, 0.5)  # L_i Psi L_i' = 1 for L = I
-        (group,) = l_row_groups(g)  # rows 0 and 1, one free entry each
+        (group,) = l_row_groups(g, r)  # rows 0 and 1, one free entry each
+        (group_flat,) = l_row_groups(g, flat)
         prec = l_row_conditional_params(state, y0.T @ y0, state.u.T @ y0, r, group)[1]
-        prec_flat = l_row_conditional_params(state, y0.T @ y0, state.u.T @ y0, flat, group)[1]
+        prec_flat = l_row_conditional_params(state, y0.T @ y0, state.u.T @ y0, flat, group_flat)[1]
         assert np.allclose(prec - prec_flat, [[[2.0]], [[3.0]]])  # omega_i^2 Psi on row i's support
 
     def test_psi_term_formed_only_where_psi_is_nonzero(self, rng):
@@ -368,11 +370,11 @@ class TestLRowGroups:
     @pytest.mark.parametrize("name", GRAPHS)
     def test_same_draws_as_row_by_row(self, rng, name):
         g = self.GRAPHS[name]
-        groups = l_row_groups(g)
-        assert [grp.fwd.shape[1] for grp in groups] == sorted({len(g.forward_neighbors(i))
-                                                               for i in range(g.k)} - {0})
         for prior in priors_for(g.k, rng):
             resolved = resolve_hyperparams(prior, g.k)
+            groups = l_row_groups(g, resolved)
+            assert [grp.fwd.shape[1] for grp in groups] == sorted({len(g.forward_neighbors(i))
+                                                                   for i in range(g.k)} - {0})
             state = random_state(rng, g, 12)
             y0 = rng.standard_normal((12, g.k)) * 1.3 + 0.4
             seed = int(rng.integers(2**32))
@@ -391,7 +393,7 @@ class TestLRowGroups:
         y0[:, 2] = 0.0
         resolved = resolve_hyperparams(NoninformativePrior(b1=1.0), 4)
         with pytest.raises(inference.NumericalFailure, match="L block, row 2: ") as info:
-            gibbs_update_L(state, y0.T @ y0, state.u.T @ y0, l_row_groups(g), resolved, rng)
+            gibbs_update_L(state, y0.T @ y0, state.u.T @ y0, l_row_groups(g, resolved), resolved, rng)
         # row 2's precision is omega_2^2 times the gram of columns 3 and 4 of y0, which is singular
         smallest = np.linalg.eigvalsh(state.omega2[1] * (y0.T @ y0)[np.ix_([2, 3], [2, 3])])[0]
         assert str(info.value).endswith(f"(smallest eigenvalue {smallest:.6g})")
@@ -441,9 +443,9 @@ class TestGaussianDraw:
     @pytest.mark.parametrize("name", GRAPHS)
     def test_one_sweep_matches_three_call_algorithm(self, rng, name, fix_delta_zero):
         g = self.GRAPHS[name]
-        groups = l_row_groups(g)
         for prior in priors_for(g.k, rng):
             resolved = resolve_hyperparams(prior, g.k)
+            groups = l_row_groups(g, resolved)
             start = random_state(rng, g, 12, zero_delta=fix_delta_zero)
             data = rng.standard_normal((12, g.k)) * 1.3 + 0.4
             seed = int(rng.integers(2**32))
@@ -477,7 +479,7 @@ class TestGaussianDraw:
         y0[:, 2] = 0.0
         resolved = resolve_hyperparams(NoninformativePrior(b1=1.0), 3)
         with pytest.raises(NumericalFailure, match="L block, row 2: ") as info:
-            gibbs_update_L(state, y0.T @ y0, state.u.T @ y0, l_row_groups(g), resolved, rng)
+            gibbs_update_L(state, y0.T @ y0, state.u.T @ y0, l_row_groups(g, resolved), resolved, rng)
         assert str(info.value).endswith("(smallest eigenvalue 0)")  # a 1 x 1 precision is its own eigenvalue
 
     def test_indefinite_mu_precision_is_named(self, rng):
@@ -494,14 +496,15 @@ class TestGaussianDraw:
     def test_lapack_calls_per_sweep(self, rng, monkeypatch):
         calls = []
 
-        def counting(fn):
-            def wrapper(*args, **kwargs):
-                calls.append(fn.__name__)
-                return fn(*args, **kwargs)
+        def counting(gufunc):
+            def wrapper(*args):
+                calls.append(gufunc.__name__)
+                return gufunc(*args)
             return wrapper
 
-        for name in ("solve", "cholesky"):
-            monkeypatch.setattr(np.linalg, name, counting(getattr(np.linalg, name)))
+        lapack = inference._umath_linalg
+        monkeypatch.setattr(inference, "_umath_linalg", SimpleNamespace(
+            cholesky_lo=counting(lapack.cholesky_lo), solve1=counting(lapack.solve1)))
         g = mathmarks_graph()
         data = rng.standard_normal((30, g.k))
         counts = []
@@ -512,6 +515,43 @@ class TestGaussianDraw:
         # one Cholesky factorization and one solve each for the mu block and for the
         # group of rows with two free entries; the rows with one free entry need none
         assert counts[1] - counts[0] == 4 * 30
+
+    def test_equals_the_numpy_linalg_draw_bit_for_bit(self, rng):
+        # `_gaussian_draw` calls numpy's private LAPACK gufuncs; a numpy that changes them fails here
+        def linalg_draw(prec, h, z):
+            r = np.linalg.cholesky(prec)
+            rz = (r * z[..., np.newaxis, :]).sum(axis=-1)
+            return np.linalg.solve(prec, (h + rz)[..., np.newaxis])[..., 0]
+
+        decades = []
+        for _ in range(400):
+            G, m = int(rng.integers(1, 9)), int(rng.integers(2, 7))
+            q = np.linalg.qr(rng.standard_normal((G, m, m)))[0]
+            # eigenvalues spread over 0 to 10 decades, around a scale of 1e-3 to 1e3
+            cond = rng.uniform(0, 10, (G, 1))
+            eig = 10.0 ** (rng.uniform(-3, 3, (G, 1)) + cond * rng.uniform(0, 1, (G, m)))
+            prec = (q * eig[:, np.newaxis, :]) @ np.swapaxes(q, -1, -2)
+            prec = 0.5 * (prec + np.swapaxes(prec, -1, -2))
+            h = rng.standard_normal((G, m)) * 10.0 ** rng.uniform(-3, 3, (G, 1))
+            z = rng.standard_normal((3, G, m))  # three draws per matrix, as `flat_mu_baseline_draws` takes
+            for args in ((prec[0], h[0], z[0, 0]), (prec, h, z[0]), (prec, h, z)):
+                assert np.array_equal(_gaussian_draw(*args), linalg_draw(*args))
+            decades.append(np.log10(np.linalg.cond(prec)).max())
+        assert min(decades) < 2 and max(decades) > 8
+
+    def test_indefinite_member_of_a_stack_raises_linalg_error(self, rng):
+        prec = np.stack([2.0 * np.eye(3), np.diag([1.0, -1.0, 1.0]), np.eye(3)])
+        h, z = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
+        with np.errstate(over="raise", divide="raise", invalid="raise"):  # `run_chain`'s state
+            with pytest.raises(np.linalg.LinAlgError):
+                _gaussian_draw(prec, h, z)
+            # an overflow outside the LAPACK calls stays a floating-point error
+            with pytest.raises(FloatingPointError):
+                _gaussian_draw(np.eye(3), np.full(3, 1e308), np.full(3, 1e308))
+        with np.errstate(divide="warn", over="warn", under="ignore", invalid="warn"), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # numpy's default state under the suite's filter
+            with pytest.raises(np.linalg.LinAlgError):
+                _gaussian_draw(prec, h, z)
 
 
 class TestConditionalCollapse:
@@ -607,9 +647,10 @@ class TestBaselineSweep:
     @pytest.mark.parametrize("name", CHAINS)
     def test_sweeps_equal_the_sweeps_drawing_u(self, rng, name):
         data, g = self.CHAINS[name](rng)
-        stats, groups = DataStats.of(data), l_row_groups(g)
+        stats = DataStats.of(data)
         for prior in priors_for(g.k, rng):
             resolved = resolve_hyperparams(prior, g.k)
+            groups = l_row_groups(g, resolved)
             runs = []
             for sweep in (partial(gibbs_sweep, fix_delta_zero=True), baseline_sweep_drawing_u):
                 sweep_rng = np.random.default_rng(11)
@@ -626,9 +667,9 @@ class TestBaselineSweep:
     @pytest.mark.parametrize("name", TestGaussianDraw.GRAPHS)
     def test_reads_the_data_only_through_the_statistics(self, rng, name):
         g = TestGaussianDraw.GRAPHS[name]
-        groups = l_row_groups(g)
         for prior in priors_for(g.k, rng):
             resolved = resolve_hyperparams(prior, g.k)
+            groups = l_row_groups(g, resolved)
             data = rng.standard_normal((12, g.k)) * 1.3 + 0.4
             stats = DataStats.of(data)
             start = random_state(rng, g, 12, zero_delta=True)
@@ -790,7 +831,8 @@ def slice_ratio_worst(rng, graph, prior, n, include_delta=True):
         worst = max(worst, delta_slice_gap(rng, replace(state, mu=state.mu + rng.standard_normal(graph.k)), latent,
                                            joint_with))
     worst = max(worst, omega2_slice_gap(rng, state, sum_sq, count, resolved, joint_with))
-    worst = max(worst, l_row_slice_gap(rng, state, gram, cross, l_row_groups(graph), resolved, joint_with))
+    worst = max(worst, l_row_slice_gap(rng, state, gram, cross, l_row_groups(graph, resolved), resolved,
+                                         joint_with))
     return worst
 
 
@@ -841,8 +883,8 @@ class TestSliceRatios:
             for prior in priors_for(k, rng):
                 seen.clear()
                 state = random_state(rng, g, n, zero_delta=fix_delta_zero)
-                gibbs_sweep(state, data, DataStats.of(data), l_row_groups(g), resolve_hyperparams(prior, k), rng,
-                            fix_delta_zero)
+                resolved = resolve_hyperparams(prior, k)
+                gibbs_sweep(state, data, DataStats.of(data), l_row_groups(g, resolved), resolved, rng, fix_delta_zero)
                 assert [name for name, _, _ in seen] == [name for name in gaps
                                                          if not (fix_delta_zero and name == "gibbs_update_delta")]
                 for name, at_call, args in seen:
@@ -954,18 +996,27 @@ class TestRunChain:
         resolved = resolve_hyperparams(NoninformativePrior(b1=1.0), 3)
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             with pytest.raises(NumericalFailure) as info:
-                gibbs_sweep(state, data, DataStats.of(data), l_row_groups(g), resolved, rng,
+                gibbs_sweep(state, data, DataStats.of(data), l_row_groups(g, resolved), resolved, rng,
                             fix_delta_zero=block == "omega2")
         assert re.match(rf"{block} block: floating-point overflow encountered in \w+$", str(info.value)), info.value
 
     def test_omega2_draw_outside_its_domain_named(self, rng):
-        # L_i Psi L_i' overflows to inf for a row with a free entry, without a floating-point
-        # error (einsum raises none), so the gamma scale 1 / rate is 0 and so is the draw
+        # an infinite rate, which numpy's default state lets through, gives a gamma scale
+        # 1 / rate of 0, and so a draw of 0
+        state = random_state(rng, chain_graph(3), 5)
+        resolved = resolve_hyperparams(NoninformativePrior(b1=1.0), 3)
+        with pytest.raises(NumericalFailure) as info:
+            gibbs_update_omega2(state, np.array([1.0, np.inf, 1.0]), 5, resolved, rng)
+        assert str(info.value) == "omega2 block: draw left the positive domain"
+
+    def test_omega2_rate_overflow_in_the_wishart_term_named(self, rng):
+        # L_i Psi L_i' overflows to inf for the rows with a free entry without a floating-point
+        # error (einsum raises none), so the gamma scale 1 / rate is 0 and so is their draw
         data = rng.standard_normal((30, 3))
-        prior = PatternWishartPrior(b1=1.0, Psi=np.finfo(float).max * np.eye(3), psi=np.array([2.0, 2.0, 1.0]))
+        prior = PatternWishartPrior(b1=100.0, Psi=np.finfo(float).max * np.eye(3), psi=np.array([2.0, 2.0, 1.0]))
         with pytest.raises(NumericalFailure) as info:
             run_chain(data, chain_graph(3), prior, iters=10, thin=1, seed=1)
-        assert str(info.value) == "sweep 1, omega2 block: draw left the positive domain"
+        assert str(info.value) == "sweep 1, omega2 block: floating-point overflow in L_i Psi L_i' of row(s) [1, 2]"
 
     def test_propriety_refusal(self, rng):
         data, g = self._simulated(rng, n=2)
@@ -1217,7 +1268,8 @@ def sweep_z_scores(data, g, prior, draws, seed):
     z-score of each mean difference: the first moments, then the second.
     """
     trace = run_chain(data, g, prior, iters=draws, burn_in=0, thin=1, seed=seed, fix_delta_zero=True)
-    stats, groups, resolved = DataStats.of(data), l_row_groups(g), resolve_hyperparams(prior, g.k)
+    stats, resolved = DataStats.of(data), resolve_hyperparams(prior, g.k)
+    groups = l_row_groups(g, resolved)
     sweep_rng = np.random.default_rng(seed + 1)
     before = np.hstack([trace.mu, trace.omega2, trace.L])
     after = np.empty_like(before)
@@ -1252,8 +1304,9 @@ class TestFlatMuBaseline:
                 continue
             assert sweeps == [] and starts == []  # no chain, so no start state
             draw_rng = np.random.default_rng(4)
-            mu, omega2, L, loglik = flat_mu_baseline_draws(DataStats.of(data), l_row_groups(g),
-                                                           resolve_hyperparams(prior, g.k), 20, draw_rng)
+            resolved = resolve_hyperparams(prior, g.k)
+            mu, omega2, L, loglik = flat_mu_baseline_draws(DataStats.of(data), l_row_groups(g, resolved), resolved,
+                                                           20, draw_rng)
             for got, want in ((trace.mu, mu), (trace.omega2, omega2), (trace.L, L), (trace.loglik, loglik)):
                 assert np.array_equal(got, want), prior.regime
 
@@ -1312,5 +1365,5 @@ class TestFlatMuBaseline:
         g = chain_graph(4)
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             with pytest.raises(NumericalFailure, match="^exact draw, row 2: floating-point overflow "):
-                flat_mu_baseline_draws(DataStats.of(data), l_row_groups(g),
-                                       resolve_hyperparams(NoninformativePrior(b1=1.0), 4), 10, rng)
+                resolved = resolve_hyperparams(NoninformativePrior(b1=1.0), 4)
+                flat_mu_baseline_draws(DataStats.of(data), l_row_groups(g, resolved), resolved, 10, rng)
