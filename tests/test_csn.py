@@ -1,9 +1,16 @@
+import os
+import signal
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from scipy.special import log_ndtr, ndtr, ndtri, ndtri_exp
 from scipy.stats import chi2, kstest, multivariate_normal, norm
 
-from sgdg.csn import TAIL_SWITCH, sample_truncated_normal
+from sgdg import csn
+from sgdg.csn import PARALLEL_MIN, TAIL_SWITCH, sample_truncated_normal
 
 from conftest import gauss_legendre_grid
 from oracles import (
@@ -131,6 +138,140 @@ class TestTruncatedNormalSameDraws:
         ref = truncated_normal_per_entry(mu, var, lower, ref_rng)
         assert np.array_equal(x, ref)
         assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def recording_kernels(monkeypatch):
+    """Wrap both inverse-CDF kernels; each block appends (kernel, rows, thread id, invalid errstate)."""
+    calls = []
+    for name in ("_product_form", "_log_form"):
+        def record(t, u, _name=name, _real=getattr(csn, name)):
+            calls.append((_name, t.shape[0], threading.get_ident(), np.geterr()["invalid"]))
+            _real(t, u)
+
+        monkeypatch.setattr(csn, name, record)
+    return calls
+
+
+def set_usable_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(csn, "_usable_cpus", lambda: cpus)
+
+
+class TestTruncatedNormalRowBlocks:
+    """The inverse-CDF pass split into row blocks gives the serial pass's draws bit for bit."""
+
+    _r = np.random.default_rng(5)
+    PM = PARALLEL_MIN
+    # (mu, var, lower, kernel, row blocks at 3 CPUs); a block gets at least PARALLEL_MIN entries
+    CASES = {
+        "product-odd-rows": (_r.uniform(-1.5, 2.0, (3 * PM // 40 + 1, 40)), _r.uniform(0.2, 2.0, 40), 0.0,
+                             "_product_form", 3),
+        "log-form": (_r.normal(-2.0, 2.5, (2 * PM // 8 + 1, 8)), _r.uniform(0.1, 1.0, 8), 0.0, "_log_form", 2),
+        "one-column": (_r.uniform(-1.5, 2.0, (2 * PM + 1, 1)), 0.7, 0.0, "_product_form", 2),
+        "fewer-rows-than-blocks": (_r.uniform(-1.5, 2.0, (2, 3 * PM // 2 + 1)), 1.3, 0.0, "_product_form", 2),
+        "broadcast-var-and-lower": (_r.uniform(-1.5, 2.0, (2 * PM // 16 + 1, 16)), _r.uniform(0.2, 2.0, 16),
+                                    _r.uniform(-1.0, 0.2, (2 * PM // 16 + 1, 1)), "_product_form", 2),
+        "one-dimensional": (_r.uniform(-1.5, 2.0, 2 * PM), 1.0, 0.0, "_product_form", 2),
+        "just-below-PARALLEL_MIN": (_r.uniform(-1.5, 2.0, (PM // 16 - 1, 16)), 1.0, 0.0, "_product_form", 1),
+        "just-above-PARALLEL_MIN": (_r.uniform(-1.5, 2.0, (PM // 16 + 1, 16)), 1.0, 0.0, "_product_form", 1),
+        "just-below-2-PARALLEL_MIN": (_r.uniform(-1.5, 2.0, (2 * PM // 16 - 1, 16)), 1.0, 0.0, "_product_form", 1),
+        "just-above-2-PARALLEL_MIN": (_r.uniform(-1.5, 2.0, (2 * PM // 16 + 1, 16)), 1.0, 0.0, "_product_form", 2),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_split_equals_serial_and_per_entry_reference(self, name, monkeypatch):
+        mu, var, lower, kernel, blocks = self.CASES[name]
+        assert np.any((lower - mu) / np.sqrt(var) > TAIL_SWITCH) == (kernel == "_log_form")
+        calls = recording_kernels(monkeypatch)
+        draws = {}
+        for cpus in (1, 3):
+            set_usable_cpus(monkeypatch, cpus)
+            rng = np.random.default_rng(17)
+            calls.clear()
+            draws[cpus] = sample_truncated_normal(mu, var, lower, rng)
+            assert [c[0] for c in calls] == [kernel] * (blocks if cpus == 3 else 1), cpus
+            assert sum(c[1] for c in calls) == draws[cpus].shape[0]
+            one_output_per_entry = np.random.default_rng(17)
+            one_output_per_entry.bit_generator.advance(draws[cpus].size)
+            assert rng.bit_generator.state == one_output_per_entry.bit_generator.state
+        ref = truncated_normal_per_entry(mu, var, lower, np.random.default_rng(17))
+        assert np.array_equal(draws[1], ref)
+        assert np.array_equal(draws[3], ref)
+
+    def test_helper_blocks_run_under_the_callers_errstate(self, monkeypatch):
+        calls = recording_kernels(monkeypatch)
+        set_usable_cpus(monkeypatch, 3)
+        with np.errstate(invalid="raise"):
+            sample_truncated_normal(np.zeros((3 * PARALLEL_MIN // 8, 8)), 1.0, 0.0, np.random.default_rng(1))
+        assert len(calls) == 3
+        assert [c[3] for c in calls] == ["raise"] * 3
+        threads = {c[2] for c in calls}
+        assert threading.get_ident() in threads and len(threads) >= 2  # helper threads took blocks
+
+    def test_floating_point_error_in_a_helper_block_surfaces(self, monkeypatch):
+        caller = threading.get_ident()
+
+        def invalid_in_helper_blocks(t, u):
+            if threading.get_ident() != caller:
+                np.sqrt(np.full(1, -1.0))  # raises only under the caller's errstate
+
+        for name in ("_product_form", "_log_form"):
+            monkeypatch.setattr(csn, name, invalid_in_helper_blocks)
+        set_usable_cpus(monkeypatch, 2)
+        with np.errstate(invalid="raise"), pytest.raises(FloatingPointError, match="invalid value"):
+            sample_truncated_normal(np.zeros((2 * PARALLEL_MIN // 8, 8)), 1.0, 0.0, np.random.default_rng(1))
+
+    def test_concurrent_callers_share_the_helper_threads(self, monkeypatch):
+        set_usable_cpus(monkeypatch, 3)
+        mus = [np.random.default_rng(i).uniform(-1.5, 2.0, (3 * PARALLEL_MIN // 8, 8)) for i in range(4)]
+        serial = [truncated_normal_per_entry(mu, 1.0, 0.0, np.random.default_rng(i)) for i, mu in enumerate(mus)]
+        draws = [None] * 4
+
+        def call(i):
+            for _ in range(5):
+                draws[i] = sample_truncated_normal(mus[i], 1.0, 0.0, np.random.default_rng(i))
+                if not np.array_equal(draws[i], serial[i]):
+                    return
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=call, args=(i,)) for i in range(4)]
+            for c in callers:
+                c.start()
+            for c in callers:
+                c.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(c.is_alive() for c in callers)
+        for i in range(4):
+            assert np.array_equal(draws[i], serial[i]), i
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_splits_again(self, monkeypatch):
+        calls = recording_kernels(monkeypatch)
+        set_usable_cpus(monkeypatch, 2)
+        mu = np.zeros((2 * PARALLEL_MIN // 8, 8))
+        first = sample_truncated_normal(mu, 1.0, 0.0, np.random.default_rng(4))  # starts a helper thread
+        assert len({c[2] for c in calls}) == 2
+        pid = os.fork()
+        if pid == 0:  # the child leaves through os._exit, past pytest's own teardown
+            code = 1
+            try:
+                again = sample_truncated_normal(mu, 1.0, 0.0, np.random.default_rng(4))
+                code = 0 if np.array_equal(again, first) and len(calls) == 4 else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60.0
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child's split call did not return within 60 s")
+            time.sleep(0.02)
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 def sn_params_1d(alpha=2.0):

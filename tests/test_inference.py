@@ -1,5 +1,6 @@
 import errno
 import re
+import threading
 import traceback
 import warnings
 from copy import deepcopy
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
-from sgdg import inference
+from sgdg import csn, inference
 from sgdg.csn import TAIL_SWITCH, sample_truncated_normal
 from sgdg.datasets import load_mathmarks, mathmarks_graph
 from sgdg.graph import Graph, NotDecomposable
@@ -702,6 +703,53 @@ class TestBaselineSweep:
                 calls.clear()
                 run_chain(data, g, prior, iters=40, thin=1, seed=5, fix_delta_zero=fix_delta_zero)
                 assert len(calls) == 40 * per_sweep, (fix_delta_zero, prior.regime)
+
+
+class TestUBlockRowBlocks:
+    """Skew sweeps whose u block is large enough to split into row blocks."""
+
+    K = 3
+    N = 3 * csn.PARALLEL_MIN // K + 1  # three row blocks at three CPUs
+
+    def data(self, rng):
+        return rng.standard_normal((self.N, self.K)) + np.abs(rng.standard_normal((self.N, self.K)))
+
+    def test_floating_point_error_in_a_helper_block_names_the_u_block(self, rng, monkeypatch):
+        caller = threading.get_ident()
+
+        def invalid_in_helper_blocks(t, u):
+            if threading.get_ident() != caller:
+                np.sqrt(np.full(1, -1.0))
+
+        for name in ("_product_form", "_log_form"):
+            monkeypatch.setattr(csn, name, invalid_in_helper_blocks)
+        monkeypatch.setattr(csn, "_usable_cpus", lambda: 2)
+        g, data = chain_graph(self.K), self.data(rng)
+        resolved = resolve_hyperparams(NoninformativePrior(b1=1.5), self.K)
+        state = random_state(rng, g, self.N)
+        with np.errstate(invalid="raise"), pytest.raises(NumericalFailure, match=r"^u block: floating-point invalid"):
+            gibbs_sweep(state, data, DataStats.of(data), l_row_groups(g, resolved), resolved, rng)
+
+    def test_trace_does_not_depend_on_the_cpu_count(self, rng, tmp_path, monkeypatch):
+        data, g = self.data(rng), chain_graph(self.K)
+        blocks = []
+        real = csn._product_form
+
+        def counting(t, u):
+            blocks.append(t.shape[0])
+            real(t, u)
+
+        monkeypatch.setattr(csn, "_product_form", counting)
+        traces = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(csn, "_usable_cpus", lambda: cpus)
+            blocks.clear()
+            trace = run_chain(data, g, NoninformativePrior(b1=1.0), iters=12, burn_in=4, thin=2, seed=31)
+            assert len(blocks) == 12 * cpus, cpus  # every sweep took the product form, split over cpus blocks
+            trace.save(tmp_path / f"cpus{cpus}.ndjson")
+            traces.append((tmp_path / f"cpus{cpus}.ndjson").read_bytes())
+        assert traces[1] == traces[0]
+        assert traces[2] == traces[0]
 
 
 def gaussian_slice_gap(rng, h, prec, joint_at):
