@@ -33,6 +33,11 @@ SWEEP_ORDER = ("u", "mu", "omega2", "L")  # the "mu" block draws (mu, delta)
 FLAT_MU_REGIMES = ("noninfo", "wishart")  # the Gaussian baseline's posterior is conjugate under these
 TRACE_SCHEMA = 1  # the version of the trace file format that `run_chain` writes
 SAVE_BLOCK_VALUES = 1 << 16  # `Trace.save` formats the draws this many values at a time
+# `gibbs_sweep` forms the skew model's omega^2 sums as a difference of k-vectors, a positive
+# part less 2 delta o (tc + s o L d), whose rounding error is a few ulp of the positive part.
+# Where a sum is at most this share of its positive part (more than six digits lost, a
+# relative error of up to about 1e-9), the sweep sums the n residuals instead.
+OMEGA2_GUARD = 1e-6
 
 
 class ProprietyViolation(ValueError):
@@ -293,12 +298,15 @@ class GibbsState:
 
 @dataclass(frozen=True)
 class DataStats:
-    """What the Gaussian parts of a sweep read of the n x k data X, formed once per chain.
+    """What a sweep reads of the n x k data X, formed once per chain.
 
     `total` and `xbar` are the column sums and means, r is a factor of the
     centred scatter matrix, r'r = (X - xbar)'(X - xbar), from the QR
     decomposition of X - xbar (r has min(n, k) rows), and `scatter` is r'r.
-    Data whose scatter matrix overflows are refused (`NumericalFailure`).
+    `xbar_lo` is the mean of X - xbar, the part of the mean that xbar rounds
+    off, and `xc` is X - xbar - xbar_lo: centred data whose columns sum to
+    zero to working precision, however far xbar is from zero. Data whose
+    scatter matrix overflows are refused (`NumericalFailure`).
     """
 
     n: int
@@ -306,17 +314,22 @@ class DataStats:
     xbar: np.ndarray
     r: np.ndarray
     scatter: np.ndarray
+    xbar_lo: np.ndarray
+    xc: np.ndarray
 
     @classmethod
     def of(cls, data):
         n = data.shape[0]
         with np.errstate(over="ignore", invalid="ignore"):
             total = data.sum(axis=0)
-            r = np.linalg.qr(data - total / n, mode="r")
+            xc = data - total / n
+            r = np.linalg.qr(xc, mode="r")
             scatter = r.T @ r
+            xbar_lo = xc.mean(axis=0)
+            xc -= xbar_lo
         if not np.isfinite(scatter).all():
             raise NumericalFailure("data: the scatter matrix of the data is not finite")
-        return cls(n, total, total / n, r, scatter)
+        return cls(n, total, total / n, r, scatter, xbar_lo, xc)
 
     def gram(self, mu):
         """(X - mu)'(X - mu) = r'r + n d d' with d = xbar - mu."""
@@ -634,11 +647,18 @@ def gibbs_sweep(state, data, stats, groups, resolved, rng, fix_delta_zero=False)
     all three hold for the whole chain. The blocks are formulas over the
     inputs formed here, and only here does the model show:
 
-    - skew: the u block reads the centred rows y = (X - mu) L'. The mu block
-      reads the sums s = sum(u), q = sum(u o u) + 1 / b1 and t = sum(u o y)
-      + s o L mu. The omega^2 block reads the n residuals y - u o delta at the
-      new mu and the delta prior's delta^2 / b1 as one more squared residual.
-      The L rows read the cross moment u'(X - mu).
+    - skew: the u block reads the centred rows y = (X - mu) L'. After it the
+      sweep reads only s = sum(u), q = sum(u o u) + 1 / b1, the k x k product
+      M = u' xc of `DataStats.xc`, about u'(X - xbar), and `stats`. The mu
+      block reads s, q and t = tc + s o L xbar with tc_i = sum_j M_ij L_ij,
+      so that t = sum(u o L x). The omega^2 block reads the sums of the n
+      squared residuals L (x - mu') - u o delta' at the new (mu', delta'),
+      with the delta prior's delta'^2 / b1 as one more. With
+      d = xbar + xbar_lo - mu' they are ||r L_i'||^2 + n (L_i d)^2 (as
+      `DataStats.sum_sq`) + delta'^2 o q - 2 delta' o (tc + s o L d). Where
+      that difference keeps no more than `OMEGA2_GUARD` of its positive part,
+      the sweep sums the residuals on the n x k data instead. The L rows read
+      the cross moment u'(X - mu') = M + s d'.
     - Gaussian baseline (`fix_delta_zero`; `run_chain` sweeps it under
       "proper" only, as it draws exactly under the flat-mu priors): with
       delta = 0 every u term is zero, so the mu block takes no sums and no
@@ -650,6 +670,10 @@ def gibbs_sweep(state, data, stats, groups, resolved, rng, fix_delta_zero=False)
 
     A `FloatingPointError` (raised under `run_chain`'s `np.errstate`) becomes
     a `NumericalFailure` that names the block and, in the L block, the row.
+    A caller outside `run_chain` must run the sweep under
+    `np.errstate(over="raise", divide="raise", invalid="raise")` as
+    `run_chain` does: in numpy's default state a Gaussian draw from a
+    precision that is not positive definite comes back as NaN, not as an error.
     """
     block = "u"
     try:
@@ -660,17 +684,26 @@ def gibbs_sweep(state, data, stats, groups, resolved, rng, fix_delta_zero=False)
             block = "omega2"
             sum_sq, count, cross = stats.sum_sq(state.mu, state.L), stats.n, None
         else:
-            y = (data - state.mu) @ state.L.T
+            L, mu = state.L, state.mu
+            y = (data - mu) @ L.T
             u = state.u = gibbs_update_u(state, y, rng)
             block = "mu"
-            s, mu = u.sum(axis=0), state.mu
-            latent = (s, (u * u).sum(axis=0) + 1.0 / resolved.b1, (u * y).sum(axis=0) + s * (state.L @ mu))
+            s, uxc = u.sum(axis=0), u.T @ stats.xc
+            tc = (uxc * L).sum(axis=1)  # sum(u o L xc)
+            q = np.einsum("ij,ij->j", u, u) + 1.0 / resolved.b1
+            latent = (s, q, tc + s * (L @ stats.xbar))
             state.mu = gibbs_update_mu(state, stats, resolved, latent, rng)
-            state.delta = gibbs_update_delta(state, latent, rng)
+            delta = state.delta = gibbs_update_delta(state, latent, rng)
             block = "omega2"
-            resid = y + state.L @ (mu - state.mu) - u * state.delta  # (X - mu) L' - u o delta at the new mu
-            sum_sq = (resid**2).sum(axis=0) + state.delta**2 / resolved.b1
-            count, cross = stats.n + 1, u.T @ (data - state.mu)
+            d = stats.xbar - state.mu + stats.xbar_lo
+            ld = L @ d
+            rl = stats.r @ L.T
+            positive = (rl * rl).sum(axis=0) + stats.n * ld**2 + delta**2 * q
+            sum_sq = positive - 2.0 * delta * (tc + s * ld)
+            if np.count_nonzero(sum_sq <= OMEGA2_GUARD * positive):  # cancelled: the residuals on the n x k data
+                resid = y + L @ (mu - state.mu) - u * delta  # (X - mu) L' - u o delta at the new mu
+                sum_sq = (resid**2).sum(axis=0) + delta**2 / resolved.b1
+            count, cross = stats.n + 1, uxc + s[:, np.newaxis] * d
         state.omega2 = gibbs_update_omega2(state, sum_sq, count, resolved, rng)
         block = "L"
         state.L = gibbs_update_L(state, stats.gram(state.mu), cross, groups, resolved, rng)

@@ -8,6 +8,7 @@ from dataclasses import replace
 from functools import partial
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.signal import lfilter
@@ -948,6 +949,133 @@ class TestSliceRatios:
         prior = IndependentProperPrior(b1=1.0, mu0=np.zeros(1), b2=1.0, b3=2.0, b4=2.0, b5=1.0)
         worst = max(slice_ratio_worst(rng, g, prior, 12) for _ in range(20))
         assert worst < self.TOL
+
+
+def capture_skew_block_inputs(monkeypatch):
+    """{block function: (its state, its inputs but the generator)} of the last call, for the skew sweep's blocks."""
+    seen = {}
+    for name in ("gibbs_update_mu", "gibbs_update_omega2", "gibbs_update_L"):
+        def capture(state, *args, _name=name, _real=getattr(inference, name)):
+            seen[_name] = (deepcopy(state), args[:-1])
+            return _real(state, *args)
+
+        monkeypatch.setattr(inference, name, capture)
+    return seen
+
+
+def direct_sums(data, before, after, b1):
+    """t, u'(X - mu') and the omega^2 sums on the n x k data in extended precision, each with its scale.
+
+    `before` is the state that the (mu, delta) block reads, with the new u, and
+    `after` the one that the omega^2 block reads, with the new (mu', delta'). A
+    scale is the same sum over the magnitudes of its terms; the omega^2 sums'
+    is their positive part, sum((L (x - mu'))^2) + delta'^2 (sum(u o u) + 1 / b1).
+    """
+    ld = np.longdouble
+    x, u, L = data.astype(ld), before.u.astype(ld), before.L.astype(ld)
+    mu, delta = after.mu.astype(ld), after.delta.astype(ld)
+    y = (x - mu) @ L.T
+    t = (u * (x @ L.T)).sum(axis=0), np.einsum("ri,rj,ij->i", np.abs(u), np.abs(x), np.abs(L))
+    cross = u.T @ (x - mu), np.abs(u).T @ np.abs(x - mu)
+    sum_sq = (((y - u * delta) ** 2).sum(axis=0) + delta**2 / b1,
+              (y**2).sum(axis=0) + delta**2 * ((u * u).sum(axis=0) + 1 / ld(b1)))
+    return t, cross, sum_sq
+
+
+class TestSkewSweepStatistics:
+    """After the u block the skew sweep reads k x k statistics; its block inputs must equal the n x k forms."""
+
+    BOUND = 1e-13  # relative to each sum's scale (`direct_sums`); measured at most 3.1e-15
+
+    @staticmethod
+    def skewed_chain_start(rng, g, alpha, offset, n):
+        """n rows drawn at a state with delta o omega = +-alpha, every column shifted by offset of its sds, and that state."""
+        k = g.k
+        L = np.eye(k)
+        for i, j in g.sorted_edges():
+            L[i, j] = rng.uniform(-0.8, 0.8)
+        omega2 = rng.uniform(0.5, 2.0, k)
+        delta = rng.choice([-1.0, 1.0], k) * alpha / np.sqrt(omega2)
+        mu = rng.standard_normal(k) * 3.0
+        data = sample_sgdg(reparam_inverse(ReparamParams(mu, delta, omega2, L, g)), rng, n)
+        shift = offset * data.std(axis=0) * rng.choice([-1.0, 1.0], k)
+        return data + shift, GibbsState(mu + shift, delta, omega2, L, None)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e2, 1e4], ids=["centred", "offset-1e2", "offset-1e4"])
+    def test_statistics_equal_the_direct_sums(self, rng, monkeypatch, offset):
+        # strongly skewed states, at alpha up to 3000, and data whose mean is up to 1e4 sds
+        # from zero, where the omega^2 sums cancel most and the cross moment would lose
+        # digits to the mean; the states are the chain's own, so u fits the data as it does
+        seen = capture_skew_block_inputs(monkeypatch)
+        worst = {"t": 0.0, "cross": 0.0, "sum_sq": 0.0}
+        for alpha in (0.5, 3.0, 30.0, 300.0, 3000.0):
+            for g in (chain_graph(4), Graph(3, [(0, 1), (0, 2), (1, 2)])):
+                data, state = self.skewed_chain_start(rng, g, alpha, offset, int(rng.integers(20, 300)))
+                for prior in priors_for(g.k, rng):
+                    resolved = resolve_hyperparams(prior, g.k)
+                    stats, groups, sweep_state = DataStats.of(data), l_row_groups(g, resolved), deepcopy(state)
+                    for _ in range(3):
+                        with np.errstate(over="raise", divide="raise", invalid="raise"):
+                            gibbs_sweep(sweep_state, data, stats, groups, resolved, rng)
+                        before, (_, _, (_, _, t)) = seen["gibbs_update_mu"]
+                        after, (sum_sq, count, _) = seen["gibbs_update_omega2"]
+                        _, (_, cross, _, _) = seen["gibbs_update_L"]
+                        ref = dict(zip(worst, direct_sums(data, before, after, prior.b1)))
+                        assert count == data.shape[0] + 1
+                        # every sum kept more than OMEGA2_GUARD of its positive part: these are the k x k sums
+                        assert (ref["sum_sq"][0] > inference.OMEGA2_GUARD * ref["sum_sq"][1]).all()
+                        for name, got in (("t", t), ("cross", cross), ("sum_sq", sum_sq)):
+                            exact, scale = ref[name]
+                            worst[name] = max(worst[name], float(np.max(np.abs(got - exact) / scale)))
+        assert max(worst.values()) < self.BOUND, worst
+
+    def test_omega2_sums_against_mpmath(self, rng, monkeypatch):
+        seen = capture_skew_block_inputs(monkeypatch)
+        g = chain_graph(2)
+        data, state = self.skewed_chain_start(rng, g, 300.0, 1e4, 8)
+        prior = NoninformativePrior(b1=1.5)
+        resolved = resolve_hyperparams(prior, g.k)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            gibbs_sweep(state, data, DataStats.of(data), l_row_groups(g, resolved), resolved, rng)
+        before, _ = seen["gibbs_update_mu"]
+        after, (sum_sq, _, _) = seen["gibbs_update_omega2"]
+        with mpmath.workdps(60):
+            def exact(a):
+                return mpmath.matrix(np.atleast_2d(a).tolist())
+
+            x, u, L, mu, delta = (exact(a) for a in (data, before.u, before.L, after.mu, after.delta))
+            for i in range(g.k):
+                ref = sum((sum(L[i, j] * (x[r, j] - mu[j]) for j in range(g.k)) - u[r, i] * delta[i]) ** 2
+                          for r in range(data.shape[0])) + delta[i] ** 2 / prior.b1
+                # these sums keep 0.03 and 0.17 of their positive parts; measured 8.6e-15 and 2.1e-15
+                assert abs(sum_sq[i] - ref) <= 1e-13 * ref, (i, float(abs(sum_sq[i] - ref) / ref))
+
+    def test_cancelled_sums_take_the_direct_pass(self, rng, monkeypatch):
+        # near-constant columns, explained almost wholly by the skew term (delta o omega = 1e5 and
+        # small delta, so that u is large) about a mu that the prior pins at 2: the omega^2 sums
+        # keep far less than OMEGA2_GUARD of their positive part, and the sweep must sum the n
+        # residuals, bit for bit as before
+        seen = capture_skew_block_inputs(monkeypatch)
+        g = chain_graph(3)
+        n = 40
+        data = 3.0 + 1e-6 * rng.standard_normal((n, g.k))
+        prior = IndependentProperPrior(b1=1.5, mu0=np.full(g.k, 2.0), b2=1e-12, b3=2.0, b4=2.0, b5=1.0)
+        resolved = resolve_hyperparams(prior, g.k)
+        stats, groups = DataStats.of(data), l_row_groups(g, resolved)
+        tripped = 0
+        for _ in range(5):
+            L = np.eye(g.k) + np.diag(rng.uniform(-1e-3, 1e-3, g.k - 1), 1)
+            state = GibbsState(mu=np.full(g.k, 2.0), delta=np.full(g.k, 1e-3), omega2=np.full(g.k, 1e16), L=L, u=None)
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                gibbs_sweep(state, data, stats, groups, resolved, rng)
+            before, _ = seen["gibbs_update_mu"]
+            after, (sum_sq, _, _) = seen["gibbs_update_omega2"]
+            _, _, (exact, positive) = direct_sums(data, before, after, resolved.b1)
+            tripped += int((exact <= inference.OMEGA2_GUARD * positive).any())
+            y = (data - before.mu) @ before.L.T
+            resid = y + before.L @ (before.mu - after.mu) - before.u * after.delta
+            assert np.array_equal(sum_sq, (resid**2).sum(axis=0) + after.delta**2 / resolved.b1)
+        assert tripped == 5
 
 
 class TestObservedLoglik:
