@@ -8,7 +8,7 @@ the general closed-skew-normal layer, live in `tests/oracles.py`.
 """
 
 from .csn import sample_truncated_normal
-from .evidence import EvidenceEstimate, NotConverged, bayes_factor, estimate_log_marginal
+from .evidence import EvidenceEstimate, bayes_factor, estimate_log_marginal
 from .graph import (
     Graph,
     NotDecomposable,

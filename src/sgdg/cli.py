@@ -200,7 +200,7 @@ def build_prior(regime, hyper, graph):
         return PRIORS[regime](**{key: _hyper_value(key, hyper.get(key), graph) for key in keys})
     except InvalidParams:
         raise
-    except (OSError, TypeError, ValueError) as exc:
+    except (OSError, TypeError, ValueError, RecursionError) as exc:  # a deeply nested Psi file recurses
         raise InvalidParams(f"--hyper: {exc}") from exc
 
 
@@ -403,7 +403,12 @@ def _load_trace(path):
 
 
 def cmd_compare(args):
-    """Log Bayes factor of two traces that differ, if at all, only in `fix_delta_zero` and the draws."""
+    """Log Bayes factor of two traces that differ, if at all, only in `fix_delta_zero` and the draws.
+
+    Each log evidence is the root of the stabilized harmonic mean's equation
+    (`estimate_log_marginal`), found by a bracketed search that ends for any
+    trace `Trace.load` accepts, so `converged` is always true.
+    """
     out = None if args.out is None else _out_dir(args.out)
     if not 0.0 < args.mix_weight < 1.0:
         raise InvalidParams(f"--mix-weight must lie strictly between 0 and 1, got {args.mix_weight}")

@@ -15,6 +15,7 @@ Gamma draws use the shape-rate convention throughout: G(a, b) has mean a/b.
 """
 
 import hashlib
+import itertools
 import json
 import os
 from dataclasses import dataclass, field, fields, replace
@@ -68,6 +69,14 @@ class InvalidChainSettings(ValueError):
 # prior regimes
 
 
+def _check_positive_finite(prior, names):
+    """Refuse a hyperparameter that is not a positive float: an infinite b1, b2 or b5 makes its
+    normal prior flat, and an infinite b3 or b4 leaves no gamma law."""
+    for name in names:
+        if not 0 < getattr(prior, name) < np.inf:  # NaN fails too
+            raise ValueError(f"{name} must be positive and finite")
+
+
 @dataclass(frozen=True)
 class IndependentProperPrior:
     """Proper normal/gamma/normal priors on mu, omega^2 and the rows of L."""
@@ -81,9 +90,7 @@ class IndependentProperPrior:
     regime = "proper"
 
     def __post_init__(self):
-        for name in ("b1", "b2", "b3", "b4", "b5"):
-            if not getattr(self, name) > 0:  # NaN fails too
-                raise ValueError(f"{name} must be positive")
+        _check_positive_finite(self, ("b1", "b2", "b3", "b4", "b5"))
         for name in ("b2", "b5"):  # the prior precisions of mu and of L are their reciprocals
             if not np.isfinite(1.0 / getattr(self, name)):
                 raise ValueError(f"{name} is so small that 1/{name} overflows")
@@ -107,18 +114,19 @@ class PatternWishartPrior:
     regime = "wishart"
 
     def __post_init__(self):
-        if not self.b1 > 0:
-            raise ValueError("b1 must be positive")
+        _check_positive_finite(self, ("b1",))
         Psi = np.asarray(self.Psi, dtype=float)
         psi = np.asarray(self.psi, dtype=float)
         if Psi.ndim != 2 or Psi.shape[0] != Psi.shape[1]:
             raise ValueError("Psi must be square")
+        if not np.all(np.isfinite(Psi)):
+            raise ValueError("Psi must be finite")
         if not np.allclose(Psi, Psi.T, atol=1e-10 * max(1.0, np.abs(Psi).max())):
             raise ValueError("Psi must be symmetric")
         if np.any(np.linalg.eigvalsh(Psi) <= 0):
             raise ValueError("Psi must be positive definite")
-        if psi.shape != (Psi.shape[0],) or not np.all(psi > 0):
-            raise ValueError("psi must be a positive vector matching Psi")
+        if psi.shape != (Psi.shape[0],) or not np.all((psi > 0) & (psi < np.inf)):
+            raise ValueError("psi must be a positive finite vector matching Psi")
         object.__setattr__(self, "Psi", Psi)
         object.__setattr__(self, "psi", psi)
 
@@ -131,8 +139,7 @@ class NoninformativePrior:
     regime = "noninfo"
 
     def __post_init__(self):
-        if not self.b1 > 0:
-            raise ValueError("b1 must be positive")
+        _check_positive_finite(self, ("b1",))
 
 
 # the prior regimes by name; a regime's hyperparameters are the fields of its class
@@ -838,6 +845,10 @@ class Trace:
             arrays = {name: np.asarray(values, dtype=float) for name, values in draws.items()}
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"a draw field is not numeric ({exc})") from exc
+        for name, a in arrays.items():  # np.asarray reads a JSON boolean as 0 or 1: look where it could be
+            flat = draws[name] if a.ndim == 1 else itertools.chain.from_iterable(draws[name])
+            if np.any((a == 0.0) | (a == 1.0)) and bool in map(type, flat):
+                raise ValueError(f"draw field {name} is not numeric (it holds a JSON boolean)")
         if arrays["loglik"].ndim != 1 or not np.all(np.isfinite(arrays["loglik"])):
             raise ValueError("non-finite log likelihood")
         try:

@@ -554,14 +554,21 @@ class TestFit:
         [("noninfo", "b1=0"), ("proper", "b2=abc"), ("proper", "b5=-1"), ("wishart", "Psi={tmp}/psi.json"),
          ("proper", "B2=5"), ("proper", "b6=1"), ("proper", "psi=3"), ("noninfo", "b2=5"), ("wishart", "b2=5"),
          ("noninfo", "b1=nan"), ("proper", "mu0=1,nan,2"), ("wishart", "psi=3,nan,3"),
-         ("proper", "b2=1e-320"), ("proper", "b5=1e-320"), ("proper", "mu0=1,2")],
+         ("proper", "b2=1e-320"), ("proper", "b5=1e-320"), ("proper", "mu0=1,2"),
+         ("wishart", "Psi={tmp}/deep.json"), ("proper", "b1=inf"), ("proper", "b2=inf"), ("proper", "b3=inf"),
+         ("proper", "b4=inf"), ("proper", "b5=inf"), ("noninfo", "b1=inf"), ("wishart", "b1=inf"),
+         ("wishart", "psi=inf"), ("wishart", "Psi={tmp}/inf.json")],
         ids=["noninfo-b1-zero", "proper-b2-text", "proper-b5-negative", "wishart-psi-not-a-matrix",
              "proper-B2-typo", "proper-b6-unknown", "proper-psi-unread", "noninfo-b2-unread",
              "wishart-b2-unread", "noninfo-b1-nan", "proper-mu0-nan", "wishart-psi-nan",
-             "proper-b2-reciprocal-overflows", "proper-b5-reciprocal-overflows", "proper-mu0-two-of-three"],
+             "proper-b2-reciprocal-overflows", "proper-b5-reciprocal-overflows", "proper-mu0-two-of-three",
+             "wishart-Psi-deeply-nested", "proper-b1-inf", "proper-b2-inf", "proper-b3-inf", "proper-b4-inf",
+             "proper-b5-inf", "noninfo-b1-inf", "wishart-b1-inf", "wishart-psi-inf", "wishart-Psi-inf"],
     )
     def test_bad_hyper_reported(self, sim_dir, tmp_path, capsys, prior, hyper):
         (tmp_path / "psi.json").write_text("{}")
+        (tmp_path / "deep.json").write_text("[" * 100_000)  # Python's JSON parser raises RecursionError
+        (tmp_path / "inf.json").write_text("[[Infinity, 0, 0], [0, 1, 0], [0, 0, 1]]")
         out = tmp_path / "o"
         assert run_cli("fit", "--data", sim_dir / "data.csv", "--graph", sim_dir / "graph.json",
                        "--prior", prior, "--hyper", hyper.format(tmp=tmp_path),
@@ -776,7 +783,7 @@ class TestCompare:
                                      else "traces were not fitted on the same graph")
 
     @pytest.mark.parametrize("defect", ["truncated", "empty", "missing", "no-digest", "no-prior", "no-draws",
-                                        "nan-loglik", "text-loglik",
+                                        "nan-loglik", "text-loglik", "true-loglik", "false-delta",
                                         "object-loglik", "short-mu", "short-L", "edge-order", "k-off-graph",
                                         "k-above-cap", "no-schema", "schema-2"])
     def test_unreadable_trace_reported(self, sim_dir, tmp_path, capsys, defect):
@@ -804,6 +811,13 @@ class TestCompare:
         elif defect in ("nan-loglik", "text-loglik", "object-loglik"):
             record = json.loads(first)
             record["loglik"] = {"nan-loglik": float("nan"), "text-loglik": "x", "object-loglik": {"a": 1}}[defect]
+            bad.write_text(meta + json.dumps(record) + "\n" + "".join(rest))
+        elif defect in ("true-loglik", "false-delta"):  # np.asarray would read them as 1.0 and 0.0
+            record = json.loads(first)
+            if defect == "true-loglik":
+                record["loglik"] = True
+            else:
+                record["delta"][1] = False
             bad.write_text(meta + json.dumps(record) + "\n" + "".join(rest))
         elif defect in ("short-mu", "short-L"):  # every draw one entry short, so the arrays stack
             field = defect.split("-")[1]
@@ -833,6 +847,8 @@ class TestCompare:
             assert f"exceeds the vertex cap of {MAX_VERTICES}" in record["message"]
         if "schema" in defect:
             assert record["message"].endswith(", not 1"), record["message"]
+        if defect in ("true-loglik", "false-delta"):
+            assert "is not numeric (it holds a JSON boolean)" in record["message"], record["message"]
 
     def test_mix_weight_out_of_range_reported(self, sim_dir, tmp_path, capsys):
         t = self._fit(sim_dir, tmp_path, "mw", 47)

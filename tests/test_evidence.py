@@ -1,12 +1,16 @@
+import sys
+import warnings
 from dataclasses import asdict
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal, norm
 
-from sgdg import evidence
-from sgdg.evidence import EvidenceEstimate, NotConverged, bayes_factor, estimate_log_marginal
+from sgdg import cli
+from sgdg.evidence import TOL, EvidenceEstimate, bayes_factor, estimate_log_marginal
 from sgdg.graph import Graph
 from sgdg.inference import IndependentProperPrior, NoninformativePrior, PatternWishartPrior, run_chain
 from sgdg.model import ReparamParams, log_density, reparam_inverse, sample_sgdg
@@ -60,17 +64,104 @@ class TestEstimateLogMarginal:
         with pytest.raises(ValueError):
             estimate_log_marginal(np.ones(5), mix_weight=1.5)
 
-    def test_not_converged_surfaces(self, monkeypatch):
-        monkeypatch.setattr(evidence, "TOL", 0.0)
-        monkeypatch.setattr(evidence, "MAX_ITER", 3)
-        with pytest.raises(NotConverged):
-            estimate_log_marginal(np.linspace(-1e6, 1e6, 50))
-
     def test_estimate_is_reportable(self):
         est = estimate_log_marginal(np.full(10, -5.0))
         assert isinstance(est, EvidenceEstimate)
         d = asdict(est)
         assert d["converged"] is True and d["mix_weight"] == 0.01
+
+
+ROOT = Path(__file__).resolve().parent.parent
+MIX_WEIGHTS = (1e-300, 0.01, 1 - 1e-16)
+
+
+@pytest.fixture(scope="module")
+def workload_logliks(tmp_path_factory):
+    """Log likelihoods of the skew and baseline traces of the benchmark's three workloads.
+
+    The inputs are the benchmark's at seed 1, and the fits run as its `sgdg fit`
+    commands do, at fit seeds 100 (skew) and 101 (baseline). The benchmark pins
+    BLAS to one thread; on more, the banded skew draws differ in the last digits.
+    """
+    if str(ROOT) not in sys.path:
+        sys.path.insert(0, str(ROOT))
+    from perfbench.workloads import WORKLOADS, generate
+
+    cases = {}
+    for name, w in WORKLOADS.items():
+        inputs = tmp_path_factory.mktemp(name)
+        generate(name, 1, inputs)
+        data, _ = cli.read_dataset(inputs / "data.csv")
+        g = cli.load_graph(inputs / "graph.json")
+        prior = cli.build_prior(w.prior, cli.parse_hyper([]), g)
+        for seed, baseline in ((100, False), (101, True)):
+            trace = run_chain(data, g, prior, iters=w.iters, burn_in=w.burnin, thin=w.thin, seed=seed,
+                              fix_delta_zero=baseline)
+            cases[f"{name}-{'gauss' if baseline else 'skew'}"] = trace.loglik
+    return cases
+
+
+def mp_root(loglik, d):
+    """The root q of sum_s phi(lambda_s - q) in 50-digit arithmetic.
+
+    Newton steps from the float estimate, then a certificate: g changes sign
+    within 1e-30 * max(1, |q|) of the returned root, so it is the root, since g
+    strictly decreases.
+    """
+    with mpmath.workdps(50):
+        lam, d = [mpmath.mpf(float(v)) for v in loglik], mpmath.mpf(d)
+
+        def g(q):
+            terms = [mpmath.exp(v - q) for v in lam]
+            return (mpmath.fsum((e - 1) / (d + (1 - d) * e) for e in terms),
+                    mpmath.fsum(e / (d + (1 - d) * e) ** 2 for e in terms))
+
+        q = mpmath.mpf(estimate_log_marginal(loglik, mix_weight=float(d)).log_marginal)
+        for _ in range(30):
+            value, slope = g(q)
+            step = value / slope
+            q += step
+            if abs(step) < mpmath.mpf(10) ** -45 * max(1, abs(q)):
+                break
+        eps = mpmath.mpf(10) ** -30 * max(1, abs(q))
+        assert g(q - eps)[0] > 0 > g(q + eps)[0]
+        return float(q)
+
+
+class TestRootAgainstMpmath:
+    """The estimate is the root of its equation to TOL, within 64 steps and with no warning."""
+
+    @staticmethod
+    def check(loglik, d):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = estimate_log_marginal(loglik, mix_weight=d)
+        exact = mp_root(loglik, d)
+        assert est.log_marginal == pytest.approx(exact, rel=0, abs=TOL * max(1.0, abs(exact)))
+        assert est.converged and est.iterations <= 64
+        return est
+
+    @pytest.mark.parametrize("d", MIX_WEIGHTS)
+    def test_workload_traces(self, workload_logliks, d):
+        assert len(workload_logliks) == 6
+        for loglik in workload_logliks.values():
+            self.check(loglik, d)
+
+    @pytest.mark.parametrize("d", MIX_WEIGHTS)
+    def test_wide_spread(self, d):
+        self.check(np.linspace(-1e6, 1e6, 50), d)
+
+    @pytest.mark.parametrize("d", MIX_WEIGHTS)
+    def test_single_draw(self, d):
+        assert self.check(np.array([-42.5]), d).log_marginal == -42.5
+
+    def test_no_overflow_at_the_float_range(self):
+        loglik = np.array([-1.7e308, 0.0, 1.7e308])
+        for d in MIX_WEIGHTS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                est = estimate_log_marginal(loglik, mix_weight=d)
+            assert -1.7e308 <= est.log_marginal <= 1.7e308
 
 
 class _FakeTrace:

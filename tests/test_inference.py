@@ -120,6 +120,24 @@ class TestPriors:
         with pytest.raises(ValueError):
             IndependentProperPrior(b1=1.0, mu0=np.zeros(2), b2=-1.0, b3=1.0, b4=1.0, b5=1.0)
 
+    @pytest.mark.parametrize("field", ["b1", "b2", "b3", "b4", "b5"])
+    def test_proper_fields_must_be_finite(self, field):
+        fields = {"b1": 1.0, "b2": 1.0, "b3": 1.0, "b4": 1.0, "b5": 1.0, field: np.inf}
+        with pytest.raises(ValueError, match=f"^{field} must be positive and finite$"):
+            IndependentProperPrior(mu0=np.zeros(2), **fields)
+
+    def test_flat_mu_prior_fields_must_be_finite(self):
+        with pytest.raises(ValueError, match="^b1 must be positive and finite$"):
+            NoninformativePrior(b1=np.inf)
+        with pytest.raises(ValueError, match="^b1 must be positive and finite$"):
+            PatternWishartPrior(b1=np.inf, Psi=np.eye(2), psi=np.full(2, 2.0))
+        with pytest.raises(ValueError, match="^psi must be a positive finite vector matching Psi$"):
+            PatternWishartPrior(b1=1.0, Psi=np.eye(2), psi=np.array([2.0, np.inf]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # np.allclose warned on inf - inf before the check
+            with pytest.raises(ValueError, match="^Psi must be finite$"):
+                PatternWishartPrior(b1=1.0, Psi=np.array([[np.inf, 0.0], [0.0, 1.0]]), psi=np.full(2, 2.0))
+
     def test_wishart_requires_spd_psi(self):
         with pytest.raises(ValueError):
             PatternWishartPrior(b1=1.0, Psi=np.array([[1.0, 2.0], [2.0, 1.0]]), psi=np.ones(2))
