@@ -277,10 +277,9 @@ def read_truth(record):
         L = np.eye(g.k)
         for entry in record["L"]:
             i, j, val = entry
-            i, j = int(i) - 1, int(j) - 1
-            if not (i < j and g.has_edge(i, j)):
+            if not (type(i) is int and type(j) is int and i < j and g.has_edge(i - 1, j - 1)):  # not 1.0, not true
                 raise InvalidParams(f"truth L entry {entry} does not name an edge i < j of the graph")
-            L[i, j] = float(val)
+            L[i - 1, j - 1] = float(val)
         return ReparamParams(*(np.asarray(record[key], dtype=float) for key in ("mu", "delta", "omega2")), L, g)
     except InvalidParams:
         raise

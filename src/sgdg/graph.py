@@ -81,10 +81,12 @@ class Graph:
 
     @classmethod
     def from_json_dict(cls, d):
-        k = int(d["k"])
+        k, edges = d["k"], d["edges"]
+        if type(k) is not int or not all(type(a) is int and type(b) is int for a, b in edges):  # not 3.0, not true
+            raise ValueError("k and the edge labels must be JSON integers")
         if k > MAX_VERTICES:
             raise ValueError(f"k = {k} exceeds the vertex cap of {MAX_VERTICES}")
-        return cls(k, [(int(a) - 1, int(b) - 1) for a, b in d["edges"]])
+        return cls(k, [(a - 1, b - 1) for a, b in edges])
 
     def save(self, path):
         with open(path, "w") as fh:

@@ -294,13 +294,12 @@ def resolve_hyperparams(prior, k):
 
 @dataclass
 class GibbsState:
-    """The sampler's state: the parameters and the n x k latent block u (unread by the baseline)."""
+    """The sampler's state: the parameters. A sweep draws the latent block u afresh before any block reads it."""
 
     mu: np.ndarray
     delta: np.ndarray
     omega2: np.ndarray
     L: np.ndarray
-    u: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -647,7 +646,7 @@ def flat_mu_baseline_draws(stats, groups, resolved, draws, rng):
 
 
 def gibbs_sweep(state, data, stats, groups, resolved, rng, fix_delta_zero=False):
-    """One full sweep in the fixed order u, (mu, delta), omega^2, L rows.
+    """One full sweep in the fixed order u, (mu, delta), omega^2, L rows; returns its u (None for the baseline).
 
     `stats` are the data's `DataStats`, `groups` the row groups of L from
     `l_row_groups` and `resolved` the prior's table from `resolve_hyperparams`;
@@ -668,12 +667,10 @@ def gibbs_sweep(state, data, stats, groups, resolved, rng, fix_delta_zero=False)
       the cross moment u'(X - mu') = M + s d'.
     - Gaussian baseline (`fix_delta_zero`; `run_chain` sweeps it under
       "proper" only, as it draws exactly under the flat-mu priors): with
-      delta = 0 every u term is zero, so the mu block takes no sums and no
-      delta is drawn, the omega^2 block reads the n residuals
+      delta = 0 every u term is zero, so it draws no u, the mu block takes no
+      sums and no delta is drawn, the omega^2 block reads the n residuals
       through `DataStats.sum_sq` and the L rows no cross moment. It never
-      touches the n x k data. Its u conditional is HN(0, 1), drawn from one
-      generator output per entry, so advancing past those n * k outputs
-      leaves every later draw equal to a sweep that draws u.
+      touches the n x k data.
 
     A `FloatingPointError` (raised under `run_chain`'s `np.errstate`) becomes
     a `NumericalFailure` that names the block and, in the L block, the row.
@@ -682,10 +679,9 @@ def gibbs_sweep(state, data, stats, groups, resolved, rng, fix_delta_zero=False)
     `run_chain` does: in numpy's default state a Gaussian draw from a
     precision that is not positive definite comes back as NaN, not as an error.
     """
-    block = "u"
+    block, u = "u", None
     try:
         if fix_delta_zero:
-            rng.bit_generator.advance(stats.n * state.mu.shape[0])
             block = "mu"
             state.mu = gibbs_update_mu(state, stats, resolved, None, rng)
             block = "omega2"
@@ -693,7 +689,7 @@ def gibbs_sweep(state, data, stats, groups, resolved, rng, fix_delta_zero=False)
         else:
             L, mu = state.L, state.mu
             y = (data - mu) @ L.T
-            u = state.u = gibbs_update_u(state, y, rng)
+            u = gibbs_update_u(state, y, rng)
             block = "mu"
             s, uxc = u.sum(axis=0), u.T @ stats.xc
             tc = (uxc * L).sum(axis=1)  # sum(u o L xc)
@@ -716,7 +712,7 @@ def gibbs_sweep(state, data, stats, groups, resolved, rng, fix_delta_zero=False)
         state.L = gibbs_update_L(state, stats.gram(state.mu), cross, groups, resolved, rng)
     except FloatingPointError as exc:
         raise NumericalFailure(f"{block} block: floating-point {exc}") from exc
-    return state
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -813,7 +809,7 @@ class Trace:
         `schema` is missing or other than `TRACE_SCHEMA`, or one without
         `data_digest` or `prior`, no draws, a draw field that is not numeric, a log
         likelihood that is not one finite number per draw, a meta `k` or
-        `edge_order` other than that of its `graph`, and draw vectors whose
+        `edge_order` other than its `graph`'s or not of integers, and draw vectors whose
         lengths are not meta `k` (`mu`, `delta`, `omega2`) or the edge count (`L`).
         """
         draws = {name: [] for name in cls.DRAW_FIELDS}
@@ -856,7 +852,8 @@ class Trace:
             k, edge_order = meta["k"], meta["edge_order"]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"the meta record has no valid graph, k and edge_order ({exc!r})") from exc
-        if k != graph.k or edge_order != graph.to_json_dict()["edges"]:
+        if (type(k) is not int or k != graph.k or edge_order != graph.to_json_dict()["edges"]
+                or not all(type(a) is int and type(b) is int for a, b in edge_order)):  # 3.0 == 3, true == 1
             raise ValueError("the meta k or edge_order does not match the meta graph")
         n_draws = len(arrays["loglik"])
         for name, width in (("mu", k), ("delta", k), ("omega2", k), ("L", len(graph.edges))):
@@ -873,11 +870,11 @@ def data_digest(data):
     return h.hexdigest()
 
 
-def _initial_state(data, graph, rng):
-    n, k = data.shape
+def _initial_state(stats, graph):
+    """mu = xbar, delta = 0 and (omega^2, L) from the ridged sample covariance (I at n = 1); it draws nothing."""
+    n, k = stats.n, stats.xbar.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        mu = data.mean(axis=0)
-        cov = np.cov(data, rowvar=False).reshape(k, k) if n >= 2 else np.eye(k)
+        cov = stats.scatter / (n - 1) if n >= 2 else np.eye(k)
         cov = cov + (1e-6 * np.trace(cov) / k + 1e-10) * np.eye(k)
     if not np.all(np.isfinite(cov)):
         raise NumericalFailure("start state: the sample covariance of the data is not finite")
@@ -885,11 +882,9 @@ def _initial_state(data, graph, rng):
     # inv(cov) is symmetric only to rounding; the factor reads its lower triangle
     full_l, omega2 = modified_cholesky(np.tril(q) + np.tril(q, -1).T)
     L = np.eye(k)
-    for a, b in graph.edges:
-        i, j = min(a, b), max(a, b)
+    for i, j in graph.edges:  # each stored as (min, max)
         L[i, j] = full_l[i, j]
-    u = np.abs(rng.standard_normal((n, k)))
-    return GibbsState(mu=mu, delta=np.zeros(k), omega2=omega2, L=L, u=u)
+    return GibbsState(mu=stats.xbar.copy(), delta=np.zeros(k), omega2=omega2, L=L)
 
 
 def _observed_loglik(state, data, stats, fix_delta_zero=False):
@@ -969,7 +964,7 @@ def run_chain(data, graph, prior, iters, burn_in=None, thin=10, *, seed,
     groups = l_row_groups(graph, resolved)
     rng = np.random.default_rng(seed)
     exact = fix_delta_zero and prior.regime in FLAT_MU_REGIMES
-    state = None if exact else _initial_state(data, graph, rng)  # only a chain has a start state
+    state = None if exact else _initial_state(stats, graph)  # only a chain has a start state
     # a floating-point overflow, division by zero or invalid operation ends the chain
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         if exact:
@@ -979,7 +974,8 @@ def run_chain(data, graph, prior, iters, burn_in=None, thin=10, *, seed,
             return trace
         try:
             for it in range(1, iters + 1):
-                gibbs_sweep(state, data, stats, groups, resolved, rng, fix_delta_zero=fix_delta_zero)
+                # held through the next sweep, u keeps malloc from trimming its heap and faulting it in again
+                u = gibbs_sweep(state, data, stats, groups, resolved, rng, fix_delta_zero=fix_delta_zero)
                 if it > burn_in and (it - burn_in) % thin == 0:
                     s = (it - burn_in) // thin - 1
                     trace.mu[s] = state.mu

@@ -288,12 +288,12 @@ class TestCriterion07bGeweke:
         mu, delta, omega2, L = self._draw_prior(rng, prior, g)
         u = np.abs(rng.standard_normal((n, 3)))
         x = self._draw_data_given_u(rng, mu, delta, omega2, L, u)
-        state = GibbsState(mu=mu, delta=delta, omega2=omega2, L=L, u=u)
+        state = GibbsState(mu=mu, delta=delta, omega2=omega2, L=L)
         resolved = resolve_hyperparams(prior, g.k)
         groups = l_row_groups(g, resolved)
         for r in range(self.R):
-            gibbs_sweep(state, x, DataStats.of(x), groups, resolved, rng)
-            x = self._draw_data_given_u(rng, state.mu, state.delta, state.omega2, state.L, state.u)
+            u = gibbs_sweep(state, x, DataStats.of(x), groups, resolved, rng)
+            x = self._draw_data_given_u(rng, state.mu, state.delta, state.omega2, state.L, u)
             sc[r] = self._stats(state.mu, state.delta, state.omega2, state.L, g)
 
         se_mc = mc.std(axis=0, ddof=1) / np.sqrt(self.R)

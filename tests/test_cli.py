@@ -92,6 +92,18 @@ class TestCheckGraph:
         ]
         assert report["labels_are_elimination_ordering"] is (scope == "current labels")
 
+    @pytest.mark.parametrize("graph", [{"k": 3.9, "edges": [[1.7, 2], [True, 3]]}, {"k": 3.0, "edges": []},
+                                       {"k": True, "edges": []}, {"k": 3, "edges": [[1, 2.0]]},
+                                       {"k": 3, "edges": [[True, 3]]}],
+                             ids=["float-k-and-labels", "integral-float-k", "bool-k", "float-label", "bool-label"])
+    def test_non_integer_count_or_label_refused(self, tmp_path, capsys, graph):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(graph))
+        assert run_cli("check-graph", "--graph", path) == 3
+        record = error_record(capsys)
+        assert record["error"] == "ParseError"
+        assert record["message"].endswith("k and the edge labels must be JSON integers)"), record["message"]
+
     def test_unparseable_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -138,6 +150,19 @@ class TestSimulate:
         record = error_record(capsys)
         assert record["error"] == "InvalidDomain"
         assert "alpha" in record["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("entry", [[1.0, 2, 0.7], [1, 2.5, 0.7], [True, 2, 0.7]],
+                             ids=["integral-float", "float", "bool"])
+    def test_non_integer_truth_label_refused(self, tmp_path, capsys, entry):
+        truth = tmp_path / "truth.json"
+        truth.write_text(json.dumps({"graph": {"k": 2, "edges": [[1, 2]]}, "mu": [0.0, 1.0], "delta": [1.0, 0.5],
+                                     "omega2": [1.0, 1.0], "L": [entry]}))
+        out = tmp_path / "o"
+        assert run_cli("simulate", "--case", "custom", "--truth", truth, "--seed", "1", "--out", out) == 3
+        record = error_record(capsys)
+        assert record["error"] == "InvalidParams"
+        assert record["message"] == f"truth L entry {entry} does not name an edge i < j of the graph"
         assert not out.exists()
 
     def test_kappa2_that_underflows_refused(self, tmp_path, capsys):
@@ -628,7 +653,7 @@ class TestFit:
         record = json.loads(result.stderr)
         assert record["error"] == "NumericalFailure"
         # the overflow is in the products of the L block's conditional
-        sweep, block = {"1e305": (12, "L block, row 2"), "1e307": (2, "L block, row 1")}[b3]
+        sweep, block = {"1e305": (17, "L block, row 1"), "1e307": (3, "L block, row 1")}[b3]
         assert record["message"].startswith(f"sweep {sweep}, {block}: floating-point overflow "), record["message"]
         assert not out.exists()
 
@@ -785,7 +810,8 @@ class TestCompare:
     @pytest.mark.parametrize("defect", ["truncated", "empty", "missing", "no-digest", "no-prior", "no-draws",
                                         "nan-loglik", "text-loglik", "true-loglik", "false-delta",
                                         "object-loglik", "short-mu", "short-L", "edge-order", "k-off-graph",
-                                        "k-above-cap", "no-schema", "schema-2"])
+                                        "k-above-cap", "no-schema", "schema-2", "float-k", "float-edge-order",
+                                        "float-graph-label"])
     def test_unreadable_trace_reported(self, sim_dir, tmp_path, capsys, defect):
         good = self._fit(sim_dir, tmp_path, "good", 45)
         bad = tmp_path / "bad.ndjson"
@@ -825,12 +851,19 @@ class TestCompare:
             for record in records:
                 del record[field][-1]
             bad.write_text(meta + "".join(json.dumps(r) + "\n" for r in records))
-        elif defect in ("edge-order", "k-off-graph", "k-above-cap"):
+        elif defect in ("edge-order", "k-off-graph", "k-above-cap", "float-k", "float-edge-order",
+                        "float-graph-label"):
             record = json.loads(meta)
             if defect == "edge-order":
                 record["edge_order"].reverse()
             elif defect == "k-off-graph":
                 record["k"] += 1
+            elif defect == "float-k":  # equal to the graph's k, but summaries index by it
+                record["k"] = float(record["k"])
+            elif defect == "float-edge-order":
+                record["edge_order"][0][0] = float(record["edge_order"][0][0])
+            elif defect == "float-graph-label":
+                record["graph"]["edges"][0][0] = float(record["graph"]["edges"][0][0])
             else:
                 record["graph"]["k"] = record["k"] = MAX_VERTICES + 1
             bad.write_text(json.dumps(record) + "\n" + first + "".join(rest))

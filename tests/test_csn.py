@@ -122,6 +122,7 @@ def truncated_normal_per_entry(mu, var, lower, rng):
 class TestTruncatedNormalSameDraws:
     _r = np.random.default_rng(3)
     CASES = {  # (mu, var, lower); the "mixed" cases have bounds past TAIL_SWITCH
+        "one-entry": (np.zeros((1, 1)), 1.0, 0.0),
         "central": (_r.standard_normal((40, 5)), _r.uniform(0.2, 2.0, 5), 0.0),
         "central-sized": (np.full(300, 0.5), 2.0, 0.0),
         "mixed": (np.broadcast_to([-9.0, 0.0, 3.0, -5.5, -4.1], (200, 5)), 1.0, 0.0),
@@ -138,6 +139,9 @@ class TestTruncatedNormalSameDraws:
         ref = truncated_normal_per_entry(mu, var, lower, ref_rng)
         assert np.array_equal(x, ref)
         assert fast_rng.bit_generator.state == ref_rng.bit_generator.state
+        one_output_per_entry = np.random.default_rng(17)  # in every regime, the log form's included
+        one_output_per_entry.bit_generator.advance(x.size)
+        assert fast_rng.bit_generator.state == one_output_per_entry.bit_generator.state
 
 
 def recording_kernels(monkeypatch):

@@ -54,6 +54,13 @@ class TestGraphBasics:
         assert Graph.load(path) == g
         assert g.to_json_dict() == {"k": 4, "edges": [[1, 3], [2, 4]]}
 
+    @pytest.mark.parametrize("record", [{"k": 3.0, "edges": []}, {"k": True, "edges": []},
+                                        {"k": 3, "edges": [[1.0, 2]]}, {"k": 3, "edges": [[1, False]]}],
+                             ids=["float-k", "bool-k", "float-label", "bool-label"])
+    def test_json_counts_and_labels_are_integers(self, record):
+        with pytest.raises(ValueError, match="^k and the edge labels must be JSON integers$"):
+            Graph.from_json_dict(record)
+
     def test_json_vertex_cap(self):
         assert Graph.from_json_dict({"k": MAX_VERTICES, "edges": [[1, MAX_VERTICES]]}).k == MAX_VERTICES
         with pytest.raises(ValueError, match=f"exceeds the vertex cap of {MAX_VERTICES}"):

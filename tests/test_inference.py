@@ -5,7 +5,6 @@ import traceback
 import warnings
 from copy import deepcopy
 from dataclasses import replace
-from functools import partial
 from types import SimpleNamespace
 
 import mpmath
@@ -61,15 +60,15 @@ from conftest import chain_graph, random_decomposable_graph
 # independent unnormalized joint, written straight from the hierarchical model
 
 
-def log_joint(state, data, graph, prior, include_delta=True):
+def log_joint(state, u, data, graph, prior, include_delta=True):
     n, k = data.shape
-    if np.any(state.u < 0):
+    if np.any(u < 0):
         return -np.inf
     y = (data - state.mu) @ state.L.T
-    resid = y - state.u * state.delta
+    resid = y - u * state.delta
     out = 0.5 * n * np.log(state.omega2).sum()
     out -= 0.5 * (state.omega2 * (resid**2).sum(axis=0)).sum()
-    out -= 0.5 * (state.u**2).sum()
+    out -= 0.5 * (u**2).sum()
     if include_delta:
         out += 0.5 * np.log(state.omega2).sum()
         out -= (state.omega2 * state.delta**2).sum() / (2.0 * prior.b1)
@@ -88,17 +87,18 @@ def log_joint(state, data, graph, prior, include_delta=True):
 
 
 def random_state(rng, graph, n, zero_delta=False):
+    """A random state and a random n x k latent block u for it."""
     k = graph.k
     L = np.eye(k)
     for a, b in graph.edges:
         L[min(a, b), max(a, b)] = rng.standard_normal()
-    return GibbsState(
+    state = GibbsState(
         mu=rng.standard_normal(k),
         delta=np.zeros(k) if zero_delta else rng.standard_normal(k),
         omega2=rng.uniform(0.3, 2.5, k),
         L=L,
-        u=np.abs(rng.standard_normal((n, k))),
     )
+    return state, np.abs(rng.standard_normal((n, k)))
 
 
 def priors_for(k, rng):
@@ -243,17 +243,18 @@ class TestResolveHyperparams:
         assert np.all(r.r_omega == 0) and np.all(r.V_L == 0)
         assert np.array_equal(r.Psi, prior.Psi)
         # the state terms enter through the conditionals
-        state = replace(random_state(rng, g, 6), omega2=np.array([2.0, 3.0, 4.0]), L=np.eye(3))
+        state, u = random_state(rng, g, 6)
+        state = replace(state, omega2=np.array([2.0, 3.0, 4.0]), L=np.eye(3))
         y0 = rng.standard_normal((6, 3))
         flat = replace(r, Psi=np.zeros((3, 3)))
-        sum_sq = ((y0 - state.u * state.delta) ** 2).sum(axis=0)
+        sum_sq = ((y0 - u * state.delta) ** 2).sum(axis=0)
         rate = omega2_conditional_params(state, sum_sq, 6, r)[1]
         rate_flat = omega2_conditional_params(state, sum_sq, 6, flat)[1]
         assert np.allclose(rate - rate_flat, 0.5)  # L_i Psi L_i' = 1 for L = I
         (group,) = l_row_groups(g, r)  # rows 0 and 1, one free entry each
         (group_flat,) = l_row_groups(g, flat)
-        prec = l_row_conditional_params(state, y0.T @ y0, state.u.T @ y0, r, group)[1]
-        prec_flat = l_row_conditional_params(state, y0.T @ y0, state.u.T @ y0, flat, group_flat)[1]
+        prec = l_row_conditional_params(state, y0.T @ y0, u.T @ y0, r, group)[1]
+        prec_flat = l_row_conditional_params(state, y0.T @ y0, u.T @ y0, flat, group_flat)[1]
         assert np.allclose(prec - prec_flat, [[[2.0]], [[3.0]]])  # omega_i^2 Psi on row i's support
 
     def test_psi_term_formed_only_where_psi_is_nonzero(self, rng):
@@ -262,10 +263,10 @@ class TestResolveHyperparams:
         for prior in priors_for(3, rng):
             r = resolve_hyperparams(prior, 3)
             assert r.regime == prior.regime
-            state = random_state(rng, g, 6)
+            state, u = random_state(rng, g, 6)
             y = rng.standard_normal((6, 3))
             lpsil = np.einsum("ij,jk,ik->i", state.L, r.Psi, state.L)
-            resid = y - state.u * state.delta
+            resid = y - u * state.delta
             sum_sq = (resid**2).sum(axis=0) + state.delta**2 / prior.b1  # the delta prior is one more residual
             rate = r.r_omega + 0.5 * lpsil + 0.5 * sum_sq
             assert np.array_equal(omega2_conditional_params(state, sum_sq, 7, r)[1], rate), prior.regime
@@ -289,7 +290,7 @@ def band_graph(k, width):
     return Graph(k, [(i, j) for i in range(k) for j in range(i + 1, min(k, i + width + 1))])
 
 
-def l_update_row_by_row(state, y0, graph, resolved, rng):
+def l_update_row_by_row(state, u, y0, graph, resolved, rng):
     """Reference L block: each row with free entries in turn, one draw per row.
 
     A row's cross moment is read from u' y0. A row with one free entry, of
@@ -297,7 +298,7 @@ def l_update_row_by_row(state, y0, graph, resolved, rng):
     r r' = prec.
     """
     gram = y0.T @ y0
-    cross = state.u.T @ y0
+    cross = u.T @ y0
     new_l = state.L.copy()
     for i in range(graph.k):
         fwd = graph.forward_neighbors(i)
@@ -337,11 +338,12 @@ def sweep_three_call(state, data, graph, resolved, rng, fix_delta_zero):
     skew model's omega^2 conditional adds the delta prior's half unit of shape
     and rate term delta^2 / (2 b1) to the data's, and the rows of L are drawn
     in row order, each with its own cross product u_i' y0[:, fwd] and the
-    three-call draw. The u block and the gamma draw are the library's.
+    three-call draw. The u block and the gamma draw are the library's; the
+    baseline draws no u, and its u terms are zero. Returns the state and u.
     """
     n, k = data.shape
     y = (data - state.mu) @ state.L.T
-    state.u = gibbs_update_u(state, y, rng)
+    u = np.zeros((n, k)) if fix_delta_zero else gibbs_update_u(state, y, rng)
     w = state.omega2
     q_omega = state.L.T @ (w[:, np.newaxis] * state.L)
     total = data.sum(axis=0)
@@ -349,17 +351,17 @@ def sweep_three_call(state, data, graph, resolved, rng, fix_delta_zero):
         prec, h = n * q_omega, q_omega @ total
         z = rng.standard_normal(k)
     else:
-        s = state.u.sum(axis=0)
-        q = (state.u**2).sum(axis=0) + 1.0 / resolved.b1
-        t = (state.u * (data @ state.L.T)).sum(axis=0)
+        s = u.sum(axis=0)
+        q = (u**2).sum(axis=0) + 1.0 / resolved.b1
+        t = (u * (data @ state.L.T)).sum(axis=0)
         prec = state.L.T @ ((w * (n - s**2 / q))[:, np.newaxis] * state.L)
         h = q_omega @ (total - solve_unit_triangular(state.L, s * t / q))
         z = rng.standard_normal(2 * k)
     state.mu = three_call_draw(prec + resolved.v_mu * np.eye(k), h + resolved.v_mu * resolved.mu0, z[:k])
     if not fix_delta_zero:
-        state.delta = (state.u * ((data - state.mu) @ state.L.T)).sum(axis=0) / q + z[k:] / np.sqrt(w * q)
+        state.delta = (u * ((data - state.mu) @ state.L.T)).sum(axis=0) / q + z[k:] / np.sqrt(w * q)
     y0 = data - state.mu
-    sum_sq = ((y0 @ state.L.T - state.u * state.delta) ** 2).sum(axis=0)
+    sum_sq = ((y0 @ state.L.T - u * state.delta) ** 2).sum(axis=0)
     shape, rate = omega2_conditional_params(state, sum_sq, n, resolved)
     if not fix_delta_zero:
         shape, rate = shape + 0.5, rate + state.delta**2 / (2.0 * resolved.b1)
@@ -373,10 +375,10 @@ def sweep_three_call(state, data, graph, resolved, rng, fix_delta_zero):
             block = np.ix_(fwd, fwd + [i])
             s = w * gram[block] + resolved.V_L[block] + w * resolved.Psi[block]
             prec, zeta = s[:, :-1], s[:, -1]
-            h = w * state.delta[i] * (state.u[:, i] @ y0[:, fwd]) - zeta
+            h = w * state.delta[i] * (u[:, i] @ y0[:, fwd]) - zeta
             new_l[i, fwd] = three_call_draw(prec, h, rng.standard_normal(len(fwd)))
     state.L = new_l
-    return state
+    return state, u
 
 
 class TestLRowGroups:
@@ -395,25 +397,25 @@ class TestLRowGroups:
             groups = l_row_groups(g, resolved)
             assert [grp.fwd.shape[1] for grp in groups] == sorted({len(g.forward_neighbors(i))
                                                                    for i in range(g.k)} - {0})
-            state = random_state(rng, g, 12)
+            state, u = random_state(rng, g, 12)
             y0 = rng.standard_normal((12, g.k)) * 1.3 + 0.4
             seed = int(rng.integers(2**32))
             stacked_rng, row_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            stacked = gibbs_update_L(state, y0.T @ y0, state.u.T @ y0, groups, resolved, stacked_rng)
-            reference = l_update_row_by_row(state, y0, g, resolved, row_rng)
+            stacked = gibbs_update_L(state, y0.T @ y0, u.T @ y0, groups, resolved, stacked_rng)
+            reference = l_update_row_by_row(state, u, y0, g, resolved, row_rng)
             assert np.array_equal(stacked, reference), prior.regime
             assert stacked_rng.bit_generator.state == row_rng.bit_generator.state
 
     def test_failing_row_is_named(self, rng):
         g = band_graph(4, 3)
-        state = random_state(rng, g, 12)
+        state, u = random_state(rng, g, 12)
         y0 = rng.standard_normal((12, 4))
         # column 3 makes the precisions of rows 1 and 2 singular; the groups run by
         # ascending forward degree, so row 2 (degree 2) fails before row 1 (degree 3)
         y0[:, 2] = 0.0
         resolved = resolve_hyperparams(NoninformativePrior(b1=1.0), 4)
         with pytest.raises(inference.NumericalFailure, match="L block, row 2: ") as info:
-            gibbs_update_L(state, y0.T @ y0, state.u.T @ y0, l_row_groups(g, resolved), resolved, rng)
+            gibbs_update_L(state, y0.T @ y0, u.T @ y0, l_row_groups(g, resolved), resolved, rng)
         # row 2's precision is omega_2^2 times the gram of columns 3 and 4 of y0, which is singular
         smallest = np.linalg.eigvalsh(state.omega2[1] * (y0.T @ y0)[np.ix_([2, 3], [2, 3])])[0]
         assert str(info.value).endswith(f"(smallest eigenvalue {smallest:.6g})")
@@ -457,7 +459,7 @@ class TestLRowGroups:
 
 class TestGaussianDraw:
     GRAPHS = {**TestLRowGroups.GRAPHS, "k1": Graph(1)}
-    FIELDS = ("u", "delta", "mu", "omega2", "L")
+    FIELDS = ("delta", "mu", "omega2", "L")
 
     @pytest.mark.parametrize("fix_delta_zero", [False, True], ids=["skew", "delta-zero"])
     @pytest.mark.parametrize("name", GRAPHS)
@@ -466,19 +468,18 @@ class TestGaussianDraw:
         for prior in priors_for(g.k, rng):
             resolved = resolve_hyperparams(prior, g.k)
             groups = l_row_groups(g, resolved)
-            start = random_state(rng, g, 12, zero_delta=fix_delta_zero)
+            start, _ = random_state(rng, g, 12, zero_delta=fix_delta_zero)
             data = rng.standard_normal((12, g.k)) * 1.3 + 0.4
             seed = int(rng.integers(2**32))
             new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            new = gibbs_sweep(deepcopy(start), data, DataStats.of(data), groups, resolved, new_rng, fix_delta_zero)
-            old = sweep_three_call(deepcopy(start), data, g, resolved, old_rng, fix_delta_zero)
-            fields = self.FIELDS
-            if fix_delta_zero:  # the baseline draws no u: it keeps the start state's
-                assert np.array_equal(new.u, start.u), prior.regime
-                fields = tuple(f for f in fields if f != "u")
-            for f in fields:  # relative to the field's largest entry
-                ref = getattr(old, f)
-                np.testing.assert_allclose(getattr(new, f), ref, rtol=0, atol=1e-12 * np.abs(ref).max(),
+            new = deepcopy(start)
+            new_u = gibbs_sweep(new, data, DataStats.of(data), groups, resolved, new_rng, fix_delta_zero)
+            assert (new_u is None) == fix_delta_zero
+            old, old_u = sweep_three_call(deepcopy(start), data, g, resolved, old_rng, fix_delta_zero)
+            pairs = [(f, getattr(new, f), getattr(old, f)) for f in self.FIELDS]
+            for f, got, ref in pairs + ([] if fix_delta_zero else [("u", new_u, old_u)]):
+                # relative to the field's largest entry
+                np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max(),
                                            err_msg=f"{prior.regime} {f}")
             assert new_rng.bit_generator.state == old_rng.bit_generator.state
 
@@ -492,19 +493,19 @@ class TestGaussianDraw:
 
     def test_non_positive_one_entry_precision_is_named(self, rng):
         g = chain_graph(3)  # rows 1 and 2 have one free entry each
-        state = random_state(rng, g, 12)
+        state, u = random_state(rng, g, 12)
         y0 = rng.standard_normal((12, 3))
         # row 2's one free entry, L[1, 2] 0-based, gets precision omega2[1] * y0[:, 2]' y0[:, 2] = 0;
         # without the check, h / p would be 0 / 0
         y0[:, 2] = 0.0
         resolved = resolve_hyperparams(NoninformativePrior(b1=1.0), 3)
         with pytest.raises(NumericalFailure, match="L block, row 2: ") as info:
-            gibbs_update_L(state, y0.T @ y0, state.u.T @ y0, l_row_groups(g, resolved), resolved, rng)
+            gibbs_update_L(state, y0.T @ y0, u.T @ y0, l_row_groups(g, resolved), resolved, rng)
         assert str(info.value).endswith("(smallest eigenvalue 0)")  # a 1 x 1 precision is its own eigenvalue
 
     def test_indefinite_mu_precision_is_named(self, rng):
         g = chain_graph(3)
-        state = random_state(rng, g, 12)
+        state, _ = random_state(rng, g, 12)
         state.omega2[1] = -0.5  # under the noninformative prior the precision is n L' diag(omega^2) L
         data = rng.standard_normal((12, 3))
         resolved = resolve_hyperparams(NoninformativePrior(b1=1.0), 3)
@@ -577,112 +578,15 @@ class TestGaussianDraw:
 class TestConditionalCollapse:
     def test_u_update_collapses_to_half_normal_when_delta_zero(self, rng):
         g = chain_graph(3)
-        state = random_state(rng, g, 20, zero_delta=True)
+        state, _ = random_state(rng, g, 20, zero_delta=True)
         data = rng.standard_normal((20, 3))
         mean, var = u_conditional_params(state, (data - state.mu) @ state.L.T)
         assert np.all(mean == 0.0)
         assert np.all(var == 1.0)
 
 
-def baseline_sweep_drawing_u(state, data, stats, groups, resolved, rng):
-    """The Gaussian baseline sweep that draws u and forms every u term, kept as the reference.
-
-    With delta = 0 each u term is zero: the offset u o delta in the omega^2
-    residuals and the cross moment u' y0 in the L block. The residual sum of
-    squares sum (y - u delta)^2 is expanded about the library's baseline
-    `stats.sum_sq`, the sum of y^2, and the Gram matrix is the library's. The
-    mu block is the library's baseline block, which takes no u sums.
-    """
-    y = (data - state.mu) @ state.L.T
-    state.u = gibbs_update_u(state, y, rng)
-    state.mu = gibbs_update_mu(state, stats, resolved, None, rng)
-    y0 = data - state.mu
-    uy = (state.u * (y0 @ state.L.T)).sum(axis=0)
-    sum_sq = stats.sum_sq(state.mu, state.L) - 2.0 * state.delta * uy + state.delta**2 * (state.u**2).sum(axis=0)
-    state.omega2 = gibbs_update_omega2(state, sum_sq, stats.n, resolved, rng)
-    state.L = gibbs_update_L(state, stats.gram(state.mu), state.u.T @ y0, groups, resolved, rng)
-    return state
-
-
 class TestBaselineSweep:
-    """The baseline sweep skips the u block and advances the generator past its draws."""
-
-    @pytest.mark.parametrize("n,k", [(1, 1), (12, 3), (88, 5), (2000, 40)])
-    def test_advance_lands_where_the_half_normal_draw_does(self, rng, n, k):
-        # the u block takes one generator output per entry in every state: the baseline's
-        # half-normal ones and skew ones whose bounds lie past TAIL_SWITCH alike
-        assert isinstance(np.random.default_rng(0).bit_generator, np.random.PCG64)
-        for zero_delta in (True, True, False, False):
-            state = random_state(rng, Graph(k), n, zero_delta=zero_delta)
-            y = rng.standard_normal((n, k)) * 1e3
-            if not zero_delta:
-                y[0, 0] = -1e3 * np.sign(state.delta[0])  # at least one bound far in the tail
-                mean, var = u_conditional_params(state, y)
-                assert np.any(-mean / np.sqrt(var) > TAIL_SWITCH)
-            seed = int(rng.integers(2**32))
-            drawn, advanced = np.random.default_rng(seed), np.random.default_rng(seed)
-            drawn.standard_normal(3)  # start from a state other than the seed's
-            advanced.standard_normal(3)
-            gibbs_update_u(state, y, drawn)
-            advanced.bit_generator.advance(n * k)
-            assert drawn.bit_generator.state == advanced.bit_generator.state
-
-    CHAINS = {
-        "marks": lambda rng: (load_mathmarks()[0], mathmarks_graph()),
-        "band-8-3": lambda rng: (rng.standard_normal((40, 8)) * 1.3 + 0.4, band_graph(8, 3)),
-    }
-
-    @pytest.mark.parametrize("name", CHAINS)
-    def test_chain_equals_the_chain_drawing_u(self, rng, name, monkeypatch):
-        data, g = self.CHAINS[name](rng)
-        library_sweep = gibbs_sweep
-        rngs = []
-
-        def library(state, data, stats, groups, resolved, rng, fix_delta_zero=False):
-            rngs.append(rng)
-            return library_sweep(state, data, stats, groups, resolved, rng, fix_delta_zero)
-
-        def reference(state, data, stats, groups, resolved, rng, fix_delta_zero=False):
-            assert fix_delta_zero
-            rngs.append(rng)
-            return baseline_sweep_drawing_u(state, data, stats, groups, resolved, rng)
-
-        # run_chain runs the baseline chain under "proper" only; the flat-mu priors draw exactly
-        # (`test_sweeps_equal_the_sweeps_drawing_u` runs their sweeps)
-        for prior in priors_for(g.k, rng)[:1]:
-            traces, final_states = [], []
-            for sweep in (library, reference):
-                rngs.clear()
-                monkeypatch.setattr(inference, "gibbs_sweep", sweep)
-                traces.append(run_chain(data, g, prior, iters=300, burn_in=100, thin=2, seed=11,
-                                        fix_delta_zero=True))
-                assert len(rngs) == 300 and all(r is rngs[0] for r in rngs)
-                final_states.append(rngs[0].bit_generator.state)
-            new, ref = traces
-            for f in Trace.DRAW_FIELDS:
-                assert np.array_equal(getattr(new, f), getattr(ref, f)), f"{prior.regime} {f}"
-            assert new.meta == ref.meta
-            assert final_states[0] == final_states[1], prior.regime
-
-    @pytest.mark.parametrize("name", CHAINS)
-    def test_sweeps_equal_the_sweeps_drawing_u(self, rng, name):
-        data, g = self.CHAINS[name](rng)
-        stats = DataStats.of(data)
-        for prior in priors_for(g.k, rng):
-            resolved = resolve_hyperparams(prior, g.k)
-            groups = l_row_groups(g, resolved)
-            runs = []
-            for sweep in (partial(gibbs_sweep, fix_delta_zero=True), baseline_sweep_drawing_u):
-                sweep_rng = np.random.default_rng(11)
-                state = inference._initial_state(data, g, sweep_rng)
-                states = []
-                for _ in range(300):
-                    sweep(state, data, stats, groups, resolved, sweep_rng)
-                    states.append(np.concatenate([state.mu, state.omega2, state.L.ravel()]))
-                runs.append((np.array(states), sweep_rng.bit_generator.state))
-            (new, new_rng), (ref, ref_rng) = runs
-            assert np.array_equal(new, ref), prior.regime
-            assert new_rng == ref_rng, prior.regime
+    """The baseline sweep draws no u and reads the data only through the statistics."""
 
     @pytest.mark.parametrize("name", TestGaussianDraw.GRAPHS)
     def test_reads_the_data_only_through_the_statistics(self, rng, name):
@@ -692,7 +596,7 @@ class TestBaselineSweep:
             groups = l_row_groups(g, resolved)
             data = rng.standard_normal((12, g.k)) * 1.3 + 0.4
             stats = DataStats.of(data)
-            start = random_state(rng, g, 12, zero_delta=True)
+            start, _ = random_state(rng, g, 12, zero_delta=True)
             seed = int(rng.integers(2**32))
             ends = []
             for x in (data, np.full_like(data, np.nan)):
@@ -745,7 +649,7 @@ class TestUBlockRowBlocks:
         monkeypatch.setattr(csn, "_usable_cpus", lambda: 2)
         g, data = chain_graph(self.K), self.data(rng)
         resolved = resolve_hyperparams(NoninformativePrior(b1=1.5), self.K)
-        state = random_state(rng, g, self.N)
+        state, _ = random_state(rng, g, self.N)
         with np.errstate(invalid="raise"), pytest.raises(NumericalFailure, match=r"^u block: floating-point invalid"):
             gibbs_sweep(state, data, DataStats.of(data), l_row_groups(g, resolved), resolved, rng)
 
@@ -865,13 +769,13 @@ def slice_ratio_worst(rng, graph, prior, n, include_delta=True):
     """
     data = rng.standard_normal((n, graph.k)) * 1.3 + 0.4
     stats = DataStats.of(data)
-    state = random_state(rng, graph, n, zero_delta=not include_delta)
+    state, u = random_state(rng, graph, n, zero_delta=not include_delta)
     resolved = resolve_hyperparams(prior, graph.k)
     y0 = data - state.mu
     y = y0 @ state.L.T
 
-    def joint_with(**kw):
-        return log_joint(replace(state, **kw), data, graph, prior, include_delta=include_delta)
+    def joint_with(u=u, **kw):
+        return log_joint(replace(state, **kw), u, data, graph, prior, include_delta=include_delta)
 
     worst = 0.0
 
@@ -880,16 +784,15 @@ def slice_ratio_worst(rng, graph, prior, n, include_delta=True):
     j, i = int(rng.integers(n)), int(rng.integers(graph.k))
     a, b = rng.uniform(0.05, 2.0, size=2)
     lhs = -0.5 * ((a - mean_u[j, i]) ** 2 - (b - mean_u[j, i]) ** 2) / var_u[i]
-    ua, ub = state.u.copy(), state.u.copy()
+    ua, ub = u.copy(), u.copy()
     ua[j, i], ub[j, i] = a, b
     rhs = joint_with(u=ua) - joint_with(u=ub)
     worst = max(worst, abs(lhs - rhs))
 
     if include_delta:
-        u = state.u
         latent = (u.sum(axis=0), (u**2).sum(axis=0) + 1.0 / prior.b1, (u * (data @ state.L.T)).sum(axis=0))
-        sum_sq = ((y - state.u * state.delta) ** 2).sum(axis=0) + state.delta**2 / prior.b1
-        count, gram, cross = n + 1, y0.T @ y0, state.u.T @ y0
+        sum_sq = ((y - u * state.delta) ** 2).sum(axis=0) + state.delta**2 / prior.b1
+        count, gram, cross = n + 1, y0.T @ y0, u.T @ y0
     else:
         latent, sum_sq, count = None, stats.sum_sq(state.mu, state.L), n
         gram, cross = stats.gram(state.mu), None
@@ -949,14 +852,16 @@ class TestSliceRatios:
             data = rng.standard_normal((n, k)) * 1.3 + 0.4
             for prior in priors_for(k, rng):
                 seen.clear()
-                state = random_state(rng, g, n, zero_delta=fix_delta_zero)
+                state, u = random_state(rng, g, n, zero_delta=fix_delta_zero)
                 resolved = resolve_hyperparams(prior, k)
-                gibbs_sweep(state, data, DataStats.of(data), l_row_groups(g, resolved), resolved, rng, fix_delta_zero)
+                drawn = gibbs_sweep(state, data, DataStats.of(data), l_row_groups(g, resolved), resolved, rng,
+                                    fix_delta_zero)
+                u = u if drawn is None else drawn  # the baseline reads no u: any u gives its joint up to a constant
                 assert [name for name, _, _ in seen] == [name for name in gaps
                                                          if not (fix_delta_zero and name == "gibbs_update_delta")]
                 for name, at_call, args in seen:
-                    def joint_with(at_call=at_call, **kw):
-                        return log_joint(replace(at_call, **kw), data, g, prior, include_delta=not fix_delta_zero)
+                    def joint_with(at_call=at_call, u=u, **kw):
+                        return log_joint(replace(at_call, **kw), u, data, g, prior, include_delta=not fix_delta_zero)
 
                     worst = max(worst, gaps[name](rng, at_call, *args, joint_with))
         assert worst < self.TOL
@@ -981,16 +886,16 @@ def capture_skew_block_inputs(monkeypatch):
     return seen
 
 
-def direct_sums(data, before, after, b1):
+def direct_sums(data, u, before, after, b1):
     """t, u'(X - mu') and the omega^2 sums on the n x k data in extended precision, each with its scale.
 
-    `before` is the state that the (mu, delta) block reads, with the new u, and
-    `after` the one that the omega^2 block reads, with the new (mu', delta'). A
+    `u` is the sweep's new u, `before` the state that the (mu, delta) block
+    reads and `after` the one that the omega^2 block reads, with the new (mu', delta'). A
     scale is the same sum over the magnitudes of its terms; the omega^2 sums'
     is their positive part, sum((L (x - mu'))^2) + delta'^2 (sum(u o u) + 1 / b1).
     """
     ld = np.longdouble
-    x, u, L = data.astype(ld), before.u.astype(ld), before.L.astype(ld)
+    x, u, L = data.astype(ld), u.astype(ld), before.L.astype(ld)
     mu, delta = after.mu.astype(ld), after.delta.astype(ld)
     y = (x - mu) @ L.T
     t = (u * (x @ L.T)).sum(axis=0), np.einsum("ri,rj,ij->i", np.abs(u), np.abs(x), np.abs(L))
@@ -1017,7 +922,7 @@ class TestSkewSweepStatistics:
         mu = rng.standard_normal(k) * 3.0
         data = sample_sgdg(reparam_inverse(ReparamParams(mu, delta, omega2, L, g)), rng, n)
         shift = offset * data.std(axis=0) * rng.choice([-1.0, 1.0], k)
-        return data + shift, GibbsState(mu + shift, delta, omega2, L, None)
+        return data + shift, GibbsState(mu + shift, delta, omega2, L)
 
     @pytest.mark.parametrize("offset", [0.0, 1e2, 1e4], ids=["centred", "offset-1e2", "offset-1e4"])
     def test_statistics_equal_the_direct_sums(self, rng, monkeypatch, offset):
@@ -1034,11 +939,11 @@ class TestSkewSweepStatistics:
                     stats, groups, sweep_state = DataStats.of(data), l_row_groups(g, resolved), deepcopy(state)
                     for _ in range(3):
                         with np.errstate(over="raise", divide="raise", invalid="raise"):
-                            gibbs_sweep(sweep_state, data, stats, groups, resolved, rng)
+                            u = gibbs_sweep(sweep_state, data, stats, groups, resolved, rng)
                         before, (_, _, (_, _, t)) = seen["gibbs_update_mu"]
                         after, (sum_sq, count, _) = seen["gibbs_update_omega2"]
                         _, (_, cross, _, _) = seen["gibbs_update_L"]
-                        ref = dict(zip(worst, direct_sums(data, before, after, prior.b1)))
+                        ref = dict(zip(worst, direct_sums(data, u, before, after, prior.b1)))
                         assert count == data.shape[0] + 1
                         # every sum kept more than OMEGA2_GUARD of its positive part: these are the k x k sums
                         assert (ref["sum_sq"][0] > inference.OMEGA2_GUARD * ref["sum_sq"][1]).all()
@@ -1054,14 +959,14 @@ class TestSkewSweepStatistics:
         prior = NoninformativePrior(b1=1.5)
         resolved = resolve_hyperparams(prior, g.k)
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            gibbs_sweep(state, data, DataStats.of(data), l_row_groups(g, resolved), resolved, rng)
+            u = gibbs_sweep(state, data, DataStats.of(data), l_row_groups(g, resolved), resolved, rng)
         before, _ = seen["gibbs_update_mu"]
         after, (sum_sq, _, _) = seen["gibbs_update_omega2"]
         with mpmath.workdps(60):
             def exact(a):
                 return mpmath.matrix(np.atleast_2d(a).tolist())
 
-            x, u, L, mu, delta = (exact(a) for a in (data, before.u, before.L, after.mu, after.delta))
+            x, u, L, mu, delta = (exact(a) for a in (data, u, before.L, after.mu, after.delta))
             for i in range(g.k):
                 ref = sum((sum(L[i, j] * (x[r, j] - mu[j]) for j in range(g.k)) - u[r, i] * delta[i]) ** 2
                           for r in range(data.shape[0])) + delta[i] ** 2 / prior.b1
@@ -1083,15 +988,15 @@ class TestSkewSweepStatistics:
         tripped = 0
         for _ in range(5):
             L = np.eye(g.k) + np.diag(rng.uniform(-1e-3, 1e-3, g.k - 1), 1)
-            state = GibbsState(mu=np.full(g.k, 2.0), delta=np.full(g.k, 1e-3), omega2=np.full(g.k, 1e16), L=L, u=None)
+            state = GibbsState(mu=np.full(g.k, 2.0), delta=np.full(g.k, 1e-3), omega2=np.full(g.k, 1e16), L=L)
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                gibbs_sweep(state, data, stats, groups, resolved, rng)
+                u = gibbs_sweep(state, data, stats, groups, resolved, rng)
             before, _ = seen["gibbs_update_mu"]
             after, (sum_sq, _, _) = seen["gibbs_update_omega2"]
-            _, _, (exact, positive) = direct_sums(data, before, after, resolved.b1)
+            _, _, (exact, positive) = direct_sums(data, u, before, after, resolved.b1)
             tripped += int((exact <= inference.OMEGA2_GUARD * positive).any())
             y = (data - before.mu) @ before.L.T
-            resid = y + before.L @ (before.mu - after.mu) - before.u * after.delta
+            resid = y + before.L @ (before.mu - after.mu) - u * after.delta
             assert np.array_equal(sum_sq, (resid**2).sum(axis=0) + after.delta**2 / resolved.b1)
         assert tripped == 5
 
@@ -1102,7 +1007,7 @@ class TestObservedLoglik:
             complete = Graph(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
             for g in (chain_graph(k), complete):
                 n = int(rng.integers(3, 9))
-                state = random_state(rng, g, n)
+                state, _ = random_state(rng, g, n)
                 data = rng.standard_normal((n, k)) * 1.3 + 0.4
                 r = ReparamParams(state.mu, state.delta, state.omega2, state.L, g)
                 ref = sgdg_log_density(reparam_inverse(r), data).sum()
@@ -1113,20 +1018,65 @@ class TestObservedLoglik:
         g = band_graph(8, 2)  # k = 8; the noninformative prior needs n >= 4
         data = rng.standard_normal((n, g.k)) * 1.3 + 0.4
         stats = DataStats.of(data)
-        states = [random_state(rng, g, n, zero_delta=True) for _ in range(4)]
+        states = [random_state(rng, g, n, zero_delta=True)[0] for _ in range(4)]
         for prior in priors_for(g.k, rng):
             if n < min_n_noninformative(g) and prior.regime == "noninfo":
                 continue  # the gate refuses the chain
             trace = run_chain(data, g, prior, iters=12, burn_in=0, thin=3, seed=int(rng.integers(2**32)),
                               fix_delta_zero=True)
             for s in range(len(trace)):
-                state = GibbsState(trace.mu[s], trace.delta[s], trace.omega2[s], trace.l_matrix(trace.L[s]), None)
+                state = GibbsState(trace.mu[s], trace.delta[s], trace.omega2[s], trace.l_matrix(trace.L[s]))
                 states.append(state)
                 ref = log_density(state.mu, state.delta, state.L, state.omega2, data).sum()
                 assert trace.loglik[s] == pytest.approx(ref, rel=1e-12, abs=0), prior.regime
         for state in states:  # alpha = 0 and kappa^2 = omega^2 at delta = 0
             ref = log_density(state.mu, state.delta, state.L, state.omega2, data).sum()
             assert _observed_loglik(state, data, stats, fix_delta_zero=True) == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+class TestStartState:
+    """A chain starts from `DataStats` at delta = 0, and the first sweep takes the generator's first outputs."""
+
+    PROPER = IndependentProperPrior(b1=1.0, mu0=np.zeros(3), b2=10.0, b3=2.0, b4=1.0, b5=1.0)
+
+    @pytest.mark.parametrize("fix_delta_zero", [False, True], ids=["skew", "baseline"])
+    def test_first_sweep_draws_from_a_fresh_generator(self, rng, fix_delta_zero):
+        g = chain_graph(3)
+        data = rng.standard_normal((25, 3)) * 2.0 + 7.0
+        trace = run_chain(data, g, self.PROPER, iters=1, burn_in=0, thin=1, seed=9, fix_delta_zero=fix_delta_zero)
+        stats, resolved = DataStats.of(data), resolve_hyperparams(self.PROPER, g.k)
+        state = inference._initial_state(stats, g)
+        assert np.array_equal(state.mu, data.mean(axis=0)) and np.all(state.delta == 0.0)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            u = gibbs_sweep(state, data, stats, l_row_groups(g, resolved), resolved, np.random.default_rng(9),
+                            fix_delta_zero)
+        if not fix_delta_zero:  # at delta = 0 the u conditional is HN(0, 1)
+            half_normal = sample_truncated_normal(np.zeros(data.shape), 1.0, 0.0, np.random.default_rng(9))
+            assert np.array_equal(u, half_normal)
+        for f in ("mu", "delta", "omega2"):
+            assert np.array_equal(getattr(trace, f)[0], getattr(state, f)), f
+        assert np.array_equal(trace.L[0], trace.edge_values(state.L))
+
+    @pytest.mark.parametrize("fix_delta_zero", [False, True], ids=["skew", "baseline"])
+    def test_covariance_that_is_not_finite_refused(self, fix_delta_zero):
+        # the scatter matrix is finite, but the trace of the sample covariance overflows
+        k = 40
+        data = np.random.default_rng(3).standard_normal((10, k)) * 2.5e153
+        assert np.isfinite(DataStats.of(data).scatter).all()
+        prior = IndependentProperPrior(b1=1.0, mu0=np.zeros(k), b2=1.0, b3=2.0, b4=1.0, b5=1.0)
+        with pytest.raises(NumericalFailure, match="^start state: the sample covariance of the data is not finite$"):
+            run_chain(data, chain_graph(k), prior, iters=10, thin=1, seed=1, fix_delta_zero=fix_delta_zero)
+
+    def test_one_row_starts_at_the_identity_covariance(self, rng):
+        g = chain_graph(3)
+        data = rng.standard_normal((1, 3))
+        state = inference._initial_state(DataStats.of(data), g)
+        assert np.array_equal(state.mu, data[0]) and np.array_equal(state.L, np.eye(3))
+        np.testing.assert_allclose(state.omega2, 1.0, rtol=2e-6)  # the inverse of I plus the ridge
+        wishart = PatternWishartPrior(b1=1.0, Psi=np.eye(3), psi=np.array([2.0, 2.0, 1.0]))
+        for prior, fix_delta_zero in ((self.PROPER, False), (self.PROPER, True), (wishart, False)):
+            trace = run_chain(data, g, prior, iters=20, thin=1, seed=2, fix_delta_zero=fix_delta_zero)
+            assert len(trace) == 16 and np.isfinite(trace.loglik).all(), (prior.regime, fix_delta_zero)
 
 
 class TestRunChain:
@@ -1177,7 +1127,7 @@ class TestRunChain:
     def test_floating_point_error_names_the_block(self, rng, block):
         g = chain_graph(3)
         data = rng.standard_normal((12, 3))
-        state = random_state(rng, g, 12, zero_delta=True)
+        state, _ = random_state(rng, g, 12, zero_delta=True)
         if block == "u":
             state.delta[1] = 1e200  # omega_2^2 delta_2^2 in the truncated-normal variance overflows
         elif block == "mu":
@@ -1186,7 +1136,7 @@ class TestRunChain:
             # the baseline on one row of zeros: mu is drawn within about 1e-154 of it, so the
             # omega^2 rates (L (xbar - mu))^2 / 2 fall below 1e-308 and their reciprocals overflow
             data = np.zeros((1, 3))
-            state = GibbsState(np.zeros(3), np.zeros(3), np.full(3, 1e308), np.eye(3), None)
+            state = GibbsState(np.zeros(3), np.zeros(3), np.full(3, 1e308), np.eye(3))
         resolved = resolve_hyperparams(NoninformativePrior(b1=1.0), 3)
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             with pytest.raises(NumericalFailure) as info:
@@ -1197,7 +1147,7 @@ class TestRunChain:
     def test_omega2_draw_outside_its_domain_named(self, rng):
         # an infinite rate, which numpy's default state lets through, gives a gamma scale
         # 1 / rate of 0, and so a draw of 0
-        state = random_state(rng, chain_graph(3), 5)
+        state, _ = random_state(rng, chain_graph(3), 5)
         resolved = resolve_hyperparams(NoninformativePrior(b1=1.0), 3)
         with pytest.raises(NumericalFailure) as info:
             gibbs_update_omega2(state, np.array([1.0, np.inf, 1.0]), 5, resolved, rng)
@@ -1470,7 +1420,7 @@ def sweep_z_scores(data, g, prior, draws, seed):
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         for s in range(draws):
             state = GibbsState(trace.mu[s].copy(), np.zeros(g.k), trace.omega2[s].copy(),
-                               trace.l_matrix(trace.L[s]), None)
+                               trace.l_matrix(trace.L[s]))
             gibbs_sweep(state, data, stats, groups, resolved, sweep_rng, fix_delta_zero=True)
             after[s] = np.concatenate([state.mu, state.omega2, trace.edge_values(state.L)])
     centre = before.mean(axis=0)
@@ -1514,7 +1464,7 @@ class TestFlatMuBaseline:
                               fix_delta_zero=True)
             assert np.all(trace.omega2 > 0) and np.all(np.isfinite(trace.L))
             for s in range(len(trace)):
-                state = GibbsState(trace.mu[s], trace.delta[s], trace.omega2[s], trace.l_matrix(trace.L[s]), None)
+                state = GibbsState(trace.mu[s], trace.delta[s], trace.omega2[s], trace.l_matrix(trace.L[s]))
                 closed_form = _observed_loglik(state, data, stats, fix_delta_zero=True)
                 assert trace.loglik[s] == pytest.approx(closed_form, rel=1e-12, abs=0), prior.regime
 

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from sgdg.cli import InvalidParams, ParseError, _load_trace, build_prior, load_graph, main, parse_hyper, read_dataset
 from sgdg.graph import MAX_VERTICES, Graph
-from sgdg.inference import PRIORS, NoninformativePrior, Trace, run_chain
+from sgdg.inference import PRIORS, NoninformativePrior, Trace, run_chain, summarize
 
 EXAMPLES = settings(max_examples=100, derandomize=True, deadline=None,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -95,6 +95,8 @@ def test_load_graph_returns_graph_or_parse_error(work, text):
         return
     assert isinstance(g, Graph) and 1 <= g.k <= 40
     assert all(0 <= a < b < g.k for a, b in g.edges)
+    record = json.loads(text)  # a count and labels that are JSON integers, not floats or booleans
+    assert type(record["k"]) is int and all(type(label) is int for edge in record["edges"] for label in edge)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +210,7 @@ def test_load_trace_returns_usable_trace_or_parse_error(work, trace_lines, data)
         return
     assert isinstance(trace, Trace) and "data_digest" in trace.meta
     assert len(trace) >= 1 and trace.loglik.shape == (len(trace),) and np.all(np.isfinite(trace.loglik))
+    assert len(summarize(trace)) == 3 * trace.meta["k"] + len(trace.meta["edge_order"])
 
 
 # ---------------------------------------------------------------------------
