@@ -304,14 +304,15 @@ class GibbsState:
 
 @dataclass(frozen=True)
 class DataStats:
-    """What a sweep reads of the n x k data X, formed once per chain.
+    """What a chain reads of the n x k data X, formed once per chain.
 
-    `total` and `xbar` are the column sums and means, r is a factor of the
-    centred scatter matrix, r'r = (X - xbar)'(X - xbar), from the QR
-    decomposition of X - xbar (r has min(n, k) rows), and `scatter` is r'r.
-    `xbar_lo` is the mean of X - xbar, the part of the mean that xbar rounds
-    off, and `xc` is X - xbar - xbar_lo: centred data whose columns sum to
-    zero to working precision, however far xbar is from zero. Data whose
+    `total` and `xbar` are the column sums and means. `xbar_lo` is the mean
+    of X - xbar, the part of the mean that xbar rounds off, and `xc` is
+    X - xbar - xbar_lo: centred data whose columns sum to zero to working
+    precision, however far xbar is from zero. r is a factor of their scatter
+    matrix, r'r = xc' xc, from the QR decomposition of xc (r has min(n, k)
+    rows), and `scatter` is r'r. Every view of X - mu is xc + `offset(mu)`,
+    the corrected two-pass rule of Chan, Golub & LeVeque (1983). Data whose
     scatter matrix overflows are refused (`NumericalFailure`).
     """
 
@@ -329,22 +330,29 @@ class DataStats:
         with np.errstate(over="ignore", invalid="ignore"):
             total = data.sum(axis=0)
             xc = data - total / n
-            r = np.linalg.qr(xc, mode="r")
-            scatter = r.T @ r
             xbar_lo = xc.mean(axis=0)
             xc -= xbar_lo
+            r = np.linalg.qr(xc, mode="r")
+            scatter = r.T @ r
         if not np.isfinite(scatter).all():
             raise NumericalFailure("data: the scatter matrix of the data is not finite")
         return cls(n, total, total / n, r, scatter, xbar_lo, xc)
 
-    def gram(self, mu):
-        """(X - mu)'(X - mu) = r'r + n d d' with d = xbar - mu."""
-        d = self.xbar - mu
+    def offset(self, mu):
+        """d = (xbar - mu) + xbar_lo, the mean of X - mu, so that X - mu = xc + d.
+
+        xbar_lo is added last: added to xbar or subtracted from mu first, it
+        would round away wherever |xbar| or |mu| is much larger than it.
+        """
+        return (self.xbar - mu) + self.xbar_lo
+
+    def gram(self, d):
+        """(X - mu)'(X - mu) = r'r + n d d' at the offset d = `offset(mu)`."""
         return self.scatter + self.n * (d[:, np.newaxis] * d)
 
-    def sum_sq(self, mu, L):
-        """The sum over the rows x of (L_i (x - mu))^2 for each i: ||r L_i'||^2 + n (L_i d)^2."""
-        return ((self.r @ L.T) ** 2).sum(axis=0) + self.n * (L @ (self.xbar - mu)) ** 2
+    def sum_sq(self, d, L):
+        """For each i the sum over the rows x of (L_i (x - mu))^2, ||r L_i'||^2 + n (L_i d)^2, at d = `offset(mu)`."""
+        return ((self.r @ L.T) ** 2).sum(axis=0) + self.n * (L @ d) ** 2
 
 
 def u_conditional_params(state, y):
@@ -645,32 +653,34 @@ def flat_mu_baseline_draws(stats, groups, resolved, draws, rng):
     return mu, omega2, L, loglik
 
 
-def gibbs_sweep(state, data, stats, groups, resolved, rng, fix_delta_zero=False):
+def gibbs_sweep(state, stats, groups, resolved, rng, fix_delta_zero=False):
     """One full sweep in the fixed order u, (mu, delta), omega^2, L rows; returns its u (None for the baseline).
 
-    `stats` are the data's `DataStats`, `groups` the row groups of L from
-    `l_row_groups` and `resolved` the prior's table from `resolve_hyperparams`;
-    all three hold for the whole chain. The blocks are formulas over the
-    inputs formed here, and only here does the model show:
+    `stats` are the data's `DataStats`, the sweep's only view of the data,
+    `groups` the row groups of L from `l_row_groups` and `resolved` the
+    prior's table from `resolve_hyperparams`; all three hold for the whole
+    chain. The blocks are formulas over the inputs formed here, and only here
+    does the model show:
 
-    - skew: the u block reads the centred rows y = (X - mu) L'. After it the
-      sweep reads only s = sum(u), q = sum(u o u) + 1 / b1, the k x k product
+    - skew: the u block reads the centred rows y = (xc + d) L', with
+      d = `DataStats.offset(mu)`, so that y = (X - mu) L'. After it the sweep
+      reads only s = sum(u), q = sum(u o u) + 1 / b1, the k x k product
       M = u' xc of `DataStats.xc`, about u'(X - xbar), and `stats`. The mu
       block reads s, q and t = tc + s o L xbar with tc_i = sum_j M_ij L_ij,
       so that t = sum(u o L x). The omega^2 block reads the sums of the n
       squared residuals L (x - mu') - u o delta' at the new (mu', delta'),
       with the delta prior's delta'^2 / b1 as one more. With
-      d = xbar + xbar_lo - mu' they are ||r L_i'||^2 + n (L_i d)^2 (as
-      `DataStats.sum_sq`) + delta'^2 o q - 2 delta' o (tc + s o L d). Where
-      that difference keeps no more than `OMEGA2_GUARD` of its positive part,
-      the sweep sums the residuals on the n x k data instead. The L rows read
-      the cross moment u'(X - mu') = M + s d'.
+      d' = `DataStats.offset(mu')` they are `DataStats.sum_sq` +
+      delta'^2 o q - 2 delta' o (tc + s o L d'). Where that difference keeps
+      no more than `OMEGA2_GUARD` of its positive part, the sweep sums the n
+      residuals y + L (mu - mu') - u o delta' instead. The L rows read the
+      cross moment u'(X - mu') = M + s d'.
     - Gaussian baseline (`fix_delta_zero`; `run_chain` sweeps it under
       "proper" only, as it draws exactly under the flat-mu priors): with
       delta = 0 every u term is zero, so it draws no u, the mu block takes no
       sums and no delta is drawn, the omega^2 block reads the n residuals
       through `DataStats.sum_sq` and the L rows no cross moment. It never
-      touches the n x k data.
+      touches an n x k array.
 
     A `FloatingPointError` (raised under `run_chain`'s `np.errstate`) becomes
     a `NumericalFailure` that names the block and, in the L block, the row.
@@ -685,10 +695,11 @@ def gibbs_sweep(state, data, stats, groups, resolved, rng, fix_delta_zero=False)
             block = "mu"
             state.mu = gibbs_update_mu(state, stats, resolved, None, rng)
             block = "omega2"
-            sum_sq, count, cross = stats.sum_sq(state.mu, state.L), stats.n, None
+            d = stats.offset(state.mu)
+            sum_sq, count, cross = stats.sum_sq(d, state.L), stats.n, None
         else:
             L, mu = state.L, state.mu
-            y = (data - mu) @ L.T
+            y = (stats.xc + stats.offset(mu)) @ L.T
             u = gibbs_update_u(state, y, rng)
             block = "mu"
             s, uxc = u.sum(axis=0), u.T @ stats.xc
@@ -698,18 +709,16 @@ def gibbs_sweep(state, data, stats, groups, resolved, rng, fix_delta_zero=False)
             state.mu = gibbs_update_mu(state, stats, resolved, latent, rng)
             delta = state.delta = gibbs_update_delta(state, latent, rng)
             block = "omega2"
-            d = stats.xbar - state.mu + stats.xbar_lo
-            ld = L @ d
-            rl = stats.r @ L.T
-            positive = (rl * rl).sum(axis=0) + stats.n * ld**2 + delta**2 * q
-            sum_sq = positive - 2.0 * delta * (tc + s * ld)
-            if np.count_nonzero(sum_sq <= OMEGA2_GUARD * positive):  # cancelled: the residuals on the n x k data
+            d = stats.offset(state.mu)
+            positive = stats.sum_sq(d, L) + delta**2 * q
+            sum_sq = positive - 2.0 * delta * (tc + s * (L @ d))
+            if np.count_nonzero(sum_sq <= OMEGA2_GUARD * positive):  # cancelled: the n residuals
                 resid = y + L @ (mu - state.mu) - u * delta  # (X - mu) L' - u o delta at the new mu
                 sum_sq = (resid**2).sum(axis=0) + delta**2 / resolved.b1
             count, cross = stats.n + 1, uxc + s[:, np.newaxis] * d
         state.omega2 = gibbs_update_omega2(state, sum_sq, count, resolved, rng)
         block = "L"
-        state.L = gibbs_update_L(state, stats.gram(state.mu), cross, groups, resolved, rng)
+        state.L = gibbs_update_L(state, stats.gram(d), cross, groups, resolved, rng)
     except FloatingPointError as exc:
         raise NumericalFailure(f"{block} block: floating-point {exc}") from exc
     return u
@@ -805,12 +814,17 @@ class Trace:
     def load(cls, path):
         """Read and check a trace file; any defect raises ValueError.
 
-        Defects: a bad record (named by its line), no meta record, one whose
-        `schema` is missing or other than `TRACE_SCHEMA`, or one without
-        `data_digest` or `prior`, no draws, a draw field that is not numeric, a log
-        likelihood that is not one finite number per draw, a meta `k` or
-        `edge_order` other than its `graph`'s or not of integers, and draw vectors whose
-        lengths are not meta `k` (`mu`, `delta`, `omega2`) or the edge count (`L`).
+        Defects: a bad record (named by its line), a first record that is not
+        the meta record or a later one that is not a draw (a second meta
+        record, as two traces concatenated hold), a meta `schema` that is
+        missing or other than `TRACE_SCHEMA`, a meta record without
+        `data_digest` or `prior`, no draws, meta `iters`, `burn_in` and `thin`
+        that are not integers with thin >= 1, a draw count other than their
+        (iters - burn_in) // thin (a trace cut at a line boundary), a draw
+        field that is not numeric, a log likelihood that is not one finite
+        number per draw, a meta `k` or `edge_order` other than its `graph`'s
+        or not of integers, and draw vectors whose lengths are not meta `k`
+        (`mu`, `delta`, `omega2`) or the edge count (`L`).
         """
         draws = {name: [] for name in cls.DRAW_FIELDS}
         meta = None
@@ -818,15 +832,19 @@ class Trace:
             for lineno, line in enumerate(fh, start=1):
                 try:
                     rec = json.loads(line)
-                    if rec.pop("type") == "meta":
-                        meta = rec
-                    else:
+                    kind = rec.pop("type")
+                    if kind == "draw" and lineno > 1:
                         for name, values in draws.items():
                             values.append(rec[name])
                 except json.JSONDecodeError as exc:
                     raise ValueError(f"line {lineno}, column {exc.colno}: {exc.msg}") from exc
                 except (KeyError, TypeError, AttributeError, RecursionError) as exc:
                     raise ValueError(f"line {lineno}: not a trace record ({exc!r})") from exc
+                expected = "draw" if lineno > 1 else "meta"  # one meta record, then draws
+                if kind != expected:
+                    raise ValueError(f"line {lineno}: a record of type {kind!r}, not {expected!r}")
+                if lineno == 1:
+                    meta = rec
         if meta is None:
             raise ValueError("trace file has no meta record")
         schema = meta.get("schema")
@@ -837,6 +855,13 @@ class Trace:
                 raise ValueError(f"the meta record has no {key}")
         if not draws["loglik"]:
             raise ValueError("the trace has no draws")
+        settings = [meta.get(key) for key in ("iters", "burn_in", "thin")]
+        if not all(type(v) is int for v in settings) or settings[2] < 1:  # true == 1 and 3.0 == 3
+            raise ValueError(f"the meta iters, burn_in and thin {settings} are not integers with thin >= 1")
+        iters, burn_in, thin = settings
+        if len(draws["loglik"]) != (iters - burn_in) // thin:
+            raise ValueError(f"the trace holds {len(draws['loglik'])} draws, not the "
+                             f"(iters - burn_in) // thin = {(iters - burn_in) // thin} of its meta record")
         try:
             arrays = {name: np.asarray(values, dtype=float) for name, values in draws.items()}
         except (TypeError, ValueError, OverflowError) as exc:
@@ -887,19 +912,21 @@ def _initial_state(stats, graph):
     return GibbsState(mu=stats.xbar.copy(), delta=np.zeros(k), omega2=omega2, L=L)
 
 
-def _observed_loglik(state, data, stats, fix_delta_zero=False):
-    """Observed-data log likelihood of the state; the Gaussian baseline's from `stats` alone.
+def _observed_loglik(state, stats, fix_delta_zero=False):
+    """Observed-data log likelihood of the state, from `stats`; the Gaussian baseline's in closed form.
 
     With delta = 0 each row's density is N(mu, (L' Omega L)^-1), whose log sums
     over the rows to (n/2) (sum log omega^2 - k log 2 pi) - (1/2) sum_i omega_i^2 S_i
-    with S = `DataStats.sum_sq`.
+    with S = `DataStats.sum_sq`. The skew model's is the log density at the
+    rows of xc about -d, d = `DataStats.offset(mu)`: xc - (-d) is xc + d = X - mu
+    to the bit, as the sweep's u block forms it.
     """
     if fix_delta_zero:
         k = state.mu.shape[0]
-        quad = state.omega2 @ stats.sum_sq(state.mu, state.L)
+        quad = state.omega2 @ stats.sum_sq(stats.offset(state.mu), state.L)
         return float(0.5 * stats.n * (np.log(state.omega2).sum() - k * np.log(2.0 * np.pi)) - 0.5 * quad)
     alpha, kappa2 = _model.alpha_kappa2(state.delta, state.omega2)
-    return float(_model.log_density(state.mu, alpha, state.L, kappa2, data).sum())
+    return float(_model.log_density(-stats.offset(state.mu), alpha, state.L, kappa2, stats.xc).sum())
 
 
 def run_chain(data, graph, prior, iters, burn_in=None, thin=10, *, seed,
@@ -975,7 +1002,7 @@ def run_chain(data, graph, prior, iters, burn_in=None, thin=10, *, seed,
         try:
             for it in range(1, iters + 1):
                 # held through the next sweep, u keeps malloc from trimming its heap and faulting it in again
-                u = gibbs_sweep(state, data, stats, groups, resolved, rng, fix_delta_zero=fix_delta_zero)
+                u = gibbs_sweep(state, stats, groups, resolved, rng, fix_delta_zero=fix_delta_zero)
                 if it > burn_in and (it - burn_in) % thin == 0:
                     s = (it - burn_in) // thin - 1
                     trace.mu[s] = state.mu
@@ -983,7 +1010,7 @@ def run_chain(data, graph, prior, iters, burn_in=None, thin=10, *, seed,
                     trace.omega2[s] = state.omega2
                     trace.L[s] = trace.edge_values(state.L)
                     try:
-                        trace.loglik[s] = _observed_loglik(state, data, stats, fix_delta_zero)
+                        trace.loglik[s] = _observed_loglik(state, stats, fix_delta_zero)
                     except FloatingPointError as exc:
                         raise NumericalFailure(f"log likelihood: floating-point {exc}") from exc
         except NumericalFailure as exc:

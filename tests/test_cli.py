@@ -652,9 +652,9 @@ class TestFit:
         assert result.returncode == 3 and result.stderr.count("\n") == 1, result.stderr
         record = json.loads(result.stderr)
         assert record["error"] == "NumericalFailure"
-        # the overflow is in the products of the L block's conditional
-        sweep, block = {"1e305": (17, "L block, row 1"), "1e307": (3, "L block, row 1")}[b3]
-        assert record["message"].startswith(f"sweep {sweep}, {block}: floating-point overflow "), record["message"]
+        # the overflow is in the products of the L block's conditional, at a sweep and row
+        # that move with the rounding of the draws
+        assert re.match(r"^sweep \d+, L block, row \d+: floating-point overflow ", record["message"]), record["message"]
         assert not out.exists()
 
     def _fitted(self, out, col):
@@ -811,7 +811,7 @@ class TestCompare:
                                         "nan-loglik", "text-loglik", "true-loglik", "false-delta",
                                         "object-loglik", "short-mu", "short-L", "edge-order", "k-off-graph",
                                         "k-above-cap", "no-schema", "schema-2", "float-k", "float-edge-order",
-                                        "float-graph-label"])
+                                        "float-graph-label", "line-cut", "concatenated", "unknown-type"])
     def test_unreadable_trace_reported(self, sim_dir, tmp_path, capsys, defect):
         good = self._fit(sim_dir, tmp_path, "good", 45)
         bad = tmp_path / "bad.ndjson"
@@ -834,6 +834,14 @@ class TestCompare:
             bad.write_text(json.dumps(record) + "\n" + first + "".join(rest))
         elif defect == "no-draws":
             bad.write_text(meta)
+        elif defect == "line-cut":  # whole lines, so every record parses
+            bad.write_text(meta + first + "".join(rest[:4]))
+        elif defect == "concatenated":
+            bad.write_text(text + text)
+        elif defect == "unknown-type":
+            record = json.loads(first)
+            record["type"] = "drew"
+            bad.write_text(meta + json.dumps(record) + "\n" + "".join(rest))
         elif defect in ("nan-loglik", "text-loglik", "object-loglik"):
             record = json.loads(first)
             record["loglik"] = {"nan-loglik": float("nan"), "text-loglik": "x", "object-loglik": {"a": 1}}[defect]
@@ -882,6 +890,13 @@ class TestCompare:
             assert record["message"].endswith(", not 1"), record["message"]
         if defect in ("true-loglik", "false-delta"):
             assert "is not numeric (it holds a JSON boolean)" in record["message"], record["message"]
+        if defect == "line-cut":
+            assert record["message"].endswith(f"holds 5 draws, not the (iters - burn_in) // thin = {len(rest) + 1} "
+                                              "of its meta record"), record["message"]
+        if defect == "concatenated":
+            assert f"line {len(rest) + 3}: a record of type 'meta'" in record["message"], record["message"]
+        if defect == "unknown-type":
+            assert "line 2: a record of type 'drew'" in record["message"], record["message"]
 
     def test_mix_weight_out_of_range_reported(self, sim_dir, tmp_path, capsys):
         t = self._fit(sim_dir, tmp_path, "mw", 47)

@@ -473,7 +473,7 @@ class TestGaussianDraw:
             seed = int(rng.integers(2**32))
             new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             new = deepcopy(start)
-            new_u = gibbs_sweep(new, data, DataStats.of(data), groups, resolved, new_rng, fix_delta_zero)
+            new_u = gibbs_sweep(new, DataStats.of(data), groups, resolved, new_rng, fix_delta_zero)
             assert (new_u is None) == fix_delta_zero
             old, old_u = sweep_three_call(deepcopy(start), data, g, resolved, old_rng, fix_delta_zero)
             pairs = [(f, getattr(new, f), getattr(old, f)) for f in self.FIELDS]
@@ -586,7 +586,7 @@ class TestConditionalCollapse:
 
 
 class TestBaselineSweep:
-    """The baseline sweep draws no u and reads the data only through the statistics."""
+    """The baseline sweep draws no u and reads no n x k array: of `DataStats`, everything but `xc`."""
 
     @pytest.mark.parametrize("name", TestGaussianDraw.GRAPHS)
     def test_reads_the_data_only_through_the_statistics(self, rng, name):
@@ -599,12 +599,12 @@ class TestBaselineSweep:
             start, _ = random_state(rng, g, 12, zero_delta=True)
             seed = int(rng.integers(2**32))
             ends = []
-            for x in (data, np.full_like(data, np.nan)):
+            for view in (stats, replace(stats, xc=np.full_like(stats.xc, np.nan))):
                 state, sweep_rng = deepcopy(start), np.random.default_rng(seed)
                 logliks = []
                 for _ in range(5):
-                    gibbs_sweep(state, x, stats, groups, resolved, sweep_rng, fix_delta_zero=True)
-                    logliks.append(_observed_loglik(state, x, stats, fix_delta_zero=True))
+                    gibbs_sweep(state, view, groups, resolved, sweep_rng, fix_delta_zero=True)
+                    logliks.append(_observed_loglik(state, view, fix_delta_zero=True))
                 ends.append((state, logliks, sweep_rng.bit_generator.state))
             (real, real_ll, real_rng), (blind, blind_ll, blind_rng) = ends
             for f in TestGaussianDraw.FIELDS:
@@ -651,7 +651,7 @@ class TestUBlockRowBlocks:
         resolved = resolve_hyperparams(NoninformativePrior(b1=1.5), self.K)
         state, _ = random_state(rng, g, self.N)
         with np.errstate(invalid="raise"), pytest.raises(NumericalFailure, match=r"^u block: floating-point invalid"):
-            gibbs_sweep(state, data, DataStats.of(data), l_row_groups(g, resolved), resolved, rng)
+            gibbs_sweep(state, DataStats.of(data), l_row_groups(g, resolved), resolved, rng)
 
     def test_trace_does_not_depend_on_the_cpu_count(self, rng, tmp_path, monkeypatch):
         data, g = self.data(rng), chain_graph(self.K)
@@ -794,8 +794,9 @@ def slice_ratio_worst(rng, graph, prior, n, include_delta=True):
         sum_sq = ((y - u * state.delta) ** 2).sum(axis=0) + state.delta**2 / prior.b1
         count, gram, cross = n + 1, y0.T @ y0, u.T @ y0
     else:
-        latent, sum_sq, count = None, stats.sum_sq(state.mu, state.L), n
-        gram, cross = stats.gram(state.mu), None
+        d = stats.offset(state.mu)
+        latent, sum_sq, count = None, stats.sum_sq(d, state.L), n
+        gram, cross = stats.gram(d), None
     worst = max(worst, mu_slice_gap(rng, state, stats, resolved, latent, joint_with))
     if include_delta:  # delta | mu at a mu other than the state's
         worst = max(worst, delta_slice_gap(rng, replace(state, mu=state.mu + rng.standard_normal(graph.k)), latent,
@@ -854,7 +855,7 @@ class TestSliceRatios:
                 seen.clear()
                 state, u = random_state(rng, g, n, zero_delta=fix_delta_zero)
                 resolved = resolve_hyperparams(prior, k)
-                drawn = gibbs_sweep(state, data, DataStats.of(data), l_row_groups(g, resolved), resolved, rng,
+                drawn = gibbs_sweep(state, DataStats.of(data), l_row_groups(g, resolved), resolved, rng,
                                     fix_delta_zero)
                 u = u if drawn is None else drawn  # the baseline reads no u: any u gives its joint up to a constant
                 assert [name for name, _, _ in seen] == [name for name in gaps
@@ -939,7 +940,7 @@ class TestSkewSweepStatistics:
                     stats, groups, sweep_state = DataStats.of(data), l_row_groups(g, resolved), deepcopy(state)
                     for _ in range(3):
                         with np.errstate(over="raise", divide="raise", invalid="raise"):
-                            u = gibbs_sweep(sweep_state, data, stats, groups, resolved, rng)
+                            u = gibbs_sweep(sweep_state, stats, groups, resolved, rng)
                         before, (_, _, (_, _, t)) = seen["gibbs_update_mu"]
                         after, (sum_sq, count, _) = seen["gibbs_update_omega2"]
                         _, (_, cross, _, _) = seen["gibbs_update_L"]
@@ -959,7 +960,7 @@ class TestSkewSweepStatistics:
         prior = NoninformativePrior(b1=1.5)
         resolved = resolve_hyperparams(prior, g.k)
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            u = gibbs_sweep(state, data, DataStats.of(data), l_row_groups(g, resolved), resolved, rng)
+            u = gibbs_sweep(state, DataStats.of(data), l_row_groups(g, resolved), resolved, rng)
         before, _ = seen["gibbs_update_mu"]
         after, (sum_sq, _, _) = seen["gibbs_update_omega2"]
         with mpmath.workdps(60):
@@ -990,15 +991,118 @@ class TestSkewSweepStatistics:
             L = np.eye(g.k) + np.diag(rng.uniform(-1e-3, 1e-3, g.k - 1), 1)
             state = GibbsState(mu=np.full(g.k, 2.0), delta=np.full(g.k, 1e-3), omega2=np.full(g.k, 1e16), L=L)
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                u = gibbs_sweep(state, data, stats, groups, resolved, rng)
+                u = gibbs_sweep(state, stats, groups, resolved, rng)
             before, _ = seen["gibbs_update_mu"]
             after, (sum_sq, _, _) = seen["gibbs_update_omega2"]
             _, _, (exact, positive) = direct_sums(data, u, before, after, resolved.b1)
             tripped += int((exact <= inference.OMEGA2_GUARD * positive).any())
-            y = (data - before.mu) @ before.L.T
+            y = (stats.xc + stats.offset(before.mu)) @ before.L.T
             resid = y + before.L @ (before.mu - after.mu) - u * after.delta
             assert np.array_equal(sum_sq, (resid**2).sum(axis=0) + after.delta**2 / resolved.b1)
         assert tripped == 5
+
+
+class TestDataStats:
+    """`DataStats` centres X once; every view of X - mu is xc + offset(mu)."""
+
+    @pytest.mark.parametrize("offset", [0.0, 1e2, 1e4, 1e6], ids=["centred", "1e2", "1e4", "1e6"])
+    def test_gram_and_sum_sq_against_extended_precision(self, rng, offset):
+        # data whose mean is up to 1e6 sds from zero, where a Gram matrix about xbar alone
+        # loses the part of the mean that xbar rounds off (1.9e-10 relative at 1e6 sds)
+        n, k = 88, 8
+        worst = 0.0
+        for _ in range(5):
+            sd = rng.uniform(0.5, 3.0, k)
+            data = (rng.standard_normal((n, k)) + offset * rng.choice([-1.0, 1.0], k)) * sd
+            stats = DataStats.of(data)
+            L = np.triu(rng.uniform(-0.8, 0.8, (k, k)), 1) + np.eye(k)
+            for mu in (stats.xbar, stats.xbar + rng.standard_normal(k) * sd):
+                y0 = data.astype(np.longdouble) - mu.astype(np.longdouble)
+                gram, scale = y0.T @ y0, np.abs(y0).T @ np.abs(y0)
+                sum_sq = ((y0 @ L.T.astype(np.longdouble)) ** 2).sum(axis=0)
+                d = stats.offset(mu)
+                worst = max(worst, float(np.max(np.abs(stats.gram(d) - gram) / scale)),
+                            float(np.max(np.abs(stats.sum_sq(d, L) - sum_sq) / sum_sq)))
+        assert worst < 1e-14, worst
+
+
+def sweep_before_one_centre(state, data, groups, resolved, rng, fix_delta_zero):
+    """The sweep in the arithmetic it had before `DataStats` centred the data once.
+
+    r and the Gram matrix and `sum_sq` about xbar alone, d = xbar - mu there;
+    the skew model's u block on (X - mu) L' of the raw data, its omega^2 sums
+    and cross moment with d = xbar - mu' + xbar_lo, and ||r L_i'||^2 written
+    out. The blocks are the library's. Returns the state and u (None for the
+    baseline).
+    """
+    n = data.shape[0]
+    total = data.sum(axis=0)
+    xbar = total / n
+    xc = data - xbar
+    r = np.linalg.qr(xc, mode="r")
+    scatter = r.T @ r
+    xbar_lo = xc.mean(axis=0)
+    xc -= xbar_lo
+    moments = SimpleNamespace(n=n, total=total)  # what the mu block reads
+
+    def gram(mu):
+        d = xbar - mu
+        return scatter + n * (d[:, np.newaxis] * d)
+
+    u = None
+    L, mu = state.L, state.mu
+    if fix_delta_zero:
+        state.mu = gibbs_update_mu(state, moments, resolved, None, rng)
+        sum_sq = ((r @ L.T) ** 2).sum(axis=0) + n * (L @ (xbar - state.mu)) ** 2
+        count, cross = n, None
+    else:
+        y = (data - mu) @ L.T
+        u = gibbs_update_u(state, y, rng)
+        s, uxc = u.sum(axis=0), u.T @ xc
+        tc = (uxc * L).sum(axis=1)
+        q = np.einsum("ij,ij->j", u, u) + 1.0 / resolved.b1
+        latent = (s, q, tc + s * (L @ xbar))
+        state.mu = gibbs_update_mu(state, moments, resolved, latent, rng)
+        delta = state.delta = gibbs_update_delta(state, latent, rng)
+        d = xbar - state.mu + xbar_lo
+        ld = L @ d
+        rl = r @ L.T
+        positive = (rl * rl).sum(axis=0) + n * ld**2 + delta**2 * q
+        sum_sq = positive - 2.0 * delta * (tc + s * ld)
+        if np.count_nonzero(sum_sq <= inference.OMEGA2_GUARD * positive):
+            resid = y + L @ (mu - state.mu) - u * delta
+            sum_sq = (resid**2).sum(axis=0) + delta**2 / resolved.b1
+        count, cross = n + 1, uxc + s[:, np.newaxis] * d
+    state.omega2 = gibbs_update_omega2(state, sum_sq, count, resolved, rng)
+    state.L = gibbs_update_L(state, gram(state.mu), cross, groups, resolved, rng)
+    return state, u
+
+
+class TestOneCentre:
+    @pytest.mark.parametrize("name", TestGaussianDraw.GRAPHS)
+    def test_one_sweep_matches_the_sweep_before_one_centre(self, rng, name):
+        # the skew sweep under every prior and the baseline sweep under "proper", the one
+        # regime where the baseline runs a chain
+        g = TestGaussianDraw.GRAPHS[name]
+        for prior in priors_for(g.k, rng):
+            for fix_delta_zero in (False, True) if prior.regime == "proper" else (False,):
+                resolved = resolve_hyperparams(prior, g.k)
+                groups = l_row_groups(g, resolved)
+                start, _ = random_state(rng, g, 30, zero_delta=fix_delta_zero)
+                data = rng.standard_normal((30, g.k)) * 1.3 + 0.4
+                seed = int(rng.integers(2**32))
+                new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                new = deepcopy(start)
+                with np.errstate(over="raise", divide="raise", invalid="raise"):
+                    new_u = gibbs_sweep(new, DataStats.of(data), groups, resolved, new_rng, fix_delta_zero)
+                    old, old_u = sweep_before_one_centre(deepcopy(start), data, groups, resolved, old_rng,
+                                                         fix_delta_zero)
+                pairs = [(f, getattr(new, f), getattr(old, f)) for f in TestGaussianDraw.FIELDS]
+                for f, got, ref in pairs + ([] if fix_delta_zero else [("u", new_u, old_u)]):
+                    # relative to the field's largest entry
+                    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(ref).max(),
+                                               err_msg=f"{prior.regime} {fix_delta_zero} {f}")
+                assert new_rng.bit_generator.state == old_rng.bit_generator.state
 
 
 class TestObservedLoglik:
@@ -1011,7 +1115,7 @@ class TestObservedLoglik:
                 data = rng.standard_normal((n, k)) * 1.3 + 0.4
                 r = ReparamParams(state.mu, state.delta, state.omega2, state.L, g)
                 ref = sgdg_log_density(reparam_inverse(r), data).sum()
-                assert _observed_loglik(state, data, DataStats.of(data)) == pytest.approx(ref, rel=1e-12)
+                assert _observed_loglik(state, DataStats.of(data)) == pytest.approx(ref, rel=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 88, 2000])
     def test_baseline_closed_form_matches_log_density(self, rng, n):
@@ -1031,7 +1135,7 @@ class TestObservedLoglik:
                 assert trace.loglik[s] == pytest.approx(ref, rel=1e-12, abs=0), prior.regime
         for state in states:  # alpha = 0 and kappa^2 = omega^2 at delta = 0
             ref = log_density(state.mu, state.delta, state.L, state.omega2, data).sum()
-            assert _observed_loglik(state, data, stats, fix_delta_zero=True) == pytest.approx(ref, rel=1e-12, abs=0)
+            assert _observed_loglik(state, stats, fix_delta_zero=True) == pytest.approx(ref, rel=1e-12, abs=0)
 
 
 class TestStartState:
@@ -1048,7 +1152,7 @@ class TestStartState:
         state = inference._initial_state(stats, g)
         assert np.array_equal(state.mu, data.mean(axis=0)) and np.all(state.delta == 0.0)
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            u = gibbs_sweep(state, data, stats, l_row_groups(g, resolved), resolved, np.random.default_rng(9),
+            u = gibbs_sweep(state, stats, l_row_groups(g, resolved), resolved, np.random.default_rng(9),
                             fix_delta_zero)
         if not fix_delta_zero:  # at delta = 0 the u conditional is HN(0, 1)
             half_normal = sample_truncated_normal(np.zeros(data.shape), 1.0, 0.0, np.random.default_rng(9))
@@ -1140,7 +1244,7 @@ class TestRunChain:
         resolved = resolve_hyperparams(NoninformativePrior(b1=1.0), 3)
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             with pytest.raises(NumericalFailure) as info:
-                gibbs_sweep(state, data, DataStats.of(data), l_row_groups(g, resolved), resolved, rng,
+                gibbs_sweep(state, DataStats.of(data), l_row_groups(g, resolved), resolved, rng,
                             fix_delta_zero=block == "omega2")
         assert re.match(rf"{block} block: floating-point overflow encountered in \w+$", str(info.value)), info.value
 
@@ -1421,7 +1525,7 @@ def sweep_z_scores(data, g, prior, draws, seed):
         for s in range(draws):
             state = GibbsState(trace.mu[s].copy(), np.zeros(g.k), trace.omega2[s].copy(),
                                trace.l_matrix(trace.L[s]))
-            gibbs_sweep(state, data, stats, groups, resolved, sweep_rng, fix_delta_zero=True)
+            gibbs_sweep(state, stats, groups, resolved, sweep_rng, fix_delta_zero=True)
             after[s] = np.concatenate([state.mu, state.omega2, trace.edge_values(state.L)])
     centre = before.mean(axis=0)
     diffs = np.hstack([after - before, (after - centre) ** 2 - (before - centre) ** 2])
@@ -1465,7 +1569,7 @@ class TestFlatMuBaseline:
             assert np.all(trace.omega2 > 0) and np.all(np.isfinite(trace.L))
             for s in range(len(trace)):
                 state = GibbsState(trace.mu[s], trace.delta[s], trace.omega2[s], trace.l_matrix(trace.L[s]))
-                closed_form = _observed_loglik(state, data, stats, fix_delta_zero=True)
+                closed_form = _observed_loglik(state, stats, fix_delta_zero=True)
                 assert trace.loglik[s] == pytest.approx(closed_form, rel=1e-12, abs=0), prior.regime
 
     INPUTS = {
